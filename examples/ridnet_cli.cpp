@@ -60,8 +60,9 @@
 //   --repair              sanitize malformed snapshots instead of rejecting
 //
 // Crash isolation (detect/pipeline, method=rid; see DESIGN.md §11):
-//   --shards=N            solve the forest in N forked worker processes,
-//                         streaming per-tree checkpoints into --run-dir.
+//   --shards=N            solve the forest in N forked worker processes
+//                         whose per-tree results are checkpointed into
+//                         --run-dir as they stream back.
 //                         The merged result is bit-identical to the
 //                         in-process run. 0 (default) = in-process.
 //   --run-dir=DIR         checkpoint/run directory (default ridnet-run)

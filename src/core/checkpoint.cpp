@@ -29,7 +29,6 @@ util::wire::Reader record_reader(std::string_view data) {
   return util::wire::Reader(data, "checkpoint record");
 }
 
-using util::fnv1a32;
 using util::fnv1a64_step;
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8;
@@ -72,30 +71,34 @@ std::vector<TreeCheckpointRecord> parse_records(std::string_view stream,
     return records;
   };
 
-  std::size_t pos = 0;
-  while (pos < stream.size()) {
-    RID_FAILPOINT("checkpoint.read");
-    if (stream.size() - pos < 8)
-      return fail("truncated record frame (" +
-                  std::to_string(stream.size() - pos) + " trailing bytes)");
-    util::wire::Reader frame = record_reader(stream.substr(pos, 8));
-    const std::uint32_t length = frame.u32();
-    const std::uint32_t checksum = frame.u32();
-    if (stream.size() - pos - 8 < length)
-      return fail("truncated record payload (want " + std::to_string(length) +
-                  " bytes, have " + std::to_string(stream.size() - pos - 8) +
-                  ")");
-    const std::string_view payload = stream.substr(pos + 8, length);
-    if (fnv1a32(payload) != checksum)
-      return fail("record checksum mismatch (corrupt payload)");
+  util::wire::FrameScanner scanner(stream);
+  while (true) {
+    if (scanner.remaining() > 0) RID_FAILPOINT("checkpoint.read");
+    std::string_view payload;
+    switch (scanner.next(&payload)) {
+      case util::wire::FrameScanner::Status::kRecord:
+        break;
+      case util::wire::FrameScanner::Status::kEnd:
+        return records;
+      case util::wire::FrameScanner::Status::kTornHeader:
+        return fail("truncated record frame (" +
+                    std::to_string(scanner.remaining()) + " trailing bytes)");
+      case util::wire::FrameScanner::Status::kTornPayload:
+        return fail("truncated record payload (want " +
+                    std::to_string(scanner.declared_length()) +
+                    " bytes, have " +
+                    std::to_string(scanner.remaining() -
+                                   util::wire::kFrameHeaderSize) +
+                    ")");
+      case util::wire::FrameScanner::Status::kBadChecksum:
+        return fail("record checksum mismatch (corrupt payload)");
+    }
     try {
       records.push_back(decode_record(payload));
     } catch (const util::InputError& e) {
       return fail(e.what());
     }
-    pos += 8 + length;
   }
-  return records;
 }
 
 /// Reads the whole file and validates the header. Header problems are
@@ -146,6 +149,36 @@ std::string read_stream(const std::string& path,
                            ": forest fingerprint mismatch (written for a "
                            "different snapshot/forest)");
   return data.substr(kHeaderSize);
+}
+
+/// Tolerant single-file read: the file's valid record prefix, with the
+/// damage (header or stream) described in *error. `header_out` as for
+/// read_stream.
+std::vector<TreeCheckpointRecord> read_valid_prefix(
+    const std::string& path, std::uint64_t expected_fingerprint,
+    std::string* error, CheckpointFileInfo* header_out = nullptr) {
+  try {
+    return parse_records(read_stream(path, expected_fingerprint, header_out),
+                         path, error);
+  } catch (const util::InputError& e) {
+    *error = e.what();  // header-level damage: nothing salvageable
+    return {};
+  }
+}
+
+/// Every "*.ckpt" file in run_dir, sorted by name (the merge order); empty
+/// when run_dir is missing.
+std::vector<std::string> checkpoint_files(const std::string& run_dir) {
+  std::vector<std::string> paths;
+  std::error_code ec;
+  if (!fs::is_directory(run_dir, ec)) return paths;
+  for (const auto& entry : fs::directory_iterator(run_dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    if (entry.path().extension() == kCheckpointExtension)
+      paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 }  // namespace
@@ -202,17 +235,17 @@ TreeCheckpointRecord decode_record(std::string_view payload) {
   record.solution.opt = in.f64();
   record.solution.objective = in.f64();
   record.seconds = in.f64();
-  const std::uint32_t num_initiators = in.u32();
+  const std::size_t num_initiators = in.count(in.u32(), 4 + 1);
   record.solution.initiators.reserve(num_initiators);
   record.solution.states.reserve(num_initiators);
-  for (std::uint32_t i = 0; i < num_initiators; ++i) {
+  for (std::size_t i = 0; i < num_initiators; ++i) {
     record.solution.initiators.push_back(in.u32());
     record.solution.states.push_back(
         static_cast<graph::NodeState>(static_cast<std::int8_t>(in.u8())));
   }
-  const std::uint32_t num_entry = in.u32();
+  const std::size_t num_entry = in.count(in.u32(), 4);
   record.solution.entry_k.reserve(num_entry);
-  for (std::uint32_t i = 0; i < num_entry; ++i)
+  for (std::size_t i = 0; i < num_entry; ++i)
     record.solution.entry_k.push_back(in.u32());
   record.error = in.bytes(in.u32());
   in.expect_done();
@@ -241,11 +274,8 @@ CheckpointWriter::~CheckpointWriter() {
 
 void CheckpointWriter::append(const TreeCheckpointRecord& record) {
   RID_FAILPOINT("checkpoint.append");
-  const std::string payload = encode_record(record);
   std::string frame;
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, fnv1a32(payload));
-  frame.append(payload);
+  util::wire::put_frame(frame, encode_record(record));
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
       std::fflush(file_) != 0)
     throw std::runtime_error("checkpoint writer: write failed for " + path_);
@@ -261,31 +291,13 @@ std::vector<TreeCheckpointRecord> read_checkpoint_file(
 CheckpointLoad load_checkpoint_dir(const std::string& run_dir,
                                    std::uint64_t expected_fingerprint) {
   CheckpointLoad load;
-  std::error_code ec;
-  if (!fs::is_directory(run_dir, ec)) return load;  // fresh run
-
-  std::vector<std::string> paths;
-  for (const auto& entry : fs::directory_iterator(run_dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() == kCheckpointExtension)
-      paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
-
-  for (const std::string& path : paths) {
+  for (const std::string& path : checkpoint_files(run_dir)) {
     ++load.files_scanned;
-    try {
-      const std::string stream = read_stream(path, expected_fingerprint);
-      std::string error;
-      std::vector<TreeCheckpointRecord> records =
-          parse_records(stream, path, &error);
-      for (TreeCheckpointRecord& record : records)
-        load.records.push_back(std::move(record));
-      if (!error.empty()) load.errors.push_back(std::move(error));
-    } catch (const util::InputError& e) {
-      // Header-level damage: nothing salvageable from this file.
-      load.errors.emplace_back(e.what());
-    }
+    std::string error;
+    for (TreeCheckpointRecord& record :
+         read_valid_prefix(path, expected_fingerprint, &error))
+      load.records.push_back(std::move(record));
+    if (!error.empty()) load.errors.push_back(std::move(error));
   }
   return load;
 }
@@ -293,37 +305,16 @@ CheckpointLoad load_checkpoint_dir(const std::string& run_dir,
 CheckpointFileInfo inspect_checkpoint_file(const std::string& path) {
   CheckpointFileInfo info;
   info.path = path;
-  try {
-    // expected_fingerprint 0 = report whatever the header claims.
-    const std::string stream = read_stream(path, 0, &info);
-    std::string error;
-    const std::vector<TreeCheckpointRecord> records =
-        parse_records(stream, path, &error);
-    info.records = records.size();
-    if (!error.empty()) {
-      info.damaged = true;
-      info.error = error;
-    }
-  } catch (const util::InputError& e) {
-    info.damaged = true;
-    info.error = e.what();
-  }
+  // expected_fingerprint 0 = report whatever the header claims.
+  info.records = read_valid_prefix(path, 0, &info.error, &info).size();
+  info.damaged = !info.error.empty();
   return info;
 }
 
 CompactionResult compact_checkpoint_dir(const std::string& run_dir,
                                         std::uint64_t expected_fingerprint) {
   CompactionResult result;
-  std::error_code ec;
-  if (!fs::is_directory(run_dir, ec)) return result;
-
-  std::vector<std::string> paths;
-  for (const auto& entry : fs::directory_iterator(run_dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    if (entry.path().extension() == kCheckpointExtension)
-      paths.push_back(entry.path().string());
-  }
-  std::sort(paths.begin(), paths.end());
+  const std::vector<std::string> paths = checkpoint_files(run_dir);
   result.files_before = paths.size();
   if (paths.empty()) return result;
 
@@ -350,22 +341,16 @@ CompactionResult compact_checkpoint_dir(const std::string& run_dir,
   std::vector<TreeCheckpointRecord> kept;
   std::unordered_set<std::uint64_t> seen;
   for (const std::string& path : paths) {
-    try {
-      const std::string stream = read_stream(path, fingerprint);
-      std::string error;
-      std::vector<TreeCheckpointRecord> records =
-          parse_records(stream, path, &error);
-      if (!error.empty()) result.errors.push_back(std::move(error));
-      for (TreeCheckpointRecord& record : records) {
-        if (!seen.insert(record.tree_index).second) {
-          ++result.duplicates_dropped;
-          continue;
-        }
-        kept.push_back(std::move(record));
+    std::string error;
+    for (TreeCheckpointRecord& record :
+         read_valid_prefix(path, fingerprint, &error)) {
+      if (!seen.insert(record.tree_index).second) {
+        ++result.duplicates_dropped;
+        continue;
       }
-    } catch (const util::InputError& e) {
-      result.errors.emplace_back(e.what());
+      kept.push_back(std::move(record));
     }
+    if (!error.empty()) result.errors.push_back(std::move(error));
   }
   if (kept.empty()) {
     result.errors.push_back(run_dir + ": no salvageable records; files left "

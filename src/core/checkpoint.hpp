@@ -90,7 +90,6 @@ class CheckpointWriter {
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
   void append(const TreeCheckpointRecord& record);
-  const std::string& path() const noexcept { return path_; }
   std::size_t records_written() const noexcept { return records_written_; }
 
  private:

@@ -40,16 +40,34 @@ RidMetrics& rid_metrics() {
   return instance;
 }
 
+struct FailureInfo {
+  bool budget = false;
+  std::string message;
+};
+
+/// Classifies a captured per-tree failure for diagnostics.
+FailureInfo describe_failure(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const util::BudgetExceededError& e) {
+    return {true, e.what()};
+  } catch (const std::exception& e) {
+    return {false, e.what()};
+  } catch (...) {
+    return {false, "unknown error"};
+  }
+}
+
 /// Shared fault-isolation harness for the single-beta and multi-beta runs:
-/// solves every tree (optionally in parallel), converts failures into
-/// root-only fallbacks via `fallback`, and files one diagnostics entry per
-/// tree into `diagnostics`. Every failing tree keeps its own error text —
-/// a multi-tree failure surfaces one line per tree in summary(), never just
-/// the first exception.
-template <typename Solve, typename Fallback>
+/// solves every tree (optionally in parallel), hands each failed tree's
+/// root-only fallback to `store_fallback`, and files one diagnostics entry
+/// per tree into `diagnostics`. Every failing tree keeps its own error text
+/// — a multi-tree failure surfaces one line per tree in summary(), never
+/// just the first exception.
+template <typename Solve, typename StoreFallback>
 void solve_trees_isolated(const CascadeForest& forest,
                           std::size_t num_threads, const Solve& solve,
-                          const Fallback& fallback,
+                          const StoreFallback& store_fallback,
                           RunDiagnostics& diagnostics) {
   const std::size_t n = forest.trees.size();
   // Per-tree timing is captured on the worker (trace-clock timestamps plus
@@ -79,35 +97,12 @@ void solve_trees_isolated(const CascadeForest& forest,
     tree.num_nodes = forest.trees[t].size();
     tree.seconds = static_cast<double>(end_ns[t] - start_ns[t]) * 1e-9;
     if (errors[t]) {
-      const internal::FailureInfo failure =
-          internal::describe_failure(errors[t]);
+      const FailureInfo failure = describe_failure(errors[t]);
       tree.budget_hit = failure.budget;
       tree.error = failure.message;
-      // Degrade to the RID-Tree answer; failed outright when even that is
-      // unavailable (root excluded by the candidate mask) or the fallback
-      // itself threw — in which case both error texts are preserved rather
-      // than collapsing the tree's entry to the first exception.
-      try {
-        tree.fallback_root_only = fallback(t);
-      } catch (...) {
-        const internal::FailureInfo second =
-            internal::describe_failure(std::current_exception());
-        tree.error += "; fallback: " + second.message;
-        tree.fallback_root_only = false;
-      }
-      tree.status =
-          tree.fallback_root_only ? TreeStatus::kDegraded : TreeStatus::kFailed;
-    }
-    switch (tree.status) {
-      case TreeStatus::kOk:
-        rm.trees_ok.add(1);
-        break;
-      case TreeStatus::kDegraded:
-        rm.trees_degraded.add(1);
-        break;
-      case TreeStatus::kFailed:
-        rm.trees_failed.add(1);
-        break;
+      TreeSolution root;
+      internal::fall_back_to_root(forest.trees[t], root, tree);
+      store_fallback(t, std::move(root));
     }
     if (tree.budget_hit) rm.budget_tree_hits.add(1);
     rm.tree_solve_ns.observe(end_ns[t] - start_ns[t]);
@@ -117,13 +112,89 @@ void solve_trees_isolated(const CascadeForest& forest,
         {"status", status_name(tree.status), 0},
     };
     trace::emit_span("solve_tree", start_ns[t], end_ns[t], tid[t], tags);
-    diagnostics.record(std::move(tree));
+    internal::record_tree(diagnostics, std::move(tree));
   }
 }
 
-/// Copies the trace's per-stage totals into the diagnostics when tracing is
-/// live (the breakdown covers every span recorded since trace::start(), so
-/// in multi-run processes it is cumulative — exactly what the CLI wants).
+/// Shared front end for both storage backends: repair -> extract -> mask.
+/// Every step is either backend-agnostic or overloaded per backend, so the
+/// two public run_rid overloads are bit-identical on equal content.
+template <typename Graph>
+internal::PreparedForest prepare_forest_impl(
+    const Graph& diffusion, std::span<const graph::NodeState> states,
+    const RidConfig& config) {
+  internal::PreparedForest out;
+  std::vector<graph::NodeState> repaired_states;
+  std::vector<bool> repaired_candidates;
+  std::span<const graph::NodeState> view = states;
+  const std::vector<bool>* candidates = &config.candidates;
+  if (config.repair_policy == RepairPolicy::kRepair) {
+    SanitizeReport repairs;
+    repaired_states.assign(states.begin(), states.end());
+    repairs.merge(sanitize_states(diffusion.num_nodes(), repaired_states,
+                                  RepairPolicy::kRepair));
+    view = repaired_states;
+    repaired_candidates = config.candidates;
+    repairs.merge(sanitize_candidates(diffusion.num_nodes(),
+                                      repaired_candidates,
+                                      RepairPolicy::kRepair));
+    candidates = &repaired_candidates;
+    out.repairs = std::move(repairs.repairs);
+  }
+
+  // extract_cascade_forest records its own "extract_forest" span; the
+  // timestamps here only feed the diagnostics.
+  const std::uint64_t extraction_start_ns = trace::now_ns();
+  ExtractionConfig extraction = config.extraction;
+  if (extraction.num_threads == 0) extraction.num_threads = config.num_threads;
+  out.forest = extract_cascade_forest(diffusion, view, extraction);
+  out.extraction_ns = trace::now_ns() - extraction_start_ns;
+  if (!candidates->empty()) apply_candidate_mask(out.forest, *candidates);
+  return out;
+}
+
+}  // namespace
+
+namespace internal {
+
+void fall_back_to_root(const CascadeTree& cascade, TreeSolution& solution,
+                       TreeDiagnostics& tree) {
+  solution = TreeSolution{};
+  try {
+    if (cascade.can_initiate.empty() || cascade.can_initiate[cascade.root]) {
+      solution.k = 1;
+      solution.initiators = {cascade.root};
+      solution.states = {cascade.state[cascade.root]};
+      solution.opt = evaluate_initiators(cascade, solution.initiators);
+      solution.objective = -solution.opt;
+    }
+    tree.fallback_root_only = !solution.initiators.empty();
+  } catch (...) {
+    const FailureInfo second = describe_failure(std::current_exception());
+    tree.error += "; fallback: " + second.message;
+    solution = TreeSolution{};
+    tree.fallback_root_only = false;
+  }
+  tree.status =
+      tree.fallback_root_only ? TreeStatus::kDegraded : TreeStatus::kFailed;
+}
+
+void record_tree(RunDiagnostics& diagnostics, TreeDiagnostics tree) {
+  RidMetrics& rm = rid_metrics();
+  switch (tree.status) {
+    case TreeStatus::kOk:
+      rm.trees_ok.add(1);
+      break;
+    case TreeStatus::kDegraded:
+      rm.trees_degraded.add(1);
+      break;
+    case TreeStatus::kFailed:
+      rm.trees_failed.add(1);
+      break;
+  }
+  diagnostics.record(std::move(tree));
+}
+
 void attach_stage_totals(RunDiagnostics& diagnostics) {
   if (!trace::enabled()) return;
   diagnostics.stages.clear();
@@ -133,32 +204,16 @@ void attach_stage_totals(RunDiagnostics& diagnostics) {
       trace::snapshot().dropped + trace::remote_spans_dropped();
 }
 
-}  // namespace
-
-namespace internal {
-
-TreeSolution root_only_fallback(const CascadeTree& tree) {
-  TreeSolution solution;
-  if (!tree.can_initiate.empty() && !tree.can_initiate[tree.root])
-    return solution;
-  solution.k = 1;
-  solution.initiators = {tree.root};
-  solution.states = {tree.state[tree.root]};
-  solution.opt = evaluate_initiators(tree, solution.initiators);
-  solution.objective = -solution.opt;
-  return solution;
+PreparedForest prepare_forest(const graph::SignedGraph& diffusion,
+                              std::span<const graph::NodeState> states,
+                              const RidConfig& config) {
+  return prepare_forest_impl(diffusion, states, config);
 }
 
-FailureInfo describe_failure(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const util::BudgetExceededError& e) {
-    return {true, e.what()};
-  } catch (const std::exception& e) {
-    return {false, e.what()};
-  } catch (...) {
-    return {false, "unknown error"};
-  }
+PreparedForest prepare_forest(const graph::ColumnarGraphView& diffusion,
+                              std::span<const graph::NodeState> states,
+                              const RidConfig& config) {
+  return prepare_forest_impl(diffusion, states, config);
 }
 
 std::size_t intra_tree_threads(const RidConfig& config,
@@ -207,17 +262,7 @@ void solve_tree_guarded(const CascadeTree& cascade, double beta,
     tree.budget_hit = failure.budget;
     tree.error = failure.message;
   }
-  try {
-    solution = root_only_fallback(cascade);
-    tree.fallback_root_only = !solution.initiators.empty();
-  } catch (...) {
-    const FailureInfo second = describe_failure(std::current_exception());
-    tree.error += "; fallback: " + second.message;
-    solution = TreeSolution{};
-    tree.fallback_root_only = false;
-  }
-  tree.status =
-      tree.fallback_root_only ? TreeStatus::kDegraded : TreeStatus::kFailed;
+  fall_back_to_root(cascade, solution, tree);
 }
 
 }  // namespace internal
@@ -244,17 +289,14 @@ DetectionResult run_rid_on_forest(const CascadeForest& forest,
       [&](std::size_t i) {
         solutions[i] = solve_tree(forest.trees[i], config.beta, dp);
       },
-      [&](std::size_t i) {
-        solutions[i] = internal::root_only_fallback(forest.trees[i]);
-        return !solutions[i].initiators.empty();
-      },
+      [&](std::size_t i, TreeSolution root) { solutions[i] = std::move(root); },
       out.diagnostics);
 
   std::vector<const TreeSolution*> views(solutions.size());
   for (std::size_t t = 0; t < solutions.size(); ++t) views[t] = &solutions[t];
   internal::merge_solutions(forest, views, out);
   out.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(out.diagnostics);
+  internal::attach_stage_totals(out.diagnostics);
   return out;
 }
 
@@ -285,16 +327,14 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
       [&](std::size_t i) {
         solutions[i] = solve_tree_betas(forest.trees[i], betas, dp);
       },
-      [&](std::size_t i) {
+      [&](std::size_t i, const TreeSolution& root) {
         // The fallback does not depend on beta: one root-only solution,
         // replicated per beta (objective = -opt since k = 1).
-        solutions[i].assign(betas.size(),
-                            internal::root_only_fallback(forest.trees[i]));
-        return !betas.empty() && !solutions[i][0].initiators.empty();
+        solutions[i].assign(betas.size(), root);
       },
       diagnostics);
   diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(diagnostics);
+  internal::attach_stage_totals(diagnostics);
 
   for (std::size_t b = 0; b < betas.size(); ++b) {
     std::vector<const TreeSolution*> views(solutions.size());
@@ -308,52 +348,22 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
 
 namespace {
 
-/// Shared front-end for both storage backends: repair -> extract -> mask ->
-/// solve. Every step is either backend-agnostic or overloaded per backend,
-/// so the two public run_rid overloads are bit-identical on equal content.
 template <typename Graph>
 DetectionResult run_rid_impl(const Graph& diffusion,
                              std::span<const graph::NodeState> states,
                              const RidConfig& config) {
   trace::TraceSpan span("run_rid");
   rid_metrics().runs.add(1);
-  // kRepair sanitizes copies of the snapshot and candidate mask up front;
-  // kReject leaves validation to extract_cascade_forest (which throws on a
-  // size mismatch, exactly as before).
-  std::vector<graph::NodeState> repaired_states;
-  std::vector<bool> repaired_candidates;
-  std::span<const graph::NodeState> view = states;
-  const std::vector<bool>* candidates = &config.candidates;
-  SanitizeReport repairs;
-  if (config.repair_policy == RepairPolicy::kRepair) {
-    repaired_states.assign(states.begin(), states.end());
-    repairs.merge(sanitize_states(diffusion.num_nodes(), repaired_states,
-                                  RepairPolicy::kRepair));
-    view = repaired_states;
-    repaired_candidates = config.candidates;
-    repairs.merge(sanitize_candidates(diffusion.num_nodes(),
-                                      repaired_candidates,
-                                      RepairPolicy::kRepair));
-    candidates = &repaired_candidates;
-  }
+  internal::PreparedForest prepared =
+      internal::prepare_forest(diffusion, states, config);
+  rid_metrics().extraction_ns.observe(prepared.extraction_ns);
 
-  // extract_cascade_forest records its own "extract_forest" span; the
-  // timestamps here only feed the diagnostics field.
-  const std::uint64_t extraction_start_ns = trace::now_ns();
-  ExtractionConfig extraction = config.extraction;
-  if (extraction.num_threads == 0) extraction.num_threads = config.num_threads;
-  CascadeForest forest = extract_cascade_forest(diffusion, view, extraction);
-  const std::uint64_t extraction_end_ns = trace::now_ns();
-  rid_metrics().extraction_ns.observe(extraction_end_ns -
-                                      extraction_start_ns);
-  if (!candidates->empty()) apply_candidate_mask(forest, *candidates);
-
-  DetectionResult result = run_rid_on_forest(forest, config);
-  result.diagnostics.repairs = std::move(repairs.repairs);
+  DetectionResult result = run_rid_on_forest(prepared.forest, config);
+  result.diagnostics.repairs = std::move(prepared.repairs);
   result.diagnostics.extraction_seconds =
-      static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
+      static_cast<double>(prepared.extraction_ns) * 1e-9;
   result.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(result.diagnostics);
+  internal::attach_stage_totals(result.diagnostics);
   util::log_debug("run_rid(beta=", config.beta, "): ", result.initiators.size(),
                   " initiators from ", result.num_trees, " trees (",
                   result.diagnostics.num_degraded, " degraded, ",

@@ -1,15 +1,16 @@
-// Crash-isolated sharded RID runner: plan shards, fork one worker per shard
-// (util/proc_supervisor.hpp), stream per-tree results into the run
-// directory's checkpoint files (core/checkpoint.hpp), and merge in the
-// parent with the exact in-process accumulation order so the result is
-// bit-identical to run_rid for any shard count — including a resume after a
-// mid-run crash. See DESIGN.md §11.
+// Crash-isolated sharded RID runner: plan shards, run one worker process
+// per shard attempt under the supervisor (util/proc_supervisor.hpp), let
+// the dispatcher's stream phase (core/shard_transport.hpp) turn worker
+// frames into the run directory's checkpoint files (core/checkpoint.hpp),
+// and merge in the parent with the exact in-process accumulation order so
+// the result is bit-identical to run_rid for any shard count — including a
+// resume after a mid-run crash. See DESIGN.md §11.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
+#include <stop_token>
 #include <thread>
 #include <type_traits>
 #include <unordered_set>
@@ -21,15 +22,9 @@
 #include "core/rid_internal.hpp"
 #include "core/shard_transport.hpp"
 #include "util/errors.hpp"
-#include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace.hpp"
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 namespace rid::core {
 
@@ -39,16 +34,10 @@ namespace fs = std::filesystem;
 namespace trace = util::trace;
 
 /// Sharded-runner metrics series (the supervisor's shard.* counters live in
-/// util/proc_supervisor.cpp; these mirror rid.cpp's per-tree outcome ones).
+/// util/proc_supervisor.cpp, the per-tree outcome ones in rid.cpp).
 struct ShardedRidMetrics {
   util::metrics::Counter& runs =
       util::metrics::global().counter("rid.sharded_runs");
-  util::metrics::Counter& trees_ok =
-      util::metrics::global().counter("rid.trees_ok");
-  util::metrics::Counter& trees_degraded =
-      util::metrics::global().counter("rid.trees_degraded");
-  util::metrics::Counter& trees_failed =
-      util::metrics::global().counter("rid.trees_failed");
   util::metrics::Counter& resumed =
       util::metrics::global().counter("rid.trees_resumed");
   util::metrics::Counter& transport_fallbacks =
@@ -58,40 +47,6 @@ struct ShardedRidMetrics {
 ShardedRidMetrics& sharded_metrics() {
   static ShardedRidMetrics instance;
   return instance;
-}
-
-std::uint64_t own_pid() {
-#if !defined(_WIN32)
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 0;
-#endif
-}
-
-/// Checkpoint file for one worker attempt. The pid keeps names unique
-/// across runs sharing a resumed directory (each attempt gets a fresh file:
-/// appending to an old file after a crash could land records after a
-/// partial trailing record, hiding them behind the damaged prefix).
-std::string attempt_file(const std::string& run_dir, std::size_t shard_id,
-                         std::uint32_t attempt) {
-  std::ostringstream name;
-  name << run_dir << "/shard-" << shard_id << "-p" << own_pid() << "-a"
-       << attempt << kCheckpointExtension;
-  return name.str();
-}
-
-/// Telemetry sidecar for one fork-worker attempt (the fork-transport
-/// counterpart of the socket kTelemetry frame). Named with the *parent*
-/// pid — the child writes it, the supervising parent harvests it after
-/// supervision, and stale sidecars from other runs fail the pid filter.
-std::string telemetry_sidecar_file(const std::string& run_dir,
-                                   std::size_t shard_id,
-                                   std::uint64_t parent_pid,
-                                   std::uint32_t attempt) {
-  std::ostringstream name;
-  name << run_dir << "/telemetry-" << shard_id << "-p" << parent_pid << "-a"
-       << attempt << util::telemetry::kSidecarExtension;
-  return name.str();
 }
 
 /// Size-balanced deterministic plan over an arbitrary subset of trees
@@ -138,15 +93,11 @@ void ensure_run_dir(const std::string& run_dir, bool resume,
   }
   if (resume) return;
   // Fresh run: stale checkpoint files would otherwise look durable to the
-  // supervisor and be merged back in. Stale telemetry sidecars go too —
-  // they are per-run artifacts, not durable state.
+  // supervisor and be merged back in.
   std::size_t removed = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(run_dir, ec)) {
     if (ec) break;
-    const auto extension = entry.path().extension();
-    if (extension != kCheckpointExtension &&
-        extension != util::telemetry::kSidecarExtension)
-      continue;
+    if (entry.path().extension() != kCheckpointExtension) continue;
     std::error_code remove_ec;
     if (fs::remove(entry.path(), remove_ec)) ++removed;
   }
@@ -158,40 +109,313 @@ void ensure_run_dir(const std::string& run_dir, bool resume,
   }
 }
 
-/// Parent-side demotion for a tree no worker could complete (poison pill,
-/// attempts exhausted, or cancellation): the same RID-Tree root-only ladder
-/// an in-process DP failure takes.
-TreeCheckpointRecord demote_tree(const CascadeForest& forest,
-                                 std::size_t tree_index,
-                                 const std::string& reason) {
-  TreeCheckpointRecord record;
-  record.tree_index = tree_index;
-  record.error = reason;
-  try {
-    record.solution = internal::root_only_fallback(forest.trees[tree_index]);
-    record.fallback_root_only = !record.solution.initiators.empty();
-  } catch (...) {
-    const internal::FailureInfo second =
-        internal::describe_failure(std::current_exception());
-    record.error += "; fallback: " + second.message;
-    record.solution = TreeSolution{};
-    record.fallback_root_only = false;
+/// Refuses configurations a transport cannot reproduce bit-identically.
+void validate_transport(const RidConfig& config, const ShardedConfig& sharded) {
+  if (sharded.run_dir.empty()) {
+    throw util::InputError(
+        "sharded RID run requires a run directory (ShardedConfig::run_dir)");
   }
-  record.status = record.fallback_root_only ? TreeStatus::kDegraded
-                                            : TreeStatus::kFailed;
-  return record;
+  if (sharded.transport != ShardTransport::kSocket) return;
+  if (sharded.worker_command.empty())
+    throw util::InputError(
+        "socket transport requires ShardedConfig::worker_command (the "
+        "binary exec'd as `<cmd> worker`)");
+  if (sharded.graph_path.empty())
+    throw util::InputError(
+        "socket transport requires ShardedConfig::graph_path (a .ridg "
+        "snapshot with embedded states for workers to re-map)");
+  // The forest fingerprint covers tree shapes and states but NOT the
+  // candidate mask or repaired states — an exec'd worker re-extracting from
+  // the raw snapshot would silently compute against a different
+  // eligibility set. Refuse instead of diverging.
+  if (!config.candidates.empty())
+    throw util::InputError(
+        "socket transport does not support RidConfig::candidates (the "
+        "mask is not covered by the forest fingerprint)");
+  if (config.repair_policy == RepairPolicy::kRepair)
+    throw util::InputError(
+        "socket transport does not support RepairPolicy::kRepair "
+        "(repaired states are not covered by the forest fingerprint)");
 }
 
-/// Copies the trace's per-stage totals into the diagnostics (same policy as
-/// rid.cpp's attach_stage_totals).
-void attach_stage_totals(RunDiagnostics& diagnostics) {
-  if (!trace::enabled()) return;
-  diagnostics.stages.clear();
-  for (const trace::StageTotal& stage : trace::aggregate_stage_totals())
-    diagnostics.stages.push_back({stage.name, stage.count, stage.seconds});
-  diagnostics.spans_dropped =
-      trace::snapshot().dropped + trace::remote_spans_dropped();
+/// The fully resolved solve configuration both launchers hand their
+/// workers (thread counts substituted: a worker must not re-derive anything
+/// from its own environment). Cancellation stays parent-side — the
+/// supervisor kills.
+WorkerAssignment resolve_assignment(const CascadeForest& forest,
+                                    const RidConfig& config,
+                                    const ShardedConfig& sharded,
+                                    std::uint64_t fingerprint) {
+  WorkerAssignment assignment;
+  assignment.fingerprint = fingerprint;
+  assignment.trace_id = sharded.trace_id;
+  // Workers record spans only when the parent is tracing; the telemetry
+  // frame itself always flows (the metrics half is always compiled).
+  assignment.collect_trace = trace::enabled();
+  assignment.graph_path = sharded.graph_path;
+  assignment.beta = config.beta;
+  assignment.dp = config.dp;
+  assignment.dp.budget = nullptr;
+  // Resolved against the full forest, like run_rid_on_forest — the DP is
+  // bit-identical across thread counts, so a shard may use the whole
+  // pool's share.
+  if (assignment.dp.num_threads == 0)
+    assignment.dp.num_threads = internal::intra_tree_threads(config, forest);
+  assignment.extraction = config.extraction;
+  assignment.extraction.budget = nullptr;
+  if (assignment.extraction.num_threads == 0)
+    assignment.extraction.num_threads = config.num_threads;
+  assignment.budget = config.budget;
+  assignment.budget.cancel = {};
+  return assignment;
 }
+
+/// One sharded run: its run directory's identity and the per-tree records
+/// gathered so far — first record per tree wins (records for the same tree
+/// are byte-identical on a deterministic pipeline).
+class ShardedRun {
+ public:
+  ShardedRun(const CascadeForest& forest, const ShardedConfig& sharded,
+             RunDiagnostics& diagnostics)
+      : forest_(forest),
+        sharded_(sharded),
+        diagnostics_(diagnostics),
+        fingerprint_(forest_fingerprint(forest)),
+        have_(forest.trees.size(), false),
+        records_(forest.trees.size()) {
+    ensure_run_dir(sharded.run_dir, sharded.resume, diagnostics.shard_events);
+  }
+
+  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+
+  /// Adopts every valid record in the run directory. Damaged files surface
+  /// as shard events, never as a crash.
+  void adopt_run_dir(bool counts_as_resume) {
+    CheckpointLoad load = load_checkpoint_dir(sharded_.run_dir, fingerprint_);
+    for (TreeCheckpointRecord& record : load.records) {
+      if (record.tree_index >= records_.size()) {
+        std::ostringstream event;
+        event << "ignoring checkpoint record for out-of-range tree "
+              << record.tree_index;
+        diagnostics_.shard_events.push_back(event.str());
+        continue;
+      }
+      const std::size_t t = static_cast<std::size_t>(record.tree_index);
+      if (have_[t]) continue;
+      have_[t] = true;
+      records_[t] = std::move(record);
+      if (counts_as_resume) ++diagnostics_.resumed_trees;
+    }
+    for (std::string& error : load.errors)
+      diagnostics_.shard_events.push_back("checkpoint: " + std::move(error));
+  }
+
+  /// Trees no record covers yet (ascending), minus `also_done`.
+  std::vector<std::size_t> missing(
+      const std::unordered_set<std::size_t>& also_done = {}) const {
+    std::vector<std::size_t> out;
+    for (std::size_t t = 0; t < have_.size(); ++t)
+      if (!have_[t] && !also_done.count(t)) out.push_back(t);
+    return out;
+  }
+
+  /// Trees with a valid record in the run directory right now (tolerant
+  /// load — a worker may have died mid-record).
+  std::unordered_set<std::size_t> durable_trees() const {
+    std::unordered_set<std::size_t> done;
+    for (const TreeCheckpointRecord& record :
+         load_checkpoint_dir(sharded_.run_dir, fingerprint_).records)
+      if (record.tree_index < have_.size())
+        done.insert(static_cast<std::size_t>(record.tree_index));
+    return done;
+  }
+
+  /// One launcher phase: plans `trees` and supervises the shards to
+  /// completion with `launcher`.
+  util::SupervisorReport run_phase(const std::vector<std::size_t>& trees,
+                                   const util::ShardLauncher& launcher,
+                                   const util::SupervisorOptions& options) {
+    const std::vector<util::ShardWork> shards =
+        plan_over(forest_, trees, sharded_.num_shards);
+    std::vector<std::unordered_set<std::size_t>> items(shards.size());
+    for (const util::ShardWork& shard : shards)
+      items[shard.shard_id].insert(shard.items.begin(), shard.items.end());
+    // Parent-side durability probe: which of a shard's trees are on disk.
+    const auto durable = [&](std::size_t shard_id) {
+      std::vector<std::size_t> done;
+      for (const std::size_t t : durable_trees())
+        if (items[shard_id].count(t)) done.push_back(t);
+      return done;
+    };
+    return util::supervise_shards(shards, options, launcher, durable);
+  }
+
+  /// Exec'd workers under the optional grace watchdog, then the
+  /// degraded-transport fallback to the fork launcher.
+  util::SupervisorReport run_socket(SocketDispatcher& dispatcher,
+                                    const std::vector<std::size_t>& pending) {
+    // Grace watchdog (remote_grace_seconds > 0): a derived cancel token
+    // trips when the user cancels, or when the grace budget elapses with no
+    // worker having ever completed a handshake — the transport is treated
+    // as unreachable and the remaining trees re-run over the fork launcher
+    // below. The watchdog retires permanently after the first handshake:
+    // from then on connection losses follow the normal retry/requeue
+    // ladder, not the fallback.
+    util::SupervisorOptions options = sharded_.supervisor;
+    util::SupervisorReport report;
+    {
+      std::jthread watchdog;
+      if (sharded_.remote_grace_seconds > 0) {
+        const util::CancelToken grace_cancel = util::CancelToken::create();
+        options.cancel = grace_cancel;
+        const util::CancelToken user_cancel = sharded_.supervisor.cancel;
+        const double grace = sharded_.remote_grace_seconds;
+        watchdog = std::jthread([&dispatcher, grace_cancel, user_cancel,
+                                 grace](std::stop_token stop) {
+          const auto start = std::chrono::steady_clock::now();
+          while (!stop.stop_requested()) {
+            if (user_cancel.cancel_requested()) {
+              grace_cancel.request_cancel();
+              return;
+            }
+            if (dispatcher.handshakes_completed() > 0) return;
+            const double elapsed = std::chrono::duration<double>(
+                                       std::chrono::steady_clock::now() - start)
+                                       .count();
+            if (elapsed >= grace) {
+              grace_cancel.request_cancel();
+              return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+          }
+        });
+      }
+      report = run_phase(pending,
+                         dispatcher.launcher(sharded_.worker_command, options),
+                         options);
+    }  // the watchdog stops and joins here, on every path
+    if (sharded_.remote_grace_seconds > 0 &&
+        !sharded_.supervisor.cancel.cancel_requested() &&
+        (report.cancelled || dispatcher.handshakes_completed() == 0))
+      fall_back_to_fork(dispatcher, report);
+    return report;
+  }
+
+  /// Poison pills are demoted in the parent and the demotion *persisted*,
+  /// so a later resume keeps the verdict instead of feeding the killer tree
+  /// to a fresh worker. Abandoned or cancelled trees are demoted in memory
+  /// only — a clean resume should recompute them.
+  void demote(const util::SupervisorReport& report) {
+    if (!report.poisoned_items.empty()) {
+      std::ostringstream reason;
+      reason << "poison pill: tree killed "
+             << sharded_.supervisor.poison_threshold
+             << " workers; demoted to root-only fallback";
+      try {
+        CheckpointWriter poison_writer(
+            sharded_.run_dir + "/poison-p" + std::to_string(util::own_pid()) +
+                kCheckpointExtension,
+            fingerprint_);
+        for (const std::size_t item : report.poisoned_items)
+          if (demote_tree(item, reason.str())) {
+            ++diagnostics_.shard_poison_trees;
+            poison_writer.append(records_[item]);
+          }
+      } catch (const std::exception& e) {
+        diagnostics_.shard_events.push_back(
+            std::string("failed to persist poison demotions: ") + e.what());
+        for (const std::size_t item : report.poisoned_items)
+          if (demote_tree(item, reason.str()))
+            ++diagnostics_.shard_poison_trees;
+      }
+    }
+    for (const std::size_t item : report.abandoned_items) {
+      std::ostringstream reason;
+      reason << "abandoned after " << sharded_.supervisor.max_shard_attempts
+             << " worker attempts";
+      demote_tree(item, reason.str());
+    }
+    for (std::size_t t = 0; t < have_.size(); ++t)
+      demote_tree(t, report.cancelled ? "cancelled before completion"
+                                      : "not completed by any worker");
+  }
+
+  /// Per-tree diagnostics and the merge, both in tree order — the merge
+  /// accumulation order is the bit-identity contract with run_rid.
+  void merge(DetectionResult& out) const {
+    std::vector<const TreeSolution*> views(records_.size());
+    for (std::size_t t = 0; t < records_.size(); ++t) {
+      const TreeCheckpointRecord& record = records_[t];
+      TreeDiagnostics tree;
+      tree.tree_index = t;
+      tree.num_nodes = forest_.trees[t].size();
+      tree.status = record.status;
+      tree.seconds = record.seconds;
+      tree.budget_hit = record.budget_hit;
+      tree.fallback_root_only = record.fallback_root_only;
+      tree.error = record.error;
+      internal::record_tree(diagnostics_, std::move(tree));
+      views[t] = &record.solution;
+    }
+    internal::merge_solutions(forest_, views, out);
+  }
+
+ private:
+  /// The socket phase ended (grace-cancelled or attempts exhausted) without
+  /// a single completed handshake, and trees remain: re-run the
+  /// non-durable remainder over the fork launcher under the *user's* cancel
+  /// token. The socket phase's poison/abandon verdicts are transport
+  /// artifacts — no worker ever held those trees — so the fallback's
+  /// verdicts replace them; its crash and retry counts merge for
+  /// observability. Results stay bit-identical: records adopt first-wins
+  /// and both launchers run the same per-tree loop.
+  void fall_back_to_fork(SocketDispatcher& dispatcher,
+                         util::SupervisorReport& report) {
+    const std::vector<std::size_t> remaining = missing(durable_trees());
+    if (remaining.empty()) return;
+    sharded_metrics().transport_fallbacks.add(1);
+    std::ostringstream event;
+    event << "degraded transport: no socket worker completed a handshake"
+          << " within the " << sharded_.remote_grace_seconds
+          << "s grace budget; re-running " << remaining.size()
+          << " trees over the fork transport";
+    diagnostics_.shard_events.push_back(event.str());
+    util::SupervisorReport fallback = run_phase(
+        remaining, dispatcher.fork_launcher(forest_, sharded_.supervisor),
+        sharded_.supervisor);
+    report.cancelled = fallback.cancelled;
+    report.crashes += fallback.crashes;
+    report.retries += fallback.retries;
+    report.poisoned_items = std::move(fallback.poisoned_items);
+    report.abandoned_items = std::move(fallback.abandoned_items);
+    for (std::string& fallback_event : fallback.events)
+      report.events.push_back(std::move(fallback_event));
+  }
+
+  /// Demotes a tree no worker completed (poison pill, attempts exhausted,
+  /// or cancellation) to the RID-Tree root-only ladder an in-process DP
+  /// failure takes. False when the tree already has a record.
+  bool demote_tree(std::size_t t, const std::string& reason) {
+    if (t >= have_.size() || have_[t]) return false;
+    TreeDiagnostics tree;
+    tree.error = reason;
+    TreeCheckpointRecord& record = records_[t];
+    record.tree_index = t;
+    internal::fall_back_to_root(forest_.trees[t], record.solution, tree);
+    record.status = tree.status;
+    record.fallback_root_only = tree.fallback_root_only;
+    record.error = std::move(tree.error);
+    have_[t] = true;
+    return true;
+  }
+
+  const CascadeForest& forest_;
+  const ShardedConfig& sharded_;
+  RunDiagnostics& diagnostics_;
+  const std::uint64_t fingerprint_;
+  std::vector<bool> have_;
+  std::vector<TreeCheckpointRecord> records_;
+};
 
 }  // namespace
 
@@ -205,34 +429,8 @@ std::vector<util::ShardWork> plan_shards(const CascadeForest& forest,
 DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
                                           const RidConfig& config,
                                           const ShardedConfig& sharded) {
-  if (sharded.run_dir.empty()) {
-    throw util::InputError(
-        "sharded RID run requires a run directory (ShardedConfig::run_dir)");
-  }
-  const bool socket_transport =
-      sharded.transport == ShardTransport::kSocket;
-  if (socket_transport) {
-    if (sharded.worker_command.empty())
-      throw util::InputError(
-          "socket transport requires ShardedConfig::worker_command (the "
-          "binary exec'd as `<cmd> worker`)");
-    if (sharded.graph_path.empty())
-      throw util::InputError(
-          "socket transport requires ShardedConfig::graph_path (a .ridg "
-          "snapshot with embedded states for workers to re-map)");
-    // The forest fingerprint covers tree shapes and states but NOT the
-    // candidate mask or repaired states — an exec'd worker re-extracting
-    // from the raw snapshot would silently compute against a different
-    // eligibility set. Refuse instead of diverging.
-    if (!config.candidates.empty())
-      throw util::InputError(
-          "socket transport does not support RidConfig::candidates (the "
-          "mask is not covered by the forest fingerprint)");
-    if (config.repair_policy == RepairPolicy::kRepair)
-      throw util::InputError(
-          "socket transport does not support RepairPolicy::kRepair "
-          "(repaired states are not covered by the forest fingerprint)");
-  }
+  validate_transport(config, sharded);
+  const bool socket_transport = sharded.transport == ShardTransport::kSocket;
   if (!util::process_isolation_supported() ||
       (socket_transport && !util::net::supported())) {
     // No fork() on this platform: degrade to the in-process pipeline (same
@@ -253,393 +451,50 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   out.num_trees = forest.trees.size();
   RunDiagnostics& diagnostics = out.diagnostics;
 
-  ensure_run_dir(sharded.run_dir, sharded.resume, diagnostics.shard_events);
-  const std::uint64_t fingerprint = forest_fingerprint(forest);
-  const std::size_t n = forest.trees.size();
-
-  // Resume: adopt every durable tree (first record wins; records for the
-  // same tree are byte-identical on a deterministic pipeline), recompute
-  // the rest. Damaged files surface as shard events, never as a crash.
-  std::vector<bool> have(n, false);
-  std::vector<TreeCheckpointRecord> records(n);
-  const auto adopt_records = [&](CheckpointLoad& load, bool counts_as_resume) {
-    for (TreeCheckpointRecord& record : load.records) {
-      if (record.tree_index >= n) {
-        std::ostringstream event;
-        event << "ignoring checkpoint record for out-of-range tree "
-              << record.tree_index;
-        diagnostics.shard_events.push_back(event.str());
-        continue;
-      }
-      const std::size_t t = static_cast<std::size_t>(record.tree_index);
-      if (have[t]) continue;
-      have[t] = true;
-      records[t] = std::move(record);
-      if (counts_as_resume) ++diagnostics.resumed_trees;
-    }
-    for (std::string& error : load.errors)
-      diagnostics.shard_events.push_back("checkpoint: " + std::move(error));
-  };
-  if (sharded.resume) {
-    CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    adopt_records(load, /*counts_as_resume=*/true);
-  }
+  // Resume: adopt every durable tree, then plan only the rest.
+  ShardedRun run(forest, sharded, diagnostics);
+  if (sharded.resume) run.adopt_run_dir(/*counts_as_resume=*/true);
   sharded_metrics().resumed.add(diagnostics.resumed_trees);
+  const std::vector<std::size_t> pending = run.missing();
+  diagnostics.shard_count = std::min(sharded.num_shards, pending.size());
 
-  // Plan only the missing trees.
-  std::vector<std::size_t> pending;
-  for (std::size_t t = 0; t < n; ++t)
-    if (!have[t]) pending.push_back(t);
-  const std::vector<util::ShardWork> shards =
-      plan_over(forest, pending, sharded.num_shards);
-  diagnostics.shard_count = shards.size();
-
-  std::vector<std::unordered_set<std::size_t>> shard_items(shards.size());
-  for (const util::ShardWork& shard : shards)
-    shard_items[shard.shard_id].insert(shard.items.begin(),
-                                       shard.items.end());
-
-  // Worker body (runs in the forked child). Trees are solved serially in
-  // shard order — the supervisor's poison suspect ("first incomplete item")
-  // depends on it — with the exact per-tree isolation ladder of
-  // run_rid_on_forest, and each finished tree is flushed before the next
-  // starts so a crash loses at most the in-flight tree.
-  const std::uint64_t parent_pid = own_pid();  // captured pre-fork
-  const auto child_body = [&, parent_pid](std::size_t shard_id,
-                                          const std::vector<std::size_t>& items,
-                                          std::uint32_t attempt) {
-    // The forked child inherits the parent's metrics values and span rings
-    // copy-on-write; reset both so the telemetry sidecar carries only this
-    // attempt's deltas (the parent merging them back would otherwise
-    // double-count everything recorded before the fork).
-    util::metrics::global().reset();
-    const bool tracing = trace::enabled();
-    if (tracing) trace::start();
-    const std::uint64_t worker_start_ns = trace::now_ns();
-    const util::BudgetScope scope(config.budget);
-    TreeDpOptions dp = config.dp;
-    if (!config.budget.unlimited()) dp.budget = &scope;
-    // Resolved against the full forest, like run_rid_on_forest — the DP is
-    // bit-identical across thread counts, so the shard subset may safely
-    // use the whole pool's share.
-    if (dp.num_threads == 0)
-      dp.num_threads = internal::intra_tree_threads(config, forest);
-    CheckpointWriter writer(attempt_file(sharded.run_dir, shard_id, attempt),
-                            fingerprint);
-    for (const std::size_t item : items) {
-      RID_FAILPOINT("shard.worker_tree");
-      TreeCheckpointRecord record;
-      record.tree_index = item;
-      TreeDiagnostics tree;
-      const std::uint64_t start_ns = trace::now_ns();
-      internal::solve_tree_guarded(forest.trees[item], config.beta, dp,
-                                   record.solution, tree);
-      const std::uint64_t end_ns = trace::now_ns();
-      record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
-      record.status = tree.status;
-      record.budget_hit = tree.budget_hit;
-      record.fallback_root_only = tree.fallback_root_only;
-      record.error = std::move(tree.error);
-      const trace::TagValue tags[] = {
-          {"tree_index", nullptr, static_cast<std::int64_t>(item)},
-          {"nodes", nullptr,
-           static_cast<std::int64_t>(forest.trees[item].size())},
-          {"status", status_name(tree.status), 0},
-      };
-      trace::emit_span("solve_tree", start_ns, end_ns, trace::current_tid(),
-                       tags);
-      writer.append(record);
-    }
-    // Telemetry sidecar (best-effort, after the last record is durable — a
-    // crash before this point loses observability, never results).
-    const trace::TagValue tags[] = {
-        {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
-        {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
-        {"job", nullptr, static_cast<std::int64_t>(sharded.trace_id)},
-    };
-    trace::emit_span("worker_shard", worker_start_ns, trace::now_ns(),
-                     trace::current_tid(), tags);
-    if (tracing) trace::stop();
-    try {
-      util::telemetry::write_sidecar_file(
-          telemetry_sidecar_file(sharded.run_dir, shard_id, parent_pid,
-                                 attempt),
-          util::telemetry::collect(
-              sharded.trace_id, "worker shard " + std::to_string(shard_id) +
-                                    " attempt " + std::to_string(attempt)));
-    } catch (const std::exception&) {
-    }
-  };
-
-  // Parent-side durability probe: which of a shard's trees are already on
-  // disk (tolerant load — a worker may have died mid-record).
-  const auto durable = [&](std::size_t shard_id) {
-    std::vector<std::size_t> done;
-    CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    std::unordered_set<std::size_t> seen;
-    for (const TreeCheckpointRecord& record : load.records) {
-      const std::size_t t = static_cast<std::size_t>(record.tree_index);
-      if (shard_items[shard_id].count(t) && seen.insert(t).second)
-        done.push_back(t);
-    }
-    return done;
-  };
-
-  // Telemetry sidecar harvest for fork-transport children (the fork branch
-  // proper and the degraded-transport fallback below). The pid filter skips
-  // sidecars from other processes sharing a resumed directory; the trace-id
-  // check skips this process's earlier runs. Damage is counted inside
-  // read_sidecar_file, never fatal.
-  const auto harvest_sidecars = [&] {
-    std::error_code ec;
-    std::vector<fs::path> sidecars;
-    const std::string pid_token = "-p" + std::to_string(parent_pid) + "-";
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(sharded.run_dir, ec)) {
-      if (ec) break;
-      const std::string name = entry.path().filename().string();
-      if (entry.path().extension() != util::telemetry::kSidecarExtension ||
-          name.rfind("telemetry-", 0) != 0 ||
-          name.find(pid_token) == std::string::npos)
-        continue;
-      sidecars.push_back(entry.path());
-    }
-    std::sort(sidecars.begin(), sidecars.end());  // deterministic merge order
-    for (const fs::path& sidecar : sidecars) {
-      auto telemetry = util::telemetry::read_sidecar_file(sidecar.string());
-      if (!telemetry || telemetry->trace_id != sharded.trace_id) continue;
-      util::telemetry::merge_into_process(std::move(*telemetry));
-    }
-  };
-
+  WorkerAssignment assignment =
+      resolve_assignment(forest, config, sharded, run.fingerprint());
   util::SupervisorReport report;
   if (socket_transport) {
-    // Socket transport: workers are exec'd `<worker_command> worker`
-    // processes fed their assignment over the wire; the dispatcher appends
-    // their streamed records to the same per-attempt checkpoint files the
-    // durable() probe reads, so supervision semantics are unchanged.
-    WorkerAssignment assignment;
-    assignment.fingerprint = fingerprint;
-    assignment.trace_id = sharded.trace_id;
-    // Workers record spans only when the parent is tracing; the telemetry
-    // frame itself always flows (the metrics half is always compiled).
-    assignment.collect_trace = trace::enabled();
-    assignment.graph_path = sharded.graph_path;
-    assignment.beta = config.beta;
-    assignment.dp = config.dp;
-    assignment.dp.budget = nullptr;
-    if (assignment.dp.num_threads == 0)
-      assignment.dp.num_threads = internal::intra_tree_threads(config, forest);
-    assignment.extraction = config.extraction;
-    assignment.extraction.budget = nullptr;
-    if (assignment.extraction.num_threads == 0)
-      assignment.extraction.num_threads = config.num_threads;
-    assignment.budget = config.budget;
-    assignment.budget.cancel = {};  // cancellation stays parent-side
-    const util::net::Endpoint endpoint =
-        sharded.worker_endpoint.empty()
-            ? util::net::Endpoint::unix_path(sharded.run_dir +
-                                             "/workers.sock")
-            : util::net::Endpoint::parse(sharded.worker_endpoint);
     DispatcherOptions dispatcher_options;
     dispatcher_options.auth_token = sharded.auth_token;
     dispatcher_options.graph_cache_dir = sharded.graph_cache_dir;
-    SocketDispatcher dispatcher(endpoint, sharded.run_dir,
-                                std::move(assignment), dispatcher_options);
-
-    // Grace watchdog (remote_grace_seconds > 0): a derived cancel token
-    // trips when the user cancels, or when the grace budget elapses with no
-    // worker having ever completed a handshake — the transport is treated
-    // as unreachable and the remaining trees re-run over the fork transport
-    // below. The watchdog retires permanently after the first handshake:
-    // from then on connection losses follow the normal retry/requeue
-    // ladder, not the fallback.
-    util::SupervisorOptions socket_supervisor = sharded.supervisor;
-    util::CancelToken grace_cancel;
-    std::atomic<bool> watchdog_stop{false};
-    std::thread watchdog;
-    if (sharded.remote_grace_seconds > 0) {
-      grace_cancel = util::CancelToken::create();
-      socket_supervisor.cancel = grace_cancel;
-      const util::CancelToken user_cancel = sharded.supervisor.cancel;
-      const double grace = sharded.remote_grace_seconds;
-      watchdog = std::thread([&dispatcher, &watchdog_stop, grace_cancel,
-                              user_cancel, grace] {
-        const auto start = std::chrono::steady_clock::now();
-        while (!watchdog_stop.load(std::memory_order_relaxed)) {
-          if (user_cancel.cancel_requested()) {
-            grace_cancel.request_cancel();
-            return;
-          }
-          if (dispatcher.handshakes_completed() > 0) return;
-          const double elapsed =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-          if (elapsed >= grace) {
-            grace_cancel.request_cancel();
-            return;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-      });
-    }
-    report = util::supervise_shards(
-        shards, socket_supervisor,
-        dispatcher.launcher(sharded.worker_command, socket_supervisor),
-        durable);
-    if (watchdog.joinable()) {
-      watchdog_stop.store(true, std::memory_order_relaxed);
-      watchdog.join();
-    }
+    SocketDispatcher dispatcher(
+        sharded.worker_endpoint.empty()
+            ? util::net::Endpoint::unix_path(sharded.run_dir + "/workers.sock")
+            : util::net::Endpoint::parse(sharded.worker_endpoint),
+        sharded.run_dir, std::move(assignment), dispatcher_options);
+    report = run.run_socket(dispatcher, pending);
     for (std::string& event : dispatcher.take_events())
       diagnostics.shard_events.push_back(std::move(event));
-
-    // Degraded-transport fallback: the socket phase ended (grace-cancelled
-    // or attempts exhausted) without a single completed handshake, and
-    // trees remain. Re-plan the non-durable remainder and run it over the
-    // fork transport under the *user's* cancel token. The socket phase's
-    // poison/abandon verdicts are transport artifacts — no worker ever held
-    // those trees — so the fallback's verdicts replace them; its crash and
-    // retry counts merge for observability. Results stay bit-identical:
-    // records adopt first-wins and both transports run the same solver.
-    if (sharded.remote_grace_seconds > 0 &&
-        !sharded.supervisor.cancel.cancel_requested() &&
-        (report.cancelled || dispatcher.handshakes_completed() == 0)) {
-      CheckpointLoad probe = load_checkpoint_dir(sharded.run_dir, fingerprint);
-      std::unordered_set<std::size_t> done;
-      for (const TreeCheckpointRecord& record : probe.records)
-        if (record.tree_index < n)
-          done.insert(static_cast<std::size_t>(record.tree_index));
-      std::vector<std::size_t> remaining;
-      for (const std::size_t t : pending)
-        if (!done.count(t) && !have[t]) remaining.push_back(t);
-      if (!remaining.empty()) {
-        sharded_metrics().transport_fallbacks.add(1);
-        std::ostringstream event;
-        event << "degraded transport: no socket worker completed a handshake"
-              << " within the " << sharded.remote_grace_seconds
-              << "s grace budget; re-running " << remaining.size()
-              << " trees over the fork transport";
-        diagnostics.shard_events.push_back(event.str());
-        const std::vector<util::ShardWork> fb_shards =
-            plan_over(forest, remaining, sharded.num_shards);
-        shard_items.assign(fb_shards.size(), {});
-        for (const util::ShardWork& shard : fb_shards)
-          shard_items[shard.shard_id].insert(shard.items.begin(),
-                                             shard.items.end());
-        util::SupervisorReport fallback = util::supervise_shards(
-            fb_shards, sharded.supervisor, child_body, durable);
-        harvest_sidecars();
-        report.cancelled = fallback.cancelled;
-        report.workers_spawned += fallback.workers_spawned;
-        report.crashes += fallback.crashes;
-        report.kills += fallback.kills;
-        report.retries += fallback.retries;
-        report.poisoned_items = std::move(fallback.poisoned_items);
-        report.abandoned_items = std::move(fallback.abandoned_items);
-        for (std::string& fb_event : fallback.events)
-          report.events.push_back(std::move(fb_event));
-      }
-    }
   } else {
-    report =
-        util::supervise_shards(shards, sharded.supervisor, child_body, durable);
-    harvest_sidecars();
+    SocketDispatcher dispatcher(sharded.run_dir, std::move(assignment));
+    report = run.run_phase(
+        pending, dispatcher.fork_launcher(forest, sharded.supervisor),
+        sharded.supervisor);
+    for (std::string& event : dispatcher.take_events())
+      diagnostics.shard_events.push_back(std::move(event));
   }
   diagnostics.shard_retries = report.retries;
   diagnostics.shard_crashes = report.crashes;
   for (const std::string& event : report.events)
     diagnostics.shard_events.push_back(event);
 
-  // Collect what the workers persisted.
-  {
-    CheckpointLoad load = load_checkpoint_dir(sharded.run_dir, fingerprint);
-    adopt_records(load, /*counts_as_resume=*/false);
-  }
-
-  // Poison pills: demote in the parent and *persist* the demotion, so a
-  // later resume keeps the verdict instead of feeding the killer tree to a
-  // fresh worker. Abandoned or cancelled trees are demoted in memory only —
-  // a clean resume should recompute them.
-  if (!report.poisoned_items.empty()) {
-    std::ostringstream reason;
-    reason << "poison pill: tree killed " << sharded.supervisor.poison_threshold
-           << " workers; demoted to root-only fallback";
-    try {
-      CheckpointWriter poison_writer(
-          sharded.run_dir + "/poison-p" + std::to_string(own_pid()) +
-              kCheckpointExtension,
-          fingerprint);
-      for (const std::size_t item : report.poisoned_items) {
-        if (item >= n || have[item]) continue;
-        records[item] = demote_tree(forest, item, reason.str());
-        have[item] = true;
-        ++diagnostics.shard_poison_trees;
-        poison_writer.append(records[item]);
-      }
-    } catch (const std::exception& e) {
-      diagnostics.shard_events.push_back(
-          std::string("failed to persist poison demotions: ") + e.what());
-      for (const std::size_t item : report.poisoned_items) {
-        if (item >= n || have[item]) continue;
-        records[item] = demote_tree(forest, item, reason.str());
-        have[item] = true;
-        ++diagnostics.shard_poison_trees;
-      }
-    }
-  }
-  for (const std::size_t item : report.abandoned_items) {
-    if (item >= n || have[item]) continue;
-    std::ostringstream reason;
-    reason << "abandoned after " << sharded.supervisor.max_shard_attempts
-           << " worker attempts";
-    records[item] = demote_tree(forest, item, reason.str());
-    have[item] = true;
-  }
-  for (std::size_t t = 0; t < n; ++t) {
-    if (have[t]) continue;
-    records[t] = demote_tree(forest, t,
-                             report.cancelled
-                                 ? "cancelled before completion"
-                                 : "not completed by any worker");
-    have[t] = true;
-  }
-
-  // Per-tree diagnostics and the merge, both in tree order — the merge
-  // accumulation order is the bit-identity contract with run_rid.
-  ShardedRidMetrics& rm = sharded_metrics();
-  for (std::size_t t = 0; t < n; ++t) {
-    TreeDiagnostics tree;
-    tree.tree_index = t;
-    tree.num_nodes = forest.trees[t].size();
-    tree.status = records[t].status;
-    tree.seconds = records[t].seconds;
-    tree.budget_hit = records[t].budget_hit;
-    tree.fallback_root_only = records[t].fallback_root_only;
-    tree.error = records[t].error;
-    switch (tree.status) {
-      case TreeStatus::kOk:
-        rm.trees_ok.add(1);
-        break;
-      case TreeStatus::kDegraded:
-        rm.trees_degraded.add(1);
-        break;
-      case TreeStatus::kFailed:
-        rm.trees_failed.add(1);
-        break;
-    }
-    diagnostics.record(std::move(tree));
-  }
-  std::vector<const TreeSolution*> views(n);
-  for (std::size_t t = 0; t < n; ++t) views[t] = &records[t].solution;
-  internal::merge_solutions(forest, views, out);
+  run.adopt_run_dir(/*counts_as_resume=*/false);
+  run.demote(report);
+  run.merge(out);
 
   diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(diagnostics);
+  internal::attach_stage_totals(diagnostics);
   util::log_debug("run_rid_sharded(beta=", config.beta, ", shards=",
                   diagnostics.shard_count, "): ", out.initiators.size(),
-                  " initiators from ", n, " trees (",
+                  " initiators from ", forest.trees.size(), " trees (",
                   diagnostics.resumed_trees, " resumed, ", report.retries,
                   " retries, ", report.crashes, " crashes)");
   return out;
@@ -653,31 +508,10 @@ DetectionResult run_rid_sharded_impl(const Graph& diffusion,
                                      const RidConfig& config,
                                      const ShardedConfig& sharded) {
   trace::TraceSpan span("run_rid_sharded");
-  // Same front half as run_rid: optional repair, extraction (in the parent,
-  // once — workers inherit the forest copy-on-write), candidate mask.
-  std::vector<graph::NodeState> repaired_states;
-  std::vector<bool> repaired_candidates;
-  std::span<const graph::NodeState> view = states;
-  const std::vector<bool>* candidates = &config.candidates;
-  SanitizeReport repairs;
-  if (config.repair_policy == RepairPolicy::kRepair) {
-    repaired_states.assign(states.begin(), states.end());
-    repairs.merge(sanitize_states(diffusion.num_nodes(), repaired_states,
-                                  RepairPolicy::kRepair));
-    view = repaired_states;
-    repaired_candidates = config.candidates;
-    repairs.merge(sanitize_candidates(diffusion.num_nodes(),
-                                      repaired_candidates,
-                                      RepairPolicy::kRepair));
-    candidates = &repaired_candidates;
-  }
-
-  const std::uint64_t extraction_start_ns = trace::now_ns();
-  ExtractionConfig extraction = config.extraction;
-  if (extraction.num_threads == 0) extraction.num_threads = config.num_threads;
-  CascadeForest forest = extract_cascade_forest(diffusion, view, extraction);
-  const std::uint64_t extraction_end_ns = trace::now_ns();
-  if (!candidates->empty()) apply_candidate_mask(forest, *candidates);
+  // Same front half as run_rid (extraction in the parent, once — forked
+  // workers inherit the forest copy-on-write).
+  internal::PreparedForest prepared =
+      internal::prepare_forest(diffusion, states, config);
 
   // The solves only need the forest. On the columnar backend, drop the
   // graph's resident pages *before* the supervisor forks workers, so each
@@ -686,12 +520,13 @@ DetectionResult run_rid_sharded_impl(const Graph& diffusion,
   if constexpr (std::is_same_v<Graph, graph::ColumnarGraphView>)
     diffusion.advise_dontneed();
 
-  DetectionResult result = run_rid_sharded_on_forest(forest, config, sharded);
-  result.diagnostics.repairs = std::move(repairs.repairs);
+  DetectionResult result =
+      run_rid_sharded_on_forest(prepared.forest, config, sharded);
+  result.diagnostics.repairs = std::move(prepared.repairs);
   result.diagnostics.extraction_seconds =
-      static_cast<double>(extraction_end_ns - extraction_start_ns) * 1e-9;
+      static_cast<double>(prepared.extraction_ns) * 1e-9;
   result.diagnostics.total_seconds = span.seconds();
-  attach_stage_totals(result.diagnostics);
+  internal::attach_stage_totals(result.diagnostics);
   return result;
 }
 

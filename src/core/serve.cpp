@@ -19,7 +19,6 @@
 #include "graph/columnar.hpp"
 #include "util/errors.hpp"
 #include "util/flight_recorder.hpp"
-#include "util/fnv.hpp"
 #include "util/metrics.hpp"
 #include "util/net.hpp"
 #include "util/trace.hpp"
@@ -182,9 +181,7 @@ void update_queue_depth_locked(const Daemon& d) {
 void append_journal_locked(Daemon& d, const std::string& payload) {
   if (d.journal == nullptr) return;
   std::string frame;
-  wire::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u32(frame, util::fnv1a32(payload));
-  frame += payload;
+  wire::put_frame(frame, payload);
   if (std::fwrite(frame.data(), 1, frame.size(), d.journal) != frame.size() ||
       std::fflush(d.journal) != 0) {
     log_event_locked(d, "journal: append failed - recovery may recompute");
@@ -248,20 +245,22 @@ JournalReplay read_journal(const std::string& path) {
       return replay;
     }
   }
-  std::size_t pos = 16;
-  while (pos + 8 <= data.size()) {
-    wire::Reader frame_header(std::string_view(data).substr(pos, 8),
-                              "journal frame");
-    const std::uint32_t length = frame_header.u32();
-    const std::uint32_t checksum = frame_header.u32();
-    if (pos + 8 + length > data.size()) {
-      replay.notes.push_back(path + ": torn trailing record dropped");
-      return replay;
-    }
-    const std::string_view payload(data.data() + pos + 8, length);
-    if (util::fnv1a32(payload) != checksum) {
-      replay.notes.push_back(path + ": damaged record - rest of journal dropped");
-      return replay;
+  wire::FrameScanner scanner(std::string_view(data).substr(16));
+  while (true) {
+    std::string_view payload;
+    switch (scanner.next(&payload)) {
+      case wire::FrameScanner::Status::kRecord:
+        break;
+      case wire::FrameScanner::Status::kEnd:
+        return replay;
+      case wire::FrameScanner::Status::kTornHeader:
+      case wire::FrameScanner::Status::kTornPayload:
+        replay.notes.push_back(path + ": torn trailing record dropped");
+        return replay;
+      case wire::FrameScanner::Status::kBadChecksum:
+        replay.notes.push_back(path +
+                               ": damaged record - rest of journal dropped");
+        return replay;
     }
     try {
       wire::Reader record(payload, "journal record");
@@ -295,11 +294,7 @@ JournalReplay read_journal(const std::string& path) {
                              " - rest of journal dropped");
       return replay;
     }
-    pos += 8 + length;
   }
-  if (pos != data.size())
-    replay.notes.push_back(path + ": torn trailing record dropped");
-  return replay;
 }
 
 /// Opens the .ridg header and validates it is usable as a job input.
@@ -610,39 +605,6 @@ std::string handle_query(Daemon& d, std::uint64_t id) {
 
 // --- live introspection (kStats) ------------------------------------------
 
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 std::string format_double(double value) {
   std::ostringstream out;
   out << value;
@@ -717,22 +679,22 @@ std::string stats_json(Daemon& d, bool prometheus_metrics) {
     first = false;
     out += "{\"id\": " + std::to_string(id);
     out += ", \"state\": ";
-    append_json_string(out, job.done             ? "done"
-                            : queued.count(id) != 0 ? "queued"
-                                                    : "running");
+    out += util::metrics::json_quote(job.done                ? "done"
+                                     : queued.count(id) != 0 ? "queued"
+                                                             : "running");
     out += ", \"graph\": ";
-    append_json_string(out, job.spec.graph_path);
+    out += util::metrics::json_quote(job.spec.graph_path);
     out += ", \"beta\": " + format_double(job.spec.beta);
     out += ", \"shards\": " + std::to_string(job.spec.num_shards);
     out += ", \"nodes\": " + std::to_string(job.num_nodes);
     if (job.done) {
       out += ", \"status\": ";
-      append_json_string(out, job.status == JobStatus::kOk       ? "ok"
-                              : job.status == JobStatus::kDegraded
-                                  ? "degraded"
-                                  : "failed");
+      out += util::metrics::json_quote(
+          job.status == JobStatus::kOk         ? "ok"
+          : job.status == JobStatus::kDegraded ? "degraded"
+                                               : "failed");
       out += ", \"message\": ";
-      append_json_string(out, job.message);
+      out += util::metrics::json_quote(job.message);
       if (job.stats.has_stats) {
         out += ", \"wall_seconds\": " + format_double(job.stats.wall_seconds);
         out += ", \"cpu_seconds\": " + format_double(job.stats.cpu_seconds);
@@ -745,7 +707,7 @@ std::string stats_json(Daemon& d, bool prometheus_metrics) {
 
   if (prometheus_metrics) {
     out += ", \"metrics_prom\": ";
-    append_json_string(out, metrics.to_prometheus());
+    out += util::metrics::json_quote(metrics.to_prometheus());
   } else {
     out += ", \"metrics\": " + metrics.to_json();
   }

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <random>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 
 #include "core/checkpoint.hpp"
 #include "core/rid_internal.hpp"
@@ -31,6 +32,8 @@
 
 #if !defined(_WIN32)
 #include <fcntl.h>
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
@@ -52,6 +55,10 @@ constexpr std::uint32_t kAssignmentVersion = 3;
 constexpr std::uint32_t kProtocolVersion = 3;
 
 constexpr double kDispatcherPollSeconds = 0.25;
+
+/// Exit code of a forked worker whose per-tree loop let an exception escape
+/// (a "soft" failure, still a worker loss to the supervisor).
+constexpr int kWorkerExceptionExit = 99;
 
 /// Streamed graph shipping window. Each chunk is one checksummed frame, so
 /// damage granularity (and re-ship cost on a dropped connection) is one
@@ -111,20 +118,15 @@ TransportMetrics& transport_metrics() {
   return instance;
 }
 
-std::uint64_t own_pid() {
-#if !defined(_WIN32)
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 0;
-#endif
-}
-
-/// Same naming scheme as the fork path (rid_sharded.cpp): unique per
-/// (dispatcher pid, attempt), so resumed directories never collide.
+/// Checkpoint file for one worker attempt. The worker's pid keeps names
+/// unique across runs sharing a resumed directory and across launchers
+/// (each attempt gets a fresh file: appending to an old file after a crash
+/// could land records after a partial trailing record, hiding them behind
+/// the damaged prefix).
 std::string attempt_file(const std::string& run_dir, std::size_t shard_id,
-                         std::uint32_t attempt) {
+                         std::uint64_t worker_pid, std::uint32_t attempt) {
   std::ostringstream name;
-  name << run_dir << "/shard-" << shard_id << "-p" << own_pid() << "-a"
+  name << run_dir << "/shard-" << shard_id << "-p" << worker_pid << "-a"
        << attempt << kCheckpointExtension;
   return name.str();
 }
@@ -347,9 +349,9 @@ WorkerAssignment decode_assignment(std::string_view body) {
   a.budget.deadline_seconds = in.f64();
   a.budget.max_tree_nodes = in.u32();
   a.budget.max_k = in.u32();
-  const std::uint64_t num_items = in.u64();
+  const std::size_t num_items = in.count(in.u64(), 8);
   a.items.reserve(num_items);
-  for (std::uint64_t i = 0; i < num_items; ++i)
+  for (std::size_t i = 0; i < num_items; ++i)
     a.items.push_back(static_cast<std::size_t>(in.u64()));
   in.expect_done();
   return a;
@@ -357,17 +359,194 @@ WorkerAssignment decode_assignment(std::string_view body) {
 
 #if !defined(_WIN32)
 
+namespace {
+
+/// Live fork-worker stream fds: every parent end, and every child end until
+/// the parent closes it right after fork(). A forked worker closes all of
+/// them but its own, so a stream has exactly two holders, the parent and
+/// its worker: the worker's writes fail (not block) once the parent closes
+/// its end, just as they do for exec'd workers. The lock is held across
+/// fork() (like the metrics, trace, failpoint and log locks), so a launch
+/// racing on another thread (serve's runners) never leaves a child with a
+/// half-updated list.
+struct StreamFds {
+  std::mutex mutex;
+  std::vector<int> fds;
+};
+
+StreamFds& stream_fds() {
+  static StreamFds instance;
+  return instance;
+}
+
+[[maybe_unused]] const int kForkHandlers = ::pthread_atfork(
+    [] { stream_fds().mutex.lock(); }, [] { stream_fds().mutex.unlock(); },
+    [] { stream_fds().mutex.unlock(); });
+
+/// A connected (parent end, child end) pair for one fork worker. Both ends
+/// are close-on-exec, so exec'd workers never inherit them.
+std::pair<net::Socket, net::Socket> open_stream_pair() {
+  StreamFds& registry = stream_fds();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+    throw util::InputError(std::string("socketpair() failed: ") +
+                           std::strerror(errno));
+  for (const int fd : fds) {
+    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+    registry.fds.push_back(fd);
+  }
+  return {net::Socket(fds[0]), net::Socket(fds[1])};
+}
+
+/// Closes a stream end, dropping it from the list first (under the lock, so
+/// a concurrent socketpair() cannot reuse the number while it is listed).
+void close_stream(net::Socket& socket) {
+  StreamFds& registry = stream_fds();
+  const std::lock_guard<std::mutex> lock(registry.mutex);
+  std::erase(registry.fds, socket.fd());
+  socket.close();
+}
+
+/// Sends kError (best effort) and returns the worker exit code.
+int worker_fail(net::Socket& socket, const std::string& message, int code) {
+  std::string body;
+  wire::put_bytes(body, message);
+  socket.write_frame(message_frame(WireMessage::kError, body));
+  util::log_warn("socket worker: ", message);
+  return code;
+}
+
+/// The per-tree loop every worker runs once it holds its forest, forked or
+/// exec'd: solve the assigned trees serially in shard order (the
+/// supervisor's poison suspect, "first incomplete item", depends on it)
+/// with run_rid_on_forest's per-tree isolation ladder, send one kRecord
+/// frame per tree as soon as it is solved (a crash loses at most the tree
+/// in flight), then kTelemetry and kDone. Returns the exit code.
+int stream_trees(net::Socket& socket, const CascadeForest& forest,
+                 const WorkerAssignment& assignment, std::size_t shard_id,
+                 std::uint32_t attempt, std::uint64_t worker_start_ns) {
+  const util::BudgetScope scope(assignment.budget);
+  TreeDpOptions dp = assignment.dp;
+  if (!assignment.budget.unlimited()) dp.budget = &scope;
+
+  std::uint64_t streamed = 0;
+  for (const std::size_t item : assignment.items) {
+    RID_FAILPOINT("shard.worker_tree");
+    if (item >= forest.trees.size())
+      return worker_fail(
+          socket, "assigned tree " + std::to_string(item) + " out of range",
+          3);
+    TreeCheckpointRecord record;
+    record.tree_index = item;
+    TreeDiagnostics tree;
+    const std::uint64_t start_ns = util::trace::now_ns();
+    internal::solve_tree_guarded(forest.trees[item], assignment.beta, dp,
+                                 record.solution, tree);
+    const std::uint64_t end_ns = util::trace::now_ns();
+    record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
+    record.status = tree.status;
+    record.budget_hit = tree.budget_hit;
+    record.fallback_root_only = tree.fallback_root_only;
+    record.error = std::move(tree.error);
+    {
+      // Same span shape as the in-process path (rid.cpp) so merged traces
+      // read uniformly.
+      const util::trace::TagValue tags[] = {
+          {"tree_index", nullptr, static_cast<std::int64_t>(item)},
+          {"nodes", nullptr,
+           static_cast<std::int64_t>(forest.trees[item].size())},
+          {"status", status_name(tree.status), 0},
+      };
+      util::trace::emit_span("solve_tree", start_ns, end_ns,
+                             util::trace::current_tid(), tags);
+    }
+    if (!socket.write_frame(
+            message_frame(WireMessage::kRecord, encode_record(record))))
+      return 1;  // dispatcher gone; nothing durable happens without it
+    ++streamed;
+  }
+  {
+    const util::trace::TagValue tags[] = {
+        {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
+        {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
+        {"job", nullptr, static_cast<std::int64_t>(assignment.trace_id)},
+    };
+    util::trace::emit_span("worker_shard", worker_start_ns,
+                           util::trace::now_ns(), util::trace::current_tid(),
+                           tags);
+  }
+  // Telemetry before kDone, strictly best-effort: a failed send is the
+  // dispatcher's loss to count, never the worker's failure. The frame
+  // always flows (the metrics half is always compiled); span content rides
+  // along only when the dispatcher asked for a trace.
+  try {
+    if (assignment.collect_trace && util::trace::compiled())
+      util::trace::stop();
+    const util::telemetry::WorkerTelemetry telemetry =
+        util::telemetry::collect(assignment.trace_id,
+                                 "worker shard " + std::to_string(shard_id) +
+                                     " attempt " + std::to_string(attempt));
+    socket.write_frame(message_frame(WireMessage::kTelemetry,
+                                     util::telemetry::encode(telemetry)));
+  } catch (const std::exception&) {
+  }
+  std::string done;
+  wire::put_u64(done, streamed);
+  socket.write_frame(message_frame(WireMessage::kDone, done));
+  return 0;
+}
+
+/// Body of a forked worker: it inherits the forest and the resolved
+/// assignment, so it skips the `.ridg`, the re-extraction and the
+/// handshake, and runs the per-tree loop straight into its stream end.
+/// Leaves only through _exit: no atexit handlers, no flushing of stdio
+/// buffers duplicated from the parent.
+[[noreturn]] void run_fork_worker(net::Socket& socket,
+                                  const CascadeForest& forest,
+                                  const WorkerAssignment& assignment,
+                                  std::size_t shard_id, std::uint32_t attempt,
+                                  const util::SupervisorOptions& options) {
+  for (const int fd : stream_fds().fds)
+    if (fd != socket.fd()) ::close(fd);
+  util::apply_worker_rlimits(options);
+  int code = kWorkerExceptionExit;
+  try {
+    // The child inherits the parent's metrics values and span rings
+    // copy-on-write; reset both so its telemetry carries only this
+    // attempt's deltas (merging them back would otherwise double-count
+    // everything recorded before the fork).
+    util::metrics::global().reset();
+    if (assignment.collect_trace && util::trace::compiled())
+      util::trace::start();
+    code = stream_trees(socket, forest, assignment, shard_id, attempt,
+                        util::trace::now_ns());
+  } catch (...) {
+  }
+  _exit(code);
+}
+
+}  // namespace
+
 struct SocketDispatcher::Impl {
+  /// One attempt's stream phase, as the supervisor's drain sees it.
+  struct Stream {
+    bool drain = false;  // worker reaped: end at the first idle read
+    bool ended = false;  // the stream phase returned
+  };
+
   std::string run_dir;
   WorkerAssignment assignment_template;
   DispatcherOptions options;
-  net::Listener listener;
+  net::Listener listener;  // bound only for the exec launcher
 
   std::mutex mutex;
   // shard_id -> items of the currently-launching attempt. A worker from a
   // superseded attempt still finds its items here (same shard, items only
   // shrink as records land), and its records are adopted first-wins anyway.
   std::unordered_map<std::size_t, std::vector<std::size_t>> assignments;
+  std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams;  // pid
+  std::condition_variable stream_ended;
   std::vector<std::string> events;
   std::vector<std::thread> handlers;
 
@@ -378,6 +557,29 @@ struct SocketDispatcher::Impl {
   void log_event(std::string text) {
     std::lock_guard<std::mutex> lock(mutex);
     events.push_back(std::move(text));
+  }
+
+  /// Registers a worker's stream before the worker can send a record.
+  std::shared_ptr<Stream> open_stream(std::uint64_t worker_pid) {
+    auto stream = std::make_shared<Stream>();
+    std::lock_guard<std::mutex> lock(mutex);
+    streams[worker_pid] = stream;
+    return stream;
+  }
+
+  /// Drain before durable: returns once the stream of the reaped worker
+  /// `pid` has consumed every frame the worker wrote. Those frames already
+  /// sit in the socket buffer, so this never waits for EOF (a sibling
+  /// forked on another thread may briefly hold the worker's end): the
+  /// stream ends at its first idle read after the request.
+  void drain(pid_t pid) {
+    std::unique_lock<std::mutex> lock(mutex);
+    const auto found = streams.find(static_cast<std::uint64_t>(pid));
+    if (found == streams.end()) return;  // never got past the handshake
+    const std::shared_ptr<Stream> stream = found->second;
+    stream->drain = true;
+    stream_ended.wait(lock, [&] { return stream->ended; });
+    streams.erase(found);
   }
 
   /// Refuses a handshake with a typed verdict: one kReject frame (best
@@ -455,9 +657,15 @@ struct SocketDispatcher::Impl {
     }
   }
 
+  /// The exec'd worker's handshake; a worker that passes it gets kAssign
+  /// and continues in the stream phase on this thread.
   void handle_connection(net::Socket socket) {
     TransportMetrics& tm = transport_metrics();
     std::string payload;
+    std::size_t shard_id = 0;
+    std::uint32_t attempt = 0;
+    std::uint64_t worker_pid = 0;
+    std::string assign_frame;
     try {
       // The half-open fault shape: armed with sleep(MS), the dispatcher
       // accepts and then stalls before speaking — the worker's handshake
@@ -477,9 +685,9 @@ struct SocketDispatcher::Impl {
       }
       const std::string hello_body(std::string_view(payload).substr(1));
       const HelloV2 hello = decode_hello(hello_body);
-      const std::size_t shard_id = hello.shard_id;
-      const std::uint32_t attempt = hello.attempt;
-      const std::uint64_t worker_pid = hello.worker_pid;
+      shard_id = hello.shard_id;
+      attempt = hello.attempt;
+      worker_pid = hello.worker_pid;
 
       // Capability gates, most specific verdict first. Version and binary
       // skew are configuration errors the supervisor cannot retry away, so
@@ -572,132 +780,149 @@ struct SocketDispatcher::Impl {
       assignment.delivery = delivery;
       tm.handshakes.add(1);
       handshakes_completed.fetch_add(1, std::memory_order_relaxed);
-      if (!socket.write_frame(
-              message_frame(WireMessage::kAssign,
-                            encode_assignment(assignment)))) {
-        tm.dropped.add(1);
-        log_event("dispatcher: worker for shard " + std::to_string(shard_id) +
-                  " vanished before assignment");
-        return;
-      }
-
-      // Stream phase: every record frame is appended (and flushed) to this
-      // attempt's checkpoint file immediately, so the supervisor's durable()
-      // probe and heartbeat see progress with per-tree granularity.
-      CheckpointWriter writer(attempt_file(run_dir, shard_id, attempt),
-                              assignment_template.fingerprint);
-      while (true) {
-        const net::FrameStatus frame =
-            socket.read_frame(payload, kDispatcherPollSeconds);
-        if (frame == net::FrameStatus::kTimeout) {
-          if (stop.load(std::memory_order_relaxed)) return;
-          continue;
-        }
-        if (frame == net::FrameStatus::kClosed) {
-          tm.dropped.add(1);
-          util::flight::record(
-              "net.conn", "shard " + std::to_string(shard_id) + " attempt " +
-                              std::to_string(attempt) + " pid " +
-                              std::to_string(worker_pid) +
-                              ": connection lost mid-stream");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": connection lost mid-stream");
-          return;
-        }
-        if (frame == net::FrameStatus::kChecksumError) {
-          // Damage on the wire: drop the connection. The worker's next
-          // write fails (or the heartbeat kills it) and the shard requeues.
-          tm.dropped.add(1);
-          util::flight::record(
-              "net.frame", "shard " + std::to_string(shard_id) + " attempt " +
-                               std::to_string(attempt) +
-                               ": damaged frame, dropping connection");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": damaged frame - dropping connection");
-          return;
-        }
-        if (payload.empty()) continue;
-        const auto type = static_cast<WireMessage>(payload[0]);
-        const std::string_view body = std::string_view(payload).substr(1);
-        if (type == WireMessage::kGraphRequest) {
-          // The worker's cache missed: stream the `.ridg` before any
-          // records flow. A connection lost mid-ship ends the attempt
-          // exactly like one lost mid-stream.
-          if (!ship_graph(socket, shard_id)) {
-            tm.dropped.add(1);
-            log_event("dispatcher: shard " + std::to_string(shard_id) +
-                      " attempt " + std::to_string(attempt) +
-                      ": graph ship failed - dropping connection");
-            return;
-          }
-          continue;
-        }
-        if (type == WireMessage::kRecord) {
-          // Decode before append: a structurally-broken record must not
-          // reach the durable store (the frame checksum only covers
-          // transport damage).
-          writer.append(decode_record(body));
-          tm.records_streamed.add(1);
-          continue;
-        }
-        if (type == WireMessage::kTelemetry) {
-          // Best-effort observability: damage here must never end the
-          // attempt (the records already streamed are the result; spans
-          // and metrics are garnish). The failpoint models a frame that
-          // passed the transport checksum but carries a garbled payload.
-          try {
-            RID_FAILPOINT("net.telemetry_frame");
-            util::telemetry::WorkerTelemetry telemetry =
-                util::telemetry::decode(body);
-            if (telemetry.trace_id != assignment.trace_id)
-              throw util::InputError(
-                  "telemetry trace id " +
-                  std::to_string(telemetry.trace_id) +
-                  " does not match assignment " +
-                  std::to_string(assignment.trace_id));
-            util::telemetry::merge_into_process(std::move(telemetry));
-          } catch (const std::exception& e) {
-            util::metrics::global().counter("telemetry.damaged").add(1);
-            util::flight::record(
-                "net.frame", "telemetry damaged: shard " +
-                                 std::to_string(shard_id) + " attempt " +
-                                 std::to_string(attempt) + ": " + e.what());
-            log_event("dispatcher: shard " + std::to_string(shard_id) +
-                      " attempt " + std::to_string(attempt) +
-                      ": telemetry damaged (ignored): " + e.what());
-          }
-          continue;
-        }
-        if (type == WireMessage::kDone) return;
-        if (type == WireMessage::kError) {
-          wire::Reader err(body, "worker error");
-          log_event("dispatcher: shard " + std::to_string(shard_id) +
-                    " attempt " + std::to_string(attempt) +
-                    ": worker error: " + err.str());
-          return;
-        }
-        log_event("dispatcher: shard " + std::to_string(shard_id) +
-                  ": unexpected message type " +
-                  std::to_string(static_cast<int>(type)) + " - dropping");
-        return;
-      }
+      assign_frame =
+          message_frame(WireMessage::kAssign, encode_assignment(assignment));
     } catch (const std::exception& e) {
       tm.dropped.add(1);
       log_event(std::string("dispatcher: connection handler failed: ") +
                 e.what());
+      return;
+    }
+    // Registered before kAssign goes out: no record can precede it.
+    const std::shared_ptr<Stream> stream = open_stream(worker_pid);
+    run_stream(socket, shard_id, attempt, worker_pid, *stream, assign_frame);
+  }
+
+  /// The stream phase both launchers share: the only code that turns
+  /// worker bytes into checkpoint records, and the only way worker
+  /// telemetry comes in. `greeting` (an exec'd worker's kAssign) goes out
+  /// first. Ends on kDone, kError, loss, damage, or an idle read once the
+  /// supervisor asked for a drain; then closes the socket and marks the
+  /// stream ended.
+  void run_stream(net::Socket& socket, std::size_t shard_id,
+                  std::uint32_t attempt, std::uint64_t worker_pid,
+                  Stream& stream, std::string_view greeting) {
+    try {
+      stream_records(socket, shard_id, attempt, worker_pid, stream, greeting);
+    } catch (const std::exception& e) {
+      transport_metrics().dropped.add(1);
+      log_event(std::string("dispatcher: connection handler failed: ") +
+                e.what());
+    }
+    close_stream(socket);
+    std::lock_guard<std::mutex> lock(mutex);
+    stream.ended = true;
+    stream_ended.notify_all();
+  }
+
+  void stream_records(net::Socket& socket, std::size_t shard_id,
+                      std::uint32_t attempt, std::uint64_t worker_pid,
+                      Stream& stream, std::string_view greeting) {
+    TransportMetrics& tm = transport_metrics();
+    const std::string where = "shard " + std::to_string(shard_id) +
+                              " attempt " + std::to_string(attempt) +
+                              " pid " + std::to_string(worker_pid);
+    // Loss or damage ends the attempt: the connection is dropped, the
+    // worker's next write fails (or the heartbeat kills it), and the shard
+    // requeues.
+    const auto drop = [&](const std::string& why) {
+      tm.dropped.add(1);
+      util::flight::record("net.conn", where + ": " + why);
+      log_event("dispatcher: " + where + ": " + why);
+    };
+    if (!greeting.empty() && !socket.write_frame(greeting))
+      return drop("worker vanished before assignment");
+    // Every record frame is appended (and flushed) to this attempt's
+    // checkpoint file immediately, so the supervisor's durable() probe and
+    // heartbeat see progress with per-tree granularity.
+    CheckpointWriter writer(
+        attempt_file(run_dir, shard_id, worker_pid, attempt),
+        assignment_template.fingerprint);
+    std::string payload;
+    while (true) {
+      const net::FrameStatus frame =
+          socket.read_frame(payload, kDispatcherPollSeconds);
+      if (frame == net::FrameStatus::kTimeout) {
+        // Nothing arrived for a whole poll: when the worker has been
+        // reaped, everything it wrote has been consumed.
+        if (stop.load(std::memory_order_relaxed)) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        if (stream.drain) return;
+        continue;
+      }
+      if (frame == net::FrameStatus::kClosed)
+        return drop("connection lost mid-stream");
+      if (frame == net::FrameStatus::kChecksumError)
+        return drop("damaged frame - dropping connection");
+      if (payload.empty()) continue;
+      const auto type = static_cast<WireMessage>(payload[0]);
+      const std::string_view body = std::string_view(payload).substr(1);
+      if (type == WireMessage::kGraphRequest) {
+        // The worker's cache missed: stream the `.ridg` before any
+        // records flow. A connection lost mid-ship ends the attempt
+        // exactly like one lost mid-stream.
+        if (!ship_graph(socket, shard_id))
+          return drop("graph ship failed - dropping connection");
+        continue;
+      }
+      if (type == WireMessage::kRecord) {
+        // Decode before append: a structurally-broken record must not
+        // reach the durable store (the frame checksum only covers
+        // transport damage).
+        writer.append(decode_record(body));
+        tm.records_streamed.add(1);
+        continue;
+      }
+      if (type == WireMessage::kTelemetry) {
+        // Best-effort observability: damage here must never end the
+        // attempt (the records already streamed are the result; spans
+        // and metrics are garnish). The failpoint models a frame that
+        // passed the transport checksum but carries a garbled payload.
+        try {
+          RID_FAILPOINT("net.telemetry_frame");
+          util::telemetry::WorkerTelemetry telemetry =
+              util::telemetry::decode(body);
+          if (telemetry.trace_id != assignment_template.trace_id)
+            throw util::InputError(
+                "telemetry trace id " + std::to_string(telemetry.trace_id) +
+                " does not match assignment " +
+                std::to_string(assignment_template.trace_id));
+          util::telemetry::merge_into_process(std::move(telemetry));
+        } catch (const std::exception& e) {
+          util::metrics::global().counter("telemetry.damaged").add(1);
+          util::flight::record("net.frame", "telemetry damaged: " + where +
+                                                ": " + e.what());
+          log_event("dispatcher: " + where +
+                    ": telemetry damaged (ignored): " + e.what());
+        }
+        continue;
+      }
+      if (type == WireMessage::kDone) return;
+      if (type == WireMessage::kError) {
+        wire::Reader err(body, "worker error");
+        log_event("dispatcher: " + where + ": worker error: " + err.str());
+        return;
+      }
+      log_event("dispatcher: shard " + std::to_string(shard_id) +
+                ": unexpected message type " +
+                std::to_string(static_cast<int>(type)) + " - dropping");
+      return;
     }
   }
 };
+
+SocketDispatcher::SocketDispatcher(std::string run_dir,
+                                   WorkerAssignment assignment_template)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->run_dir = std::move(run_dir);
+  impl_->assignment_template = std::move(assignment_template);
+}
 
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint& endpoint,
                                    std::string run_dir,
                                    WorkerAssignment assignment_template,
                                    DispatcherOptions options)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->run_dir = std::move(run_dir);
-  impl_->assignment_template = std::move(assignment_template);
+    : SocketDispatcher(std::move(run_dir), std::move(assignment_template)) {
   impl_->options = std::move(options);
   if (impl_->assignment_template.graph_fingerprint == 0 &&
       !impl_->assignment_template.graph_path.empty()) {
@@ -782,6 +1007,51 @@ util::ShardLauncher SocketDispatcher::launcher(
       return -1;
     }
   };
+  launcher.drain = [impl](pid_t pid) { impl->drain(pid); };
+  return launcher;
+}
+
+util::ShardLauncher SocketDispatcher::fork_launcher(
+    const CascadeForest& forest, const util::SupervisorOptions& options) {
+  Impl* impl = impl_.get();
+  util::ShardLauncher launcher;
+  launcher.launch = [impl, &forest, options](
+                        std::size_t shard_id,
+                        const std::vector<std::size_t>& items,
+                        std::uint32_t attempt) -> pid_t {
+    WorkerAssignment assignment = impl->assignment_template;
+    assignment.items = items;
+    net::Socket parent_end;
+    net::Socket child_end;
+    try {
+      std::tie(parent_end, child_end) = open_stream_pair();
+    } catch (const std::exception& e) {
+      impl->log_event(std::string("dispatcher: worker launch failed: ") +
+                      e.what());
+      return -1;
+    }
+    TransportMetrics& tm = transport_metrics();
+    const pid_t pid = fork();
+    if (pid == 0)
+      run_fork_worker(child_end, forest, assignment, shard_id, attempt,
+                      options);
+    close_stream(child_end);
+    if (pid < 0) {
+      close_stream(parent_end);
+      return -1;
+    }
+    tm.workers_launched.add(1);
+    const auto worker_pid = static_cast<std::uint64_t>(pid);
+    std::shared_ptr<Impl::Stream> stream = impl->open_stream(worker_pid);
+    std::lock_guard<std::mutex> lock(impl->mutex);
+    impl->handlers.emplace_back([impl, socket = std::move(parent_end),
+                                 shard_id, attempt, worker_pid,
+                                 stream]() mutable {
+      impl->run_stream(socket, shard_id, attempt, worker_pid, *stream, {});
+    });
+    return pid;
+  };
+  launcher.drain = [impl](pid_t pid) { impl->drain(pid); };
   return launcher;
 }
 
@@ -791,15 +1061,6 @@ std::vector<std::string> SocketDispatcher::take_events() {
 }
 
 namespace {
-
-/// Sends kError (best effort) and returns the worker exit code.
-int worker_fail(net::Socket& socket, const std::string& message, int code) {
-  std::string body;
-  wire::put_bytes(body, message);
-  socket.write_frame(message_frame(WireMessage::kError, body));
-  util::log_warn("socket worker: ", message);
-  return code;
-}
 
 /// Connect with capped exponential backoff + deterministic jitter under
 /// the connect deadline. Jitter derives from (shard, attempt, try) so a
@@ -886,7 +1147,7 @@ std::string acquire_streamed_graph(net::Socket& socket,
     *error = "graph request write failed";
     return "";
   }
-  const std::string tmp = cached + ".tmp-p" + std::to_string(own_pid());
+  const std::string tmp = cached + ".tmp-p" + std::to_string(util::own_pid());
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) {
     *error = tmp + ": cannot create graph cache tmp file";
@@ -1021,7 +1282,7 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
     }
     hello.shard_id = static_cast<std::uint32_t>(shard_id);
     hello.attempt = attempt;
-    hello.worker_pid = own_pid();
+    hello.worker_pid = util::own_pid();
     const std::string hello_body = encode_hello(hello);
     if (!socket.write_frame(message_frame(WireMessage::kHello, hello_body)))
       return 1;
@@ -1124,80 +1385,8 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
               " does not reproduce the dispatcher's forest",
           3);
     view.advise_dontneed();  // solves only need the forest
-
-    const util::BudgetScope scope(assignment.budget);
-    TreeDpOptions dp = assignment.dp;
-    if (!assignment.budget.unlimited()) dp.budget = &scope;
-
-    std::uint64_t streamed = 0;
-    for (const std::size_t item : assignment.items) {
-      RID_FAILPOINT("shard.worker_tree");
-      if (item >= forest.trees.size())
-        return worker_fail(socket,
-                           "assigned tree " + std::to_string(item) +
-                               " out of range",
-                           3);
-      TreeCheckpointRecord record;
-      record.tree_index = item;
-      TreeDiagnostics tree;
-      const std::uint64_t start_ns = util::trace::now_ns();
-      internal::solve_tree_guarded(forest.trees[item], assignment.beta, dp,
-                                   record.solution, tree);
-      const std::uint64_t end_ns = util::trace::now_ns();
-      record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
-      record.status = tree.status;
-      record.budget_hit = tree.budget_hit;
-      record.fallback_root_only = tree.fallback_root_only;
-      record.error = std::move(tree.error);
-      {
-        // Same span shape as the in-process path (rid.cpp) so merged
-        // traces read uniformly.
-        const util::trace::TagValue tags[] = {
-            {"tree_index", nullptr, static_cast<std::int64_t>(item)},
-            {"nodes", nullptr,
-             static_cast<std::int64_t>(forest.trees[item].size())},
-            {"status", status_name(tree.status), 0},
-        };
-        util::trace::emit_span("solve_tree", start_ns, end_ns,
-                               util::trace::current_tid(), tags);
-      }
-      if (!socket.write_frame(
-              message_frame(WireMessage::kRecord, encode_record(record))))
-        return 1;  // dispatcher gone; nothing durable happens without it
-      ++streamed;
-    }
-    {
-      const util::trace::TagValue tags[] = {
-          {"shard", nullptr, static_cast<std::int64_t>(shard_id)},
-          {"attempt", nullptr, static_cast<std::int64_t>(attempt)},
-          {"job", nullptr, static_cast<std::int64_t>(assignment.trace_id)},
-      };
-      util::trace::emit_span("worker_shard", worker_start_ns,
-                             util::trace::now_ns(),
-                             util::trace::current_tid(), tags);
-    }
-    {
-      // Telemetry before kDone, strictly best-effort: a failed send is the
-      // dispatcher's loss to count, never the worker's failure. The frame
-      // always flows (the metrics half is always compiled); span content
-      // rides along only when the dispatcher asked for a trace.
-      try {
-        if (assignment.collect_trace && util::trace::compiled())
-          util::trace::stop();
-        const util::telemetry::WorkerTelemetry telemetry =
-            util::telemetry::collect(
-                assignment.trace_id,
-                "worker shard " + std::to_string(shard_id) + " attempt " +
-                    std::to_string(attempt));
-        socket.write_frame(message_frame(
-            WireMessage::kTelemetry, util::telemetry::encode(telemetry)));
-      } catch (const std::exception&) {
-      }
-    }
-    std::string done;
-    wire::put_u64(done, streamed);
-    socket.write_frame(message_frame(WireMessage::kDone, done));
-    return 0;
+    return stream_trees(socket, forest, assignment, shard_id, attempt,
+                        worker_start_ns);
   } catch (const std::exception& e) {
     util::log_warn("socket worker: ", e.what());
     return 1;
@@ -1210,6 +1399,9 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
 
 struct SocketDispatcher::Impl {};
 
+SocketDispatcher::SocketDispatcher(std::string, WorkerAssignment) {
+  throw util::InputError("process isolation unsupported on this platform");
+}
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint&, std::string,
                                    WorkerAssignment, DispatcherOptions) {
   throw util::InputError("socket transport unsupported on this platform");
@@ -1221,6 +1413,10 @@ const util::net::Endpoint& SocketDispatcher::endpoint() const {
 }
 util::ShardLauncher SocketDispatcher::launcher(std::string,
                                                const util::SupervisorOptions&) {
+  return {};
+}
+util::ShardLauncher SocketDispatcher::fork_launcher(
+    const CascadeForest&, const util::SupervisorOptions&) {
   return {};
 }
 std::vector<std::string> SocketDispatcher::take_events() { return {}; }

@@ -1,21 +1,22 @@
-// Socket transport for sharded RID execution (DESIGN.md §13).
+// Shard worker transport for sharded RID execution (DESIGN.md §11, §13).
 //
-// The fork transport ships work to workers implicitly: a forked child
-// inherits the extracted forest copy-on-write. The socket transport makes
-// the worker a separate *program* — `ridnet_cli worker`, fork+exec'd by the
-// dispatcher's ShardLauncher — so shard execution no longer depends on
-// sharing an address space, which is the stepping stone to dispatching
-// shards across machines. A worker receives everything it needs over the
-// wire: the forest fingerprint, the `.ridg` snapshot path to re-map, the
-// resolved solve configuration, and its tree list. It re-extracts the
-// forest, *verifies the fingerprint* (a worker that would compute against a
-// different forest refuses instead of silently diverging), solves its trees
-// serially in shard order, and streams each finished tree back as a frame
-// whose payload is byte-for-byte a checkpoint record. The dispatcher
-// appends streamed records to per-attempt checkpoint files in the run
-// directory, so the supervisor's durability probe, heartbeat, resume, and
-// bit-identity contract work unchanged — the transport is invisible to
-// everything above it.
+// Every shard worker talks to the parent over a socket in the same frames,
+// and one dispatcher-side *stream phase* turns them into per-attempt
+// checkpoint files in the run directory and merges the worker's telemetry,
+// so the supervisor's durability probe, heartbeat, resume, and bit-identity
+// contract see one mechanism. Two launchers feed it:
+//  * fork: the worker is a fork() over a socketpair(2) and inherits the
+//    extracted forest — no `.ridg`, no re-extraction, no handshake;
+//  * exec: the worker is a separate *program*, `ridnet_cli worker`, that
+//    connects to a bound listener and receives everything over the wire —
+//    the forest fingerprint, the `.ridg` to re-map, the resolved solve
+//    configuration, and its tree list. It re-extracts the forest and
+//    *verifies the fingerprint* (refusing instead of silently diverging)
+//    before it joins the stream phase.
+// Either way the worker solves its trees serially in shard order and sends
+// each one as a kRecord frame whose payload is byte-for-byte a checkpoint
+// record, then kTelemetry and kDone. The supervisor drains a reaped
+// worker's stream before it probes durability.
 //
 // Message grammar (each message is one util::net frame; first payload byte
 // is the type):
@@ -67,8 +68,8 @@
 // Fault semantics: any damaged, torn, or missing frame ends the attempt —
 // the dispatcher drops the connection, the worker exits nonzero (or is
 // SIGKILLed by the supervisor's heartbeat), and the supervisor requeues the
-// shard with backoff exactly as it would a fork-worker crash. Records
-// already appended are durable; nothing is ever un-persisted. Worker
+// shard with backoff exactly as it would a worker crash. Records already
+// appended are durable; nothing is ever un-persisted. Worker
 // connects retry with capped exponential backoff + deterministic jitter
 // under a connect deadline (a daemon mid-restart is a retry, not a loss).
 //
@@ -168,18 +169,8 @@ struct WorkerAssignment {
 std::string encode_assignment(const WorkerAssignment& assignment);
 WorkerAssignment decode_assignment(std::string_view body);
 
-/// Dispatcher side of the socket transport, owned by the sharded runner for
-/// the duration of one supervise_shards() call. Listens on `endpoint`,
-/// accepts worker connections on a background thread, and for each
-/// handshake streams the worker's records into a fresh per-attempt
-/// checkpoint file under `run_dir` (same naming scheme as the fork path).
-///
-/// Failpoints: `net.worker_exec` fires in the launcher before forking the
-/// worker (a `throw` action models exec failure — the supervisor sees
-/// launch failure and requeues); `net.accept`, `net.frame_read`,
-/// `net.frame_write`, `net.torn_frame` fire in util/net.
-/// Dispatcher-side security/shipping knobs (everything that must NOT ride
-/// inside the serialized assignment).
+/// Dispatcher-side security/shipping knobs for exec'd workers (everything
+/// that must NOT ride inside the serialized assignment).
 struct DispatcherOptions {
   /// Shared secret for the HMAC challenge; empty = no challenge is sent
   /// (trusted single-host deployments). Exported to fork+exec'd workers via
@@ -190,12 +181,26 @@ struct DispatcherOptions {
   std::string graph_cache_dir;
 };
 
+/// Dispatcher side of the shard transport, owned by the sharded runner for
+/// the duration of its supervise_shards() calls. Runs one stream phase per
+/// worker attempt on a background thread, appending the worker's records
+/// to a fresh per-attempt checkpoint file under `run_dir`
+/// (`shard-<id>-p<worker pid>-a<attempt>.ckpt`).
+///
+/// Failpoints: `net.worker_exec` fires in the exec launcher before forking
+/// the worker (a `throw` action models exec failure — the supervisor sees
+/// launch failure and requeues); `checkpoint.append` and
+/// `net.telemetry_frame` fire in the stream phase; `net.accept`,
+/// `net.frame_read`, `net.frame_write`, `net.torn_frame` fire in util/net.
 class SocketDispatcher {
  public:
-  /// Binds immediately (throws util::InputError when the endpoint cannot be
-  /// bound). `assignment_template` carries everything but the per-shard
-  /// item list, which launcher() fills in per attempt; its graph
-  /// fingerprint is resolved from graph_path here when left 0.
+  /// A dispatcher for the fork launcher only: binds nothing.
+  /// `assignment_template` carries everything but the per-shard item list.
+  SocketDispatcher(std::string run_dir, WorkerAssignment assignment_template);
+  /// A dispatcher that also serves exec'd workers: binds `endpoint`
+  /// immediately (throws util::InputError when it cannot be bound) and
+  /// accepts their connections on a background thread. The template's
+  /// graph fingerprint is resolved from graph_path here when left 0.
   SocketDispatcher(const util::net::Endpoint& endpoint, std::string run_dir,
                    WorkerAssignment assignment_template,
                    DispatcherOptions options = {});
@@ -206,23 +211,33 @@ class SocketDispatcher {
   /// The endpoint actually bound (ephemeral tcp ports resolved).
   const util::net::Endpoint& endpoint() const;
 
-  /// Launcher for supervise_shards: registers the attempt's items, then
-  /// fork+execs `worker_command worker --connect <endpoint> --shard <id>
-  /// --attempt <n>`. Returns -1 (launch failure) when the fork fails or the
-  /// `net.worker_exec` failpoint throws; exec failure inside the child
-  /// exits 127 (a crash to the supervisor). The returned launcher borrows
-  /// this dispatcher — it must not outlive it.
+  /// Exec launcher (needs the binding constructor): registers the
+  /// attempt's items, then fork+execs `worker_command worker --connect
+  /// <endpoint> --shard <id> --attempt <n>`, which handshakes and then
+  /// joins the stream phase. Returns -1 (launch failure) when the fork
+  /// fails or the `net.worker_exec` failpoint throws; exec failure inside
+  /// the child exits 127 (a crash to the supervisor). The returned launcher
+  /// borrows this dispatcher — it must not outlive it.
   util::ShardLauncher launcher(std::string worker_command,
                                const util::SupervisorOptions& options);
+
+  /// Fork launcher: forks a worker over a socketpair(2) and starts the
+  /// stream phase on the parent's end. The child applies the rlimits,
+  /// resets its metrics, restarts the trace, and runs the per-tree loop
+  /// over `forest` (which it inherits; it must outlive the launcher), then
+  /// leaves through _exit (99 when an exception escapes). Borrows this
+  /// dispatcher like launcher().
+  util::ShardLauncher fork_launcher(const CascadeForest& forest,
+                                    const util::SupervisorOptions& options);
 
   /// Human-readable transport events (handshake oddities, damaged frames,
   /// refused workers) for RunDiagnostics::shard_events. Drains the log.
   std::vector<std::string> take_events();
 
-  /// Completed handshakes since construction (a worker got past hello +
-  /// challenge and received kAssign). The sharded runner's grace-budget
-  /// watchdog reads this to decide whether the socket transport is alive
-  /// at all before falling back to the fork transport.
+  /// Completed handshakes since construction (an exec'd worker got past
+  /// hello + challenge and received kAssign). The sharded runner's
+  /// grace-budget watchdog reads this to decide whether the exec transport
+  /// is alive at all before falling back to the fork launcher.
   std::uint64_t handshakes_completed() const;
 
  private:
@@ -249,11 +264,11 @@ struct WorkerOptions {
 /// Worker side, implementing `ridnet_cli worker`: connect to the
 /// dispatcher (with retry/backoff under the connect deadline), handshake
 /// v2 (+ HMAC challenge when the dispatcher demands it), acquire the graph
-/// (shared path or shipped cache), re-extract + verify the forest, solve,
-/// stream records. Returns the process exit code: 0 = every assigned tree
-/// was streamed; kExitHandshakeRejected = typed kReject (do not retry the
-/// same pairing); anything else is a worker loss the supervisor requeues.
-/// Never throws.
+/// (shared path or shipped cache), re-extract + verify the forest, then run
+/// the same per-tree loop a forked worker runs. Returns the process exit
+/// code: 0 = every assigned tree was streamed; kExitHandshakeRejected =
+/// typed kReject (do not retry the same pairing); anything else is a
+/// worker loss the supervisor requeues. Never throws.
 int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
                       std::uint32_t attempt,
                       const WorkerOptions& options = {});

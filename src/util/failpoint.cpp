@@ -9,6 +9,10 @@
 
 #include "util/flight_recorder.hpp"
 
+#if !defined(_WIN32)
+#include <pthread.h>
+#endif
+
 namespace rid::util::failpoint {
 
 namespace detail {
@@ -41,6 +45,15 @@ Registry& registry() {
   static Registry instance;
   return instance;
 }
+
+#if !defined(_WIN32)
+// Forked shard workers hit failpoints, and the parent forks them while its
+// stream threads may be inside one: hold the registry lock across fork()
+// so the child's copy is never locked by a thread it does not have.
+[[maybe_unused]] const int kForkHandlers = ::pthread_atfork(
+    [] { registry().mutex.lock(); }, [] { registry().mutex.unlock(); },
+    [] { registry().mutex.unlock(); });
+#endif
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t");

@@ -90,7 +90,8 @@ inline bool should_drop(const char* name) {
 void arm(const std::string& spec);
 
 /// Arms from the RID_FAILPOINTS environment variable; no-op when unset or
-/// empty. Called by the CLI at startup and by sharded workers after fork.
+/// empty. Called by the CLI at startup, which is how exec'd shard workers
+/// are armed (forked ones inherit the parent's arming).
 void arm_from_env();
 
 /// Disarms one failpoint (no-op when not armed) / all failpoints.

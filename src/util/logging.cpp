@@ -4,11 +4,23 @@
 #include <cstdio>
 #include <mutex>
 
+#if !defined(_WIN32)
+#include <pthread.h>
+#endif
+
 namespace rid::util {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_emit_mutex;
+
+#if !defined(_WIN32)
+// Held across fork() so a forked worker can log (see util/failpoint.cpp).
+[[maybe_unused]] const int kForkHandlers =
+    ::pthread_atfork([] { g_emit_mutex.lock(); },
+                     [] { g_emit_mutex.unlock(); },
+                     [] { g_emit_mutex.unlock(); });
+#endif
 
 const char* level_name(LogLevel level) {
   switch (level) {

@@ -8,6 +8,10 @@
 #include <mutex>
 #include <sstream>
 
+#if !defined(_WIN32)
+#include <pthread.h>
+#endif
+
 namespace rid::util::metrics {
 
 std::size_t Histogram::bucket_index(std::uint64_t value) noexcept {
@@ -150,46 +154,53 @@ void Registry::reset() {
   for (const auto& [name, histogram] : impl_->histograms) histogram->reset();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
+std::string json_quote(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
     switch (c) {
       case '"':
-        out << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        out << "\\\\";
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  out += '"';
+  return out;
 }
-
-}  // namespace
 
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream out;
   out << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     out << (i ? ",\n    " : "\n    ");
-    append_json_string(out, counters[i].name);
+    out << json_quote(counters[i].name);
     out << ": " << counters[i].value;
   }
   out << (counters.empty() ? "}" : "\n  }");
   out << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     out << (i ? ",\n    " : "\n    ");
-    append_json_string(out, gauges[i].name);
+    out << json_quote(gauges[i].name);
     out << ": " << gauges[i].value;
   }
   out << (gauges.empty() ? "}" : "\n  }");
@@ -197,7 +208,7 @@ std::string MetricsSnapshot::to_json() const {
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& h = histograms[i];
     out << (i ? ",\n    " : "\n    ");
-    append_json_string(out, h.name);
+    out << json_quote(h.name);
     out << ": {\"count\": " << h.count << ", \"sum\": " << h.sum
         << ", \"min\": " << h.min << ", \"max\": " << h.max
         << ", \"buckets\": [";
@@ -264,6 +275,21 @@ Registry& global() {
   static Registry registry;
   return registry;
 }
+
+/// Holds the global registry's lock across fork(): a forked shard worker
+/// resets and snapshots the registry while the parent's stream threads may
+/// be merging worker metrics into it (see util/failpoint.cpp).
+struct ForkGuard {
+  static void lock() { global().impl_->mutex.lock(); }
+  static void unlock() { global().impl_->mutex.unlock(); }
+};
+
+#if !defined(_WIN32)
+namespace {
+[[maybe_unused]] const int kForkHandlers =
+    ::pthread_atfork(ForkGuard::lock, ForkGuard::unlock, ForkGuard::unlock);
+}  // namespace
+#endif
 
 bool write_metrics_json_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");

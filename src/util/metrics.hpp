@@ -172,12 +172,17 @@ class Registry {
   void reset();
 
  private:
+  friend struct ForkGuard;
   struct Impl;
   Impl* impl_;
 };
 
 /// The process-wide registry all pipeline instrumentation records into.
 Registry& global();
+
+/// `text` as a quoted JSON string literal — the one escaper behind every
+/// JSON document the tree writes (metrics, traces, daemon stats).
+std::string json_quote(std::string_view text);
 
 /// Writes global().snapshot().to_json() to `path`. Returns false (and
 /// writes nothing) when the file cannot be opened.

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "util/errors.hpp"
 #include "util/failpoint.hpp"
@@ -126,6 +127,12 @@ NetMetrics& net_metrics() {
   return instance;
 }
 
+// Constructed at load time, not on first use: a forked shard worker writes
+// frames while the parent's stream threads may be reading their first
+// ones, and a child that inherits a half-finished static initialization
+// waits on its guard forever.
+[[maybe_unused]] const NetMetrics& kNetMetricsAtLoad = net_metrics();
+
 /// The `net.partition` chaos hook. Armed with `window(MS)` it models a
 /// network partition: every socket operation inside the window fails with
 /// the transport's normal failure shape (timeout/closed/unreachable) instead
@@ -207,6 +214,60 @@ bool write_exact(int fd, const char* data, std::size_t n) {
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
+/// An endpoint as a socket address, plus a close-on-exec stream socket of
+/// its family (closed on destruction unless release()d). Throws InputError
+/// prefixed with `what` ("listener", "connect") on a bad endpoint or a
+/// failed socket().
+struct Address {
+  sockaddr_storage storage{};
+  socklen_t length = 0;
+  int fd = -1;
+
+  Address(const Address&) = delete;
+  Address& operator=(const Address&) = delete;
+  ~Address() {
+    if (fd >= 0) ::close(fd);
+  }
+  int release() noexcept { return std::exchange(fd, -1); }
+
+  Address(const Endpoint& endpoint, const std::string& what) {
+    int family = AF_INET;
+    if (endpoint.kind == Endpoint::Kind::kUnix) {
+      auto* addr = reinterpret_cast<sockaddr_un*>(&storage);
+      family = addr->sun_family = AF_UNIX;
+      if (endpoint.path.size() >= sizeof(addr->sun_path))
+        throw InputError(what + ": unix socket path too long: " +
+                         endpoint.path);
+      std::strncpy(addr->sun_path, endpoint.path.c_str(),
+                   sizeof(addr->sun_path) - 1);
+      length = sizeof(sockaddr_un);
+    } else {
+      auto* addr = reinterpret_cast<sockaddr_in*>(&storage);
+      addr->sin_family = AF_INET;
+      addr->sin_port = htons(endpoint.port);
+      if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr->sin_addr) != 1)
+        throw InputError(what + ": bad tcp host: " + endpoint.host);
+      length = sizeof(sockaddr_in);
+    }
+    fd = ::socket(family, SOCK_STREAM, 0);
+    if (fd < 0)
+      throw InputError(what + ": socket() failed: " + std::strerror(errno));
+    set_cloexec(fd);
+  }
+
+  const sockaddr* get() const {
+    return reinterpret_cast<const sockaddr*>(&storage);
+  }
+
+  /// Throws InputError("<what><endpoint>: <errno text>") for the call
+  /// that just failed.
+  [[noreturn]] static void fail(const std::string& what,
+                                const Endpoint& endpoint) {
+    throw InputError(what + endpoint.to_string() + ": " +
+                     std::strerror(errno));
+  }
+};
+
 }  // namespace
 
 Socket::Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
@@ -240,16 +301,15 @@ FrameStatus Socket::read_frame(std::string& payload, double timeout_seconds) {
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(unlimited ? 0.0 : timeout_seconds));
 
-  char header[8];
+  char header[wire::kFrameHeaderSize];
   const int h = read_exact(fd_, header, sizeof(header), deadline, unlimited);
   if (h == -2) {
     net_metrics().torn_frames.add(1);  // header torn mid-read
     return FrameStatus::kClosed;
   }
   if (h <= 0) return h == 0 ? FrameStatus::kClosed : FrameStatus::kTimeout;
-  wire::Reader frame(std::string_view(header, sizeof(header)), "net frame");
-  const std::uint32_t length = frame.u32();
-  const std::uint32_t checksum = frame.u32();
+  const auto [length, checksum] =
+      wire::decode_frame_header(std::string_view(header, sizeof(header)));
   if (length > kMaxFramePayload) {
     net_metrics().checksum_errors.add(1);
     return FrameStatus::kChecksumError;  // garbled header; stream is lost
@@ -283,10 +343,8 @@ bool Socket::write_frame(std::string_view payload) {
   }
   if (fd_ < 0) return false;
   std::string frame;
-  frame.reserve(8 + payload.size());
-  wire::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u32(frame, fnv1a32(payload));
-  frame.append(payload);
+  frame.reserve(wire::kFrameHeaderSize + payload.size());
+  wire::put_frame(frame, payload);
   // Two-halves write with the torn-frame failpoint in between: an armed
   // `abort` models a writer crashing mid-frame (the reader sees a torn
   // stream), a `throw` models an aborted send (connection dropped by the
@@ -333,57 +391,27 @@ void Listener::close() noexcept {
 Listener Listener::listen(const Endpoint& endpoint, int backlog) {
   Listener listener;
   listener.endpoint_ = endpoint;
-  if (endpoint.kind == Endpoint::Kind::kUnix) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (endpoint.path.size() >= sizeof(addr.sun_path))
-      throw InputError("listener: unix socket path too long: " +
-                       endpoint.path);
-    std::strncpy(addr.sun_path, endpoint.path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-      throw InputError(std::string("listener: socket() failed: ") +
-                       std::strerror(errno));
-    set_cloexec(fd);
+  Address address(endpoint, "listener");
+  const bool unix_socket = endpoint.kind == Endpoint::Kind::kUnix;
+  if (unix_socket) {
     ::unlink(endpoint.path.c_str());  // replace a stale socket file
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, backlog) != 0) {
-      const int err = errno;
-      ::close(fd);
-      throw InputError("listener: cannot bind " + endpoint.to_string() +
-                       ": " + std::strerror(err));
-    }
-    listener.fd_ = fd;
-    listener.unlink_on_close_ = true;
-    return listener;
+  } else {
+    const int one = 1;
+    ::setsockopt(address.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   }
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(endpoint.port);
-  if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1)
-    throw InputError("listener: bad tcp host: " + endpoint.host);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0)
-    throw InputError(std::string("listener: socket() failed: ") +
-                     std::strerror(errno));
-  set_cloexec(fd);
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, backlog) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw InputError("listener: cannot bind " + endpoint.to_string() + ": " +
-                     std::strerror(err));
+  if (::bind(address.fd, address.get(), address.length) != 0 ||
+      ::listen(address.fd, backlog) != 0)
+    address.fail("listener: cannot bind ", endpoint);
+  if (!unix_socket) {
+    // Report the resolved ephemeral port so workers can be pointed at it.
+    sockaddr_in bound{};
+    socklen_t bound_len = sizeof(bound);
+    if (::getsockname(address.fd, reinterpret_cast<sockaddr*>(&bound),
+                      &bound_len) == 0)
+      listener.endpoint_.port = ntohs(bound.sin_port);
   }
-  // Report the resolved ephemeral port so workers can be pointed at it.
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0)
-    listener.endpoint_.port = ntohs(bound.sin_port);
-  listener.fd_ = fd;
+  listener.fd_ = address.release();
+  listener.unlink_on_close_ = unix_socket;
   return listener;
 }
 
@@ -412,46 +440,12 @@ Socket connect(const Endpoint& endpoint, double timeout_seconds) {
   if (partition_active())
     throw InputError("connect: cannot reach " + endpoint.to_string() +
                      ": network partition (injected)");
-  int fd = -1;
-  if (endpoint.kind == Endpoint::Kind::kUnix) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (endpoint.path.size() >= sizeof(addr.sun_path))
-      throw InputError("connect: unix socket path too long: " + endpoint.path);
-    std::strncpy(addr.sun_path, endpoint.path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-      throw InputError(std::string("connect: socket() failed: ") +
-                       std::strerror(errno));
-    set_cloexec(fd);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const int err = errno;
-      ::close(fd);
-      throw InputError("connect: cannot reach " + endpoint.to_string() + ": " +
-                       std::strerror(err));
-    }
-  } else {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(endpoint.port);
-    if (::inet_pton(AF_INET, endpoint.host.c_str(), &addr.sin_addr) != 1)
-      throw InputError("connect: bad tcp host: " + endpoint.host);
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-      throw InputError(std::string("connect: socket() failed: ") +
-                       std::strerror(errno));
-    set_cloexec(fd);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const int err = errno;
-      ::close(fd);
-      throw InputError("connect: cannot reach " + endpoint.to_string() + ": " +
-                       std::strerror(err));
-    }
-  }
+  Address address(endpoint, "connect");
+  if (::connect(address.fd, address.get(), address.length) != 0)
+    address.fail("connect: cannot reach ", endpoint);
   (void)timeout_seconds;  // connects to local endpoints resolve immediately
   net_metrics().connected.add(1);
-  return Socket(fd);
+  return Socket(address.release());
 }
 
 #else  // !RID_HAS_SOCKETS

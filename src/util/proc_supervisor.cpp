@@ -8,6 +8,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "util/flight_recorder.hpp"
 #include "util/fnv.hpp"
@@ -30,15 +31,19 @@ namespace rid::util {
 
 bool process_isolation_supported() noexcept { return RID_HAS_FORK != 0; }
 
+std::uint64_t own_pid() noexcept {
+#if RID_HAS_FORK
+  return static_cast<std::uint64_t>(::getpid());
+#else
+  return 0;
+#endif
+}
+
 #if RID_HAS_FORK
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Exit code for a C++ exception escaping the child body (a "soft" failure,
-/// still a worker loss from the supervisor's point of view).
-constexpr int kChildExceptionExit = 99;
 
 /// Supervisor-side metrics (names shared with the RID diagnostics).
 struct ShardMetrics {
@@ -91,12 +96,6 @@ struct ShardState {
   std::uint64_t span_start_ns = 0;
 };
 
-/// How an attempt becomes a process, transport-erased: returns the worker
-/// pid or -1 on launch failure.
-using LaunchFn = std::function<pid_t(std::size_t shard_id,
-                                     const std::vector<std::size_t>& items,
-                                     std::uint32_t attempt)>;
-
 double backoff_ms(const SupervisorOptions& options, std::size_t shard_id,
                   std::uint32_t attempts) {
   double ms = options.backoff_initial_ms;
@@ -119,13 +118,12 @@ int encode_exit(int status) {
   return -1;
 }
 
-/// The transport-agnostic supervision loop: state machine, heartbeat,
-/// deadline, backoff, poison-pill, cancellation. Only launch() knows how a
-/// worker process comes to exist.
-SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
-                                const SupervisorOptions& options,
-                                const LaunchFn& launch,
-                                const ShardDurableItems& durable) {
+}  // namespace
+
+SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
+                                  const SupervisorOptions& options,
+                                  const ShardLauncher& launcher,
+                                  const ShardDurableItems& durable) {
   SupervisorReport report;
   ShardMetrics& sm = shard_metrics();
 
@@ -168,9 +166,22 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
                      trace::current_tid(), tags);
   };
 
-  /// Removes durable items from state.remaining (keeping order) and returns
-  /// how many were completed.
-  const auto drop_durable = [&](ShardState& state) {
+  const auto release_slot = [&](ShardState& state) {
+    if (state.holds_slot) {
+      options.slots->release();
+      state.holds_slot = false;
+    }
+  };
+
+  /// Every reaping path ends an attempt here: the slot and trace span are
+  /// closed, the worker's stream is drained (drain before durable), and
+  /// the durable items are removed from state.remaining (keeping order).
+  /// Returns how many were completed.
+  const auto end_attempt = [&](ShardState& state, int exit_code) {
+    const pid_t reaped = std::exchange(state.pid, -1);
+    release_slot(state);
+    emit_attempt_span(state, exit_code);
+    if (launcher.drain) launcher.drain(reaped);
     const std::vector<std::size_t> done = durable(state.shard_id);
     const std::unordered_set<std::size_t> done_set(done.begin(), done.end());
     const std::size_t before = state.remaining.size();
@@ -226,13 +237,6 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
     log_event(event.str());
   };
 
-  const auto release_slot = [&](ShardState& state) {
-    if (state.holds_slot) {
-      options.slots->release();
-      state.holds_slot = false;
-    }
-  };
-
   const auto spawn = [&](ShardState& state) {
     if (options.slots != nullptr && !state.holds_slot) {
       // Shared pool exhausted by other jobs: stay queued, no attempt burned.
@@ -241,7 +245,8 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
     }
     ++state.attempts;
     state.span_start_ns = trace::now_ns();
-    const pid_t pid = launch(state.shard_id, state.remaining, state.attempts);
+    const pid_t pid =
+        launcher.launch(state.shard_id, state.remaining, state.attempts);
     if (pid < 0) {
       // Launch failure (fork EAGAIN under load, exec error, transport
       // refusal): same path as a crash, so the backoff gives the system
@@ -256,7 +261,6 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
       after_attempt(state, /*abnormal=*/false);
       return;
     }
-    ++report.workers_spawned;
     sm.spawned.add(1);
     state.pid = pid;
     state.phase = ShardState::Phase::kRunning;
@@ -269,11 +273,7 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
   };
 
   const auto reap = [&](ShardState& state, int status) {
-    state.pid = -1;
-    release_slot(state);
-    const int exit_code = encode_exit(status);
-    emit_attempt_span(state, exit_code);
-    const std::size_t completed = drop_durable(state);
+    const std::size_t completed = end_attempt(state, encode_exit(status));
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     std::ostringstream event;
     event << "shard " << state.shard_id << ": worker ";
@@ -303,7 +303,6 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
   const auto kill_worker = [&](ShardState& state, const char* why,
                                double seconds) {
     ::kill(state.pid, SIGKILL);
-    ++report.kills;
     sm.kills.add(1);
     std::ostringstream event;
     event << "shard " << state.shard_id << ": " << why << " for " << seconds
@@ -318,14 +317,11 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
       for (ShardState& state : states) {
         if (state.phase != ShardState::Phase::kRunning) continue;
         ::kill(state.pid, SIGKILL);
-        ++report.kills;
         sm.kills.add(1);
         int status = 0;
         while (wait_child(state.pid, &status, 0, sm) < 0 && errno == EINTR) {
         }
-        emit_attempt_span(state, encode_exit(status));
-        release_slot(state);
-        drop_durable(state);
+        end_attempt(state, encode_exit(status));
         state.phase = ShardState::Phase::kDone;
         std::ostringstream event;
         event << "shard " << state.shard_id << ": cancelled - killed worker";
@@ -361,15 +357,13 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
       }
       if (r < 0 && errno != EINTR) {
         // Lost track of the child (should not happen) — treat as a crash.
-        state.pid = -1;
-        release_slot(state);
-        emit_attempt_span(state, -1);
-        drop_durable(state);
+        const int wait_errno = errno;
+        end_attempt(state, -1);
         ++report.crashes;
         sm.crashes.add(1);
         std::ostringstream event;
         event << "shard " << state.shard_id << ": waitpid failed (errno "
-              << errno << ") - treating worker as crashed";
+              << wait_errno << ") - treating worker as crashed";
         log_event(event.str());
         after_attempt(state, /*abnormal=*/true);
         continue;
@@ -405,8 +399,6 @@ SupervisorReport supervise_impl(const std::vector<ShardWork>& shards,
   return report;
 }
 
-}  // namespace
-
 void apply_worker_rlimits(const SupervisorOptions& options) noexcept {
   if (options.mem_limit_bytes > 0) {
     struct rlimit limit {};
@@ -427,66 +419,18 @@ void apply_worker_rlimits(const SupervisorOptions& options) noexcept {
   }
 }
 
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardChildBody& child_body,
-                                  const ShardDurableItems& durable) {
-  const LaunchFn launch = [&](std::size_t shard_id,
-                              const std::vector<std::size_t>& items,
-                              std::uint32_t attempt) -> pid_t {
-    const pid_t pid = fork();
-    if (pid == 0) {
-      // Worker. Never return into the parent's stack: convert exceptions to
-      // an exit code and leave via _exit (no atexit handlers, no flushing
-      // of streams duplicated from the parent).
-      apply_worker_rlimits(options);
-      try {
-        child_body(shard_id, items, attempt);
-      } catch (...) {
-        _exit(kChildExceptionExit);
-      }
-      _exit(0);
-    }
-    return pid;
-  };
-  return supervise_impl(shards, options, launch, durable);
-}
-
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardLauncher& launcher,
-                                  const ShardDurableItems& durable) {
-  return supervise_impl(shards, options, launcher.launch, durable);
-}
-
 #else  // !RID_HAS_FORK
 
 void apply_worker_rlimits(const SupervisorOptions&) noexcept {}
-
-namespace {
-
-SupervisorReport unsupported_report() {
-  SupervisorReport report;
-  report.supported = false;
-  report.events.emplace_back(
-      "process isolation unsupported on this platform - run in-process");
-  return report;
-}
-
-}  // namespace
-
-SupervisorReport supervise_shards(const std::vector<ShardWork>&,
-                                  const SupervisorOptions&,
-                                  const ShardChildBody&,
-                                  const ShardDurableItems&) {
-  return unsupported_report();
-}
 
 SupervisorReport supervise_shards(const std::vector<ShardWork>&,
                                   const SupervisorOptions&,
                                   const ShardLauncher&,
                                   const ShardDurableItems&) {
-  return unsupported_report();
+  SupervisorReport report;
+  report.events.emplace_back(
+      "process isolation unsupported on this platform - run in-process");
+  return report;
 }
 
 #endif

@@ -3,9 +3,9 @@
 // The RID pipeline's per-tree fault isolation (core/rid.cpp) catches C++
 // exceptions, but a segfault, OOM kill, or runaway allocation in one tree
 // still takes down the whole process. The supervisor moves that isolation
-// boundary across a process fork: work is partitioned into *shards*, one
-// forked worker per shard, and the parent watches worker lifetimes instead
-// of trusting them.
+// boundary across a process boundary: work is partitioned into *shards*,
+// one worker process per shard attempt, and the parent watches worker
+// lifetimes instead of trusting them.
 //
 // Supervisor state machine per shard (see DESIGN.md §11):
 //
@@ -29,19 +29,18 @@
 // treated as a crash — this is how hangs (e.g. a deadlock or a failpoint
 // sleep) are converted into the same requeue path as crashes.
 //
-// Durability is the caller's job: the child body must persist each finished
-// item (the RID runner streams checkpoint records), and `durable` must
-// report, from the parent, which items of a shard are already persisted.
-// The supervisor never passes data between processes itself — everything
-// flows through the caller's durable store, which is exactly what makes
-// resume-after-crash work.
+// The supervisor only ever sees pids. How a worker comes to exist, and how
+// its results become durable, belongs to the caller's ShardLauncher (the
+// RID runner streams worker frames into checkpoint files,
+// core/shard_transport.hpp), and `durable` must report, from the parent,
+// which items of a shard are already persisted. Every path that reaps a
+// worker (exit, cancel kill, waitpid failure) first calls the launcher's
+// drain() for that pid and only then probes durable(), so results a worker
+// wrote before it died are never mistaken for lost work.
 //
-// POSIX only (fork/waitpid/kill). On non-POSIX builds run() reports
-// supported = false and does nothing; callers fall back to in-process
-// execution. fork() without exec() inherits the parent's memory (the forest
-// is shared copy-on-write), so child bodies must not rely on threads
-// created before the fork and must terminate via _exit — run() handles the
-// _exit, and catches exceptions escaping the body into exit code 99.
+// POSIX only (fork/waitpid/kill). On non-POSIX builds supervise_shards()
+// does nothing; callers check process_isolation_supported() and fall back
+// to in-process execution.
 #pragma once
 
 #include <atomic>
@@ -131,41 +130,30 @@ struct SupervisorOptions {
 /// the caller: durable items are in its own store; poisoned/abandoned ones
 /// need a caller-side fallback.
 struct SupervisorReport {
-  bool supported = true;  // false = no fork() on this platform; nothing ran
   bool cancelled = false;
-  std::uint64_t workers_spawned = 0;
   std::uint64_t crashes = 0;  // nonzero exits, signals, and supervisor kills
-  std::uint64_t kills = 0;    // supervisor-initiated (hang/deadline/cancel)
   std::uint64_t retries = 0;  // shard requeues after a failure
   std::vector<std::size_t> poisoned_items;   // demoted via poison_threshold
   std::vector<std::size_t> abandoned_items;  // attempts exhausted
   std::vector<std::string> events;           // human-readable log
 };
 
-/// Runs in the forked child: complete the given items (persisting each one)
-/// and return. A throw is converted to exit code 99; a crash is a crash.
-using ShardChildBody =
-    std::function<void(std::size_t shard_id,
-                       const std::vector<std::size_t>& items,
-                       std::uint32_t attempt)>;
-
 /// Transport abstraction: how a shard attempt becomes a worker process.
-/// The launch function spawns a process for the attempt (e.g. fork+exec of
-/// `ridnet_cli worker` wired to a socket dispatcher) and returns its pid,
-/// or -1 on launch failure — which the supervisor treats exactly like a
-/// crash (backoff + requeue), so a missing binary or an exec error cannot
-/// wedge a run. A distinct struct (not a std::function alias) so the
-/// supervise_shards overloads stay unambiguous: a pid_t-returning lambda
-/// would also convert to ShardChildBody.
+/// `launch` spawns a process for the attempt and returns its pid, or -1 on
+/// launch failure — which the supervisor treats exactly like a crash
+/// (backoff + requeue), so a missing binary or an exec error cannot wedge a
+/// run. `drain` (optional) is called for every reaped pid before durable():
+/// it must return once everything that worker wrote has been made durable,
+/// without waiting for anything the worker can no longer send.
 ///
-/// Launchers that fork themselves should call apply_worker_rlimits() in the
-/// child between fork and exec so SupervisorOptions resource caps apply to
-/// every transport.
+/// Launchers that fork call apply_worker_rlimits() in the child so
+/// SupervisorOptions resource caps apply to every worker.
 struct ShardLauncher {
   std::function<pid_t(std::size_t shard_id,
                       const std::vector<std::size_t>& items,
                       std::uint32_t attempt)>
       launch;
+  std::function<void(pid_t pid)> drain;
 };
 
 /// Parent-side durability probe: which of `shard`'s items are persisted
@@ -175,17 +163,9 @@ using ShardDurableItems =
     std::function<std::vector<std::size_t>(std::size_t shard_id)>;
 
 /// Supervises the shards to completion (or cancellation). Blocking;
-/// single-threaded parent loop. See the file header for semantics.
-/// Workers are forked copies of this process running `child_body`.
-SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
-                                  const SupervisorOptions& options,
-                                  const ShardChildBody& child_body,
-                                  const ShardDurableItems& durable);
-
-/// Same supervision semantics, but worker processes come from `launcher`
-/// (socket transport, exec'd workers, ...). The supervisor only ever sees
-/// pids — heartbeat, deadline, backoff, poison-pill, and cancellation work
-/// identically for any transport.
+/// single-threaded parent loop. See the file header for semantics: the
+/// heartbeat, deadline, backoff, poison-pill, and cancellation work the same
+/// for every launcher.
 SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
                                   const SupervisorOptions& options,
                                   const ShardLauncher& launcher,
@@ -193,11 +173,14 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
 
 /// Applies SupervisorOptions::{mem_limit_bytes, cpu_limit_seconds} to the
 /// calling process (setrlimit RLIMIT_AS / RLIMIT_CPU; no-op for 0 / on
-/// non-POSIX builds). The built-in fork transport calls this in the child;
-/// custom launchers call it between fork and exec.
+/// non-POSIX builds). Launchers call it in the forked child (before exec,
+/// when they exec).
 void apply_worker_rlimits(const SupervisorOptions& options) noexcept;
 
 /// True when this platform can fork workers (POSIX).
 bool process_isolation_supported() noexcept;
+
+/// This process's pid (0 on platforms without processes).
+std::uint64_t own_pid() noexcept;
 
 }  // namespace rid::util

@@ -1,33 +1,16 @@
 #include "util/telemetry.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "util/errors.hpp"
-#include "util/fnv.hpp"
+#include "util/proc_supervisor.hpp"
 #include "util/wire.hpp"
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
 
 namespace rid::util::telemetry {
 
 namespace {
 
 constexpr const char* kContext = "telemetry payload";
-
-std::uint64_t own_pid() {
-#ifndef _WIN32
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 0;
-#endif
-}
-
-void damaged() { metrics::global().counter("telemetry.damaged").add(1); }
 
 }  // namespace
 
@@ -94,17 +77,20 @@ WorkerTelemetry decode(std::string_view payload) {
   t.spans.pid = r.u64();
   t.spans.name = r.str();
   t.spans.spans_dropped = r.u64();
-  const std::uint32_t num_spans = r.u32();
+  // Minimum encoded sizes: a span is an empty name (4) + start/end (16) +
+  // tid (4) + tag count (1); a tag an empty key (4) + kind (1) + an empty
+  // string value (4).
+  const std::size_t num_spans = r.count(r.u32(), 25);
   t.spans.spans.reserve(num_spans);
-  for (std::uint32_t i = 0; i < num_spans; ++i) {
+  for (std::size_t i = 0; i < num_spans; ++i) {
     trace::RemoteSpan span;
     span.name = r.str();
     span.start_ns = r.u64();
     span.end_ns = r.u64();
     span.tid = r.u32();
-    const std::uint8_t num_tags = r.u8();
+    const std::size_t num_tags = r.count(r.u8(), 9);
     span.tags.reserve(num_tags);
-    for (std::uint8_t k = 0; k < num_tags; ++k) {
+    for (std::size_t k = 0; k < num_tags; ++k) {
       trace::RemoteTag tag;
       tag.key = r.str();
       tag.is_string = r.u8() != 0;
@@ -117,34 +103,34 @@ WorkerTelemetry decode(std::string_view payload) {
     }
     t.spans.spans.push_back(std::move(span));
   }
-  const std::uint32_t num_counters = r.u32();
+  const std::size_t num_counters = r.count(r.u32(), 4 + 8);
   t.metrics.counters.reserve(num_counters);
-  for (std::uint32_t i = 0; i < num_counters; ++i) {
+  for (std::size_t i = 0; i < num_counters; ++i) {
     metrics::CounterSample c;
     c.name = r.str();
     c.value = r.u64();
     t.metrics.counters.push_back(std::move(c));
   }
-  const std::uint32_t num_gauges = r.u32();
+  const std::size_t num_gauges = r.count(r.u32(), 4 + 8);
   t.metrics.gauges.reserve(num_gauges);
-  for (std::uint32_t i = 0; i < num_gauges; ++i) {
+  for (std::size_t i = 0; i < num_gauges; ++i) {
     metrics::GaugeSample g;
     g.name = r.str();
     g.value = r.f64();
     t.metrics.gauges.push_back(std::move(g));
   }
-  const std::uint32_t num_histograms = r.u32();
+  const std::size_t num_histograms = r.count(r.u32(), 4 + 4 * 8 + 4);
   t.metrics.histograms.reserve(num_histograms);
-  for (std::uint32_t i = 0; i < num_histograms; ++i) {
+  for (std::size_t i = 0; i < num_histograms; ++i) {
     metrics::HistogramSample h;
     h.name = r.str();
     h.count = r.u64();
     h.sum = r.u64();
     h.min = r.u64();
     h.max = r.u64();
-    const std::uint32_t num_buckets = r.u32();
+    const std::size_t num_buckets = r.count(r.u32(), 8 + 8);
     h.buckets.reserve(num_buckets);
-    for (std::uint32_t b = 0; b < num_buckets; ++b) {
+    for (std::size_t b = 0; b < num_buckets; ++b) {
       const std::uint64_t le = r.u64();
       const std::uint64_t n = r.u64();
       h.buckets.emplace_back(le, n);
@@ -192,64 +178,6 @@ void merge_into_process(WorkerTelemetry telemetry) {
   metrics::global().merge(telemetry.metrics);
   if (!telemetry.spans.spans.empty() || telemetry.spans.spans_dropped > 0) {
     trace::add_remote_process(std::move(telemetry.spans));
-  }
-}
-
-bool write_sidecar_file(const std::string& path,
-                        const WorkerTelemetry& telemetry) {
-  const std::string payload = encode(telemetry);
-  std::string blob(kSidecarMagic);
-  wire::put_u32(blob, static_cast<std::uint32_t>(payload.size()));
-  wire::put_u32(blob, fnv1a32(payload));
-  blob += payload;
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool wrote =
-      std::fwrite(blob.data(), 1, blob.size(), file) == blob.size();
-  const bool closed = std::fclose(file) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::optional<WorkerTelemetry> read_sidecar_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;  // never written: not damage
-  std::string blob;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) blob.append(buf, n);
-  std::fclose(file);
-  if (blob.size() < kSidecarMagic.size() + 8 ||
-      std::string_view(blob).substr(0, kSidecarMagic.size()) !=
-          kSidecarMagic) {
-    damaged();
-    return std::nullopt;
-  }
-  wire::Reader header(
-      std::string_view(blob).substr(kSidecarMagic.size()), "telemetry sidecar");
-  const std::uint32_t length = header.u32();
-  const std::uint32_t checksum = header.u32();
-  const std::string_view payload =
-      std::string_view(blob).substr(kSidecarMagic.size() + 8);
-  if (payload.size() != length || fnv1a32(payload) != checksum) {
-    damaged();
-    return std::nullopt;
-  }
-  try {
-    return decode(payload);
-  } catch (const InputError&) {
-    damaged();
-    return std::nullopt;
   }
 }
 

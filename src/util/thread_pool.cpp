@@ -26,6 +26,12 @@ PoolMetrics& pool_metrics() {
   return instance;
 }
 
+// Constructed at load time, not on first use: a forked shard worker's DP
+// may start a pool while another thread of the parent (a serve runner) is
+// starting its first one, and a child that inherits a half-finished static
+// initialization waits on its guard forever.
+[[maybe_unused]] const PoolMetrics& kPoolMetricsAtLoad = pool_metrics();
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {

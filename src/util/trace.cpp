@@ -12,9 +12,10 @@
 #include <utility>
 
 #include "util/metrics.hpp"
+#include "util/proc_supervisor.hpp"
 
 #ifndef _WIN32
-#include <unistd.h>
+#include <pthread.h>
 #endif
 
 namespace rid::util::trace {
@@ -93,13 +94,24 @@ RemoteStore& remote_store() {
   return instance;
 }
 
-std::uint64_t local_pid() {
 #ifndef _WIN32
-  return static_cast<std::uint64_t>(::getpid());
-#else
-  return 1;
+// A forked shard worker restarts the trace (start() takes both locks) while
+// the parent's stream threads may be merging worker spans: hold both across
+// fork() (see util/failpoint.cpp).
+[[maybe_unused]] const int kForkHandlers = ::pthread_atfork(
+    [] {
+      remote_store().mutex.lock();
+      collector().mutex.lock();
+    },
+    [] {
+      collector().mutex.unlock();
+      remote_store().mutex.unlock();
+    },
+    [] {
+      collector().mutex.unlock();
+      remote_store().mutex.unlock();
+    });
 #endif
-}
 
 double rel_us(std::uint64_t t, std::uint64_t base) {
   // Workers share the host monotonic clock, but a clock read racing the
@@ -107,29 +119,6 @@ double rel_us(std::uint64_t t, std::uint64_t base) {
   // wrapping the unsigned difference.
   return t >= base ? static_cast<double>(t - base) * 1e-3
                    : -static_cast<double>(base - t) * 1e-3;
-}
-
-void append_json_string(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
 }
 
 }  // namespace
@@ -250,7 +239,7 @@ std::string chrome_trace_json_single(const TraceSnapshot& snap) {
     first = false;
     // Complete ("X") events; timestamps in microseconds relative to start().
     out << "  {\"name\": ";
-    append_json_string(out, span.name);
+    out << metrics::json_quote(span.name);
     out << ", \"cat\": \"rid\", \"ph\": \"X\", \"ts\": "
         << static_cast<double>(span.start_ns - snap.start_ns) * 1e-3
         << ", \"dur\": "
@@ -260,10 +249,10 @@ std::string chrome_trace_json_single(const TraceSnapshot& snap) {
       out << ", \"args\": {";
       for (std::size_t i = 0; i < span.num_tags; ++i) {
         if (i) out << ", ";
-        append_json_string(out, span.tags[i].key);
+        out << metrics::json_quote(span.tags[i].key);
         out << ": ";
         if (span.tags[i].sval) {
-          append_json_string(out, span.tags[i].sval);
+          out << metrics::json_quote(span.tags[i].sval);
         } else {
           out << span.tags[i].ival;
         }
@@ -285,7 +274,7 @@ std::string chrome_trace_json_single(const TraceSnapshot& snap) {
 std::string chrome_trace_json_merged(const TraceSnapshot& snap,
                                      const std::vector<ProcessSpans>& remote,
                                      std::uint64_t remote_dropped) {
-  const std::uint64_t pid = local_pid();
+  const std::uint64_t pid = own_pid();
   std::ostringstream out;
   out << "{\"traceEvents\": [\n";
   bool first = true;
@@ -296,7 +285,7 @@ std::string chrome_trace_json_merged(const TraceSnapshot& snap,
     out << "  {\"name\": \"" << what << "\", \"ph\": \"M\", \"pid\": " << p;
     if (tid >= 0) out << ", \"tid\": " << tid;
     out << ", \"args\": {\"name\": ";
-    append_json_string(out, name);
+    out << metrics::json_quote(name);
     out << "}}";
   };
   meta("process_name", pid, -1, "parent");
@@ -317,7 +306,7 @@ std::string chrome_trace_json_merged(const TraceSnapshot& snap,
     if (!first) out << ",\n";
     first = false;
     out << "  {\"name\": ";
-    append_json_string(out, name);
+    out << metrics::json_quote(name);
     out << ", \"cat\": \"rid\", \"ph\": \"X\", \"ts\": "
         << rel_us(start_ns, snap.start_ns)
         << ", \"dur\": " << static_cast<double>(end_ns - start_ns) * 1e-3
@@ -329,10 +318,10 @@ std::string chrome_trace_json_merged(const TraceSnapshot& snap,
       out << ", \"args\": {";
       for (std::size_t i = 0; i < span.num_tags; ++i) {
         if (i) out << ", ";
-        append_json_string(out, span.tags[i].key);
+        out << metrics::json_quote(span.tags[i].key);
         out << ": ";
         if (span.tags[i].sval) {
-          append_json_string(out, span.tags[i].sval);
+          out << metrics::json_quote(span.tags[i].sval);
         } else {
           out << span.tags[i].ival;
         }
@@ -348,10 +337,10 @@ std::string chrome_trace_json_merged(const TraceSnapshot& snap,
         out << ", \"args\": {";
         for (std::size_t i = 0; i < span.tags.size(); ++i) {
           if (i) out << ", ";
-          append_json_string(out, span.tags[i].key);
+          out << metrics::json_quote(span.tags[i].key);
           out << ": ";
           if (span.tags[i].is_string) {
-            append_json_string(out, span.tags[i].sval);
+            out << metrics::json_quote(span.tags[i].sval);
           } else {
             out << span.tags[i].ival;
           }

@@ -10,14 +10,26 @@
 // util::InputError on underflow, so a truncated or garbled payload can
 // never read out of bounds. Doubles travel as raw IEEE-754 bit patterns
 // (bit-identity across machines is part of the resume contract).
+//
+// All three formats frame their records the same way:
+//
+//     u32 payload length | u32 FNV-1a32 checksum of payload | payload
+//
+// put_frame() is the one encoder; FrameScanner walks a buffered stream of
+// such records (checkpoint files, the journal) and stops at the first torn
+// or damaged one; decode_frame_header() is all the incremental socket
+// reader (util/net) shares.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "util/errors.hpp"
+#include "util/fnv.hpp"
 
 namespace rid::util::wire {
 
@@ -96,6 +108,19 @@ class Reader {
   /// Length-prefixed byte string (inverse of put_bytes).
   std::string str() { return bytes(u32()); }
 
+  /// Validates a count just decoded from the payload before anything is
+  /// sized by it: each of the `n` elements still to come needs at least
+  /// `min_element_bytes`, so a garbled count throws instead of driving a
+  /// huge reserve(). Returns `n`.
+  std::size_t count(std::uint64_t n, std::size_t min_element_bytes) const {
+    const std::size_t left = data_.size() - pos_;
+    if (n > left / min_element_bytes)
+      throw InputError(std::string(context_) + ": count " +
+                       std::to_string(n) + " exceeds the " +
+                       std::to_string(left) + " bytes left");
+    return static_cast<std::size_t>(n);
+  }
+
   bool done() const noexcept { return pos_ == data_.size(); }
 
   /// Throws unless the payload was consumed exactly.
@@ -117,6 +142,64 @@ class Reader {
   std::string_view data_;
   const char* context_;
   std::size_t pos_ = 0;
+};
+
+inline constexpr std::size_t kFrameHeaderSize = 8;
+
+/// Appends one framed record: length, checksum, payload.
+inline void put_frame(std::string& out, std::string_view payload) {
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u32(out, fnv1a32(payload));
+  out.append(payload);
+}
+
+/// (length, checksum) from the kFrameHeaderSize bytes before a payload.
+inline std::pair<std::uint32_t, std::uint32_t> decode_frame_header(
+    std::string_view header) {
+  Reader in(header.substr(0, kFrameHeaderSize), "frame header");
+  const std::uint32_t length = in.u32();
+  return {length, in.u32()};
+}
+
+/// Walks a buffered stream of framed records. next() yields each
+/// checksum-clean payload in order; any other status is the stream's end
+/// or the first damage, after which the scanner stays put — readers keep
+/// the valid prefix and decide what the damage means.
+class FrameScanner {
+ public:
+  enum class Status {
+    kRecord,       // *payload holds the next record's payload
+    kEnd,          // clean end of stream
+    kTornHeader,   // fewer than kFrameHeaderSize bytes left
+    kTornPayload,  // the header promises more bytes than are left
+    kBadChecksum,  // the payload does not match its checksum
+  };
+
+  explicit FrameScanner(std::string_view stream) : stream_(stream) {}
+
+  Status next(std::string_view* payload) {
+    if (remaining() == 0) return Status::kEnd;
+    if (remaining() < kFrameHeaderSize) return Status::kTornHeader;
+    std::uint32_t checksum = 0;
+    std::tie(length_, checksum) = decode_frame_header(stream_.substr(pos_));
+    if (remaining() - kFrameHeaderSize < length_) return Status::kTornPayload;
+    const std::string_view body =
+        stream_.substr(pos_ + kFrameHeaderSize, length_);
+    if (fnv1a32(body) != checksum) return Status::kBadChecksum;
+    pos_ += kFrameHeaderSize + length_;
+    *payload = body;
+    return Status::kRecord;
+  }
+
+  /// Bytes not yet consumed (at damage: from the damaged record on).
+  std::size_t remaining() const noexcept { return stream_.size() - pos_; }
+  /// Payload length the last decoded header declared (for kTornPayload).
+  std::uint32_t declared_length() const noexcept { return length_; }
+
+ private:
+  std::string_view stream_;
+  std::size_t pos_ = 0;
+  std::uint32_t length_ = 0;
 };
 
 }  // namespace rid::util::wire

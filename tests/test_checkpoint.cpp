@@ -15,6 +15,7 @@
 #include "core/checkpoint.hpp"
 #include "graph/signed_graph.hpp"
 #include "util/errors.hpp"
+#include "util/wire.hpp"
 
 namespace rid::core {
 namespace {
@@ -103,6 +104,32 @@ TEST(Checkpoint, DecodeRejectsTruncatedAndTrailingPayloads) {
   EXPECT_THROW(decode_record(payload.substr(0, 5)), util::InputError);
   EXPECT_THROW(decode_record(payload + "x"), util::InputError);
   EXPECT_THROW(decode_record(""), util::InputError);
+}
+
+TEST(Checkpoint, DecodeRejectsCountsBeyondThePayload) {
+  // One checksum-valid record whose payload ends at a claimed 0xFFFFFFFF
+  // initiators: a 76-byte file. Every reader must call it damage — never
+  // size a vector by the claim (std::bad_alloc used to escape here).
+  TreeCheckpointRecord record;
+  std::string payload = encode_record(record).substr(0, 40);
+  payload += std::string(4, '\xff');
+  EXPECT_THROW(decode_record(payload), util::InputError);
+
+  const fs::path dir = test_dir("huge_count");
+  const fs::path path = dir / "shard-0-a1.ckpt";
+  { CheckpointWriter header_only(path.string(), 42); }
+  std::string frame;
+  util::wire::put_frame(frame, payload);
+  dump(path, slurp(path) + frame);
+  ASSERT_EQ(fs::file_size(path), 76u);
+
+  const CheckpointFileInfo info = inspect_checkpoint_file(path.string());
+  EXPECT_TRUE(info.damaged);
+  EXPECT_EQ(info.records, 0u);
+  EXPECT_THROW(read_checkpoint_file(path.string(), 42), util::InputError);
+  const CheckpointLoad load = load_checkpoint_dir(dir.string(), 42);
+  EXPECT_TRUE(load.records.empty());
+  EXPECT_EQ(load.errors.size(), 1u);
 }
 
 TEST(Checkpoint, DecodeRejectsInvalidStatusByte) {

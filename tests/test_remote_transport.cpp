@@ -212,6 +212,21 @@ TEST_F(RemoteTransportTest, ConstantTimeEqualComparesContentNotIdentity) {
   EXPECT_TRUE(util::constant_time_equal("", ""));
 }
 
+// --- assignment codec -------------------------------------------------------
+
+TEST_F(RemoteTransportTest, AssignmentDecodeRejectsCountsBeyondThePayload) {
+  WorkerAssignment assignment;
+  assignment.items = {3, 1, 4};
+  const std::string body = encode_assignment(assignment);
+  EXPECT_EQ(decode_assignment(body).items, assignment.items);
+  // The item count is the payload's last u64 before the items: claim 2^62
+  // items with 24 bytes left. Damage, never a reserve() of the claim.
+  std::string huge = body.substr(0, body.size() - 3 * 8 - 8);
+  wire::put_u64(huge, std::uint64_t{1} << 62);
+  for (const std::size_t item : assignment.items) wire::put_u64(huge, item);
+  EXPECT_THROW(decode_assignment(huge), util::InputError);
+}
+
 // --- failpoint chaos shapes -----------------------------------------------
 
 TEST_F(RemoteTransportTest, WindowActionOpensThrowsThenHealsForever) {

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,14 @@
 
 #ifndef RIDNET_CLI_PATH
 #define RIDNET_CLI_PATH ""
+#endif
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RIDNET_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RIDNET_ASAN 1
+#endif
 #endif
 
 namespace rid::core {
@@ -492,6 +501,111 @@ TEST_F(ShardedRidTest, WorkerRssIsRecordedPerAttemptAndAsPeak) {
         << "peak gauge must be the max across all attempts";
   }
   EXPECT_TRUE(found) << "shard.rss_kb histogram missing";
+}
+
+// --- drain before durable --------------------------------------------------
+
+/// Every checkpoint append stalls 100 ms in the parent's stream phase, so
+/// each worker has written (and exited after) all of its frames long before
+/// the parent has made them durable. The supervisor must drain a reaped
+/// worker's stream before probing durability: no clean exit may be
+/// mistaken for lost work (zero retries), and every tree lands on disk
+/// exactly once.
+void expect_drained_before_durable(const DetectionResult& got,
+                                   const DetectionResult& want,
+                                   const std::string& dir) {
+  expect_identical(got, want);
+  EXPECT_TRUE(got.diagnostics.all_ok());
+  EXPECT_EQ(got.diagnostics.shard_retries, 0u);
+  EXPECT_EQ(got.diagnostics.shard_crashes, 0u);
+  const CheckpointLoad load = load_checkpoint_dir(dir, 0);
+  EXPECT_TRUE(load.errors.empty());
+  std::vector<std::size_t> copies(got.num_trees, 0);
+  for (const TreeCheckpointRecord& record : load.records) {
+    ASSERT_LT(record.tree_index, got.num_trees);
+    ++copies[record.tree_index];
+  }
+  for (std::size_t t = 0; t < copies.size(); ++t)
+    EXPECT_EQ(copies[t], 1u) << "tree " << t << " recorded " << copies[t]
+                             << " times";
+}
+
+TEST_F(ShardedRidTest, ForkWorkerFramesAreDrainedBeforeDurability) {
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  const std::string dir = run_dir("drain_fork");
+  util::failpoint::arm("checkpoint.append=sleep(100)");
+  const DetectionResult got =
+      run_rid_sharded(s.graph, s.states, s.config, sharded(2, dir));
+  util::failpoint::disarm_all();
+  expect_drained_before_durable(got, want, dir);
+}
+
+TEST_F(ShardedRidTest, SocketWorkerFramesAreDrainedBeforeDurability) {
+  if (std::string(RIDNET_CLI_PATH).empty())
+    GTEST_SKIP() << "ridnet_cli path not wired into this build";
+  const Scenario& s = scenario();
+  const std::string ridg =
+      (fs::path(::testing::TempDir()) / "drain.ridg").string();
+  graph::write_columnar_file(s.graph, s.states, ridg,
+                             graph::kRidgFlagDiffusion);
+  const auto view = graph::ColumnarGraphView::open(ridg);
+  const DetectionResult want = run_rid(view, view.states(), s.config);
+  const std::string dir = run_dir("drain_socket");
+  ShardedConfig config = sharded(2, dir);
+  config.transport = ShardTransport::kSocket;
+  config.worker_command = RIDNET_CLI_PATH;
+  config.graph_path = ridg;
+  // Armed in this process only: exec'd workers read $RID_FAILPOINTS.
+  util::failpoint::arm("checkpoint.append=sleep(100)");
+  const DetectionResult got =
+      run_rid_sharded(view, view.states(), s.config, config);
+  util::failpoint::disarm_all();
+  expect_drained_before_durable(got, want, dir);
+}
+
+// --- forking from a threaded parent ---------------------------------------
+
+TEST_F(ShardedRidTest, ForkedWorkersNeverInheritAHeldRegistryLock) {
+  // Workers are forked while other threads hold process-global locks: here
+  // a thread hammers the metrics and failpoint registries for the whole
+  // test. A child that inherited one of those locks held would hang in its
+  // metrics reset or its first failpoint hit; the attempt deadline turns
+  // such a hang into a kill this test counts.
+#ifdef RIDNET_ASAN
+  // The sanitizer's allocator is not fork-safe: with the stream threads
+  // allocating, a child can inherit one of *its* locks held and hang in
+  // malloc, which is not what this test measures.
+  GTEST_SKIP() << "AddressSanitizer's allocator is not fork-safe";
+#endif
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  // Any armed failpoint makes every RID_FAILPOINT hit take the registry
+  // lock, in the children too.
+  util::failpoint::arm("test.never_hit=throw");
+  std::uint64_t kills = 0;
+  {
+    // The loop allocates nothing, so the allocator's own locks stay out of
+    // the picture.
+    const std::jthread contender([](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        util::metrics::global().counter("test.fork_contention").add(1);
+        util::failpoint::hit_count("test.never_hit");
+      }
+    });
+    for (int round = 0; round < 12 && kills == 0; ++round) {
+      ShardedConfig config =
+          sharded(8, run_dir("fork_safety_" + std::to_string(round)));
+      config.supervisor.shard_deadline_seconds = 10.0;
+      config.supervisor.max_shard_attempts = 1;
+      const DetectionResult got =
+          run_rid_sharded(s.graph, s.states, s.config, config);
+      kills += got.diagnostics.shard_crashes;
+      if (kills == 0) expect_identical(got, want);
+    }
+  }
+  util::failpoint::disarm_all();
+  EXPECT_EQ(kills, 0u) << "a forked worker hung on an inherited lock";
 }
 
 // --- SIGTERM of a real sharded CLI run ------------------------------------

@@ -1,9 +1,10 @@
 // Cross-process telemetry (DESIGN.md §14): the flight recorder ring, the
 // Prometheus metrics exposition, cross-process metrics merging, the worker
-// telemetry codec (kTelemetry frames / .tele sidecars), and the merged
-// multi-process Chrome trace — including the end-to-end contracts:
-//  * a sharded socket run with a crashed worker still produces one merged
-//    trace with spans from at least two pids;
+// telemetry codec (kTelemetry frames), and the merged multi-process Chrome
+// trace — including the end-to-end contracts, under both the fork and the
+// exec (socket) launcher:
+//  * a sharded run with a crashed worker still produces one merged trace
+//    with spans from at least two pids;
 //  * a torn kTelemetry frame is counted ("telemetry.damaged"), never fatal,
 //    and detection results stay bit-identical with telemetry damaged.
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "util/rng.hpp"
 #include "util/telemetry.hpp"
 #include "util/trace.hpp"
+#include "util/wire.hpp"
 
 #ifndef RIDNET_CLI_PATH
 #define RIDNET_CLI_PATH ""
@@ -249,49 +251,18 @@ TEST(TelemetryCodec, RejectsTruncationTrailingBytesAndVersionSkew) {
   EXPECT_THROW(telemetry::decode(skewed), util::InputError);
 }
 
-TEST(TelemetrySidecar, RoundTripsAtomically) {
-  const std::string path =
-      (fs::path(::testing::TempDir()) / "roundtrip.tele").string();
-  ASSERT_TRUE(telemetry::write_sidecar_file(path, sample_telemetry()));
-  const auto got = telemetry::read_sidecar_file(path);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->trace_id, 42u);
-  EXPECT_EQ(got->spans.pid, 777u);
-}
-
-TEST(TelemetrySidecar, DamageIsCountedNotThrown) {
-  const std::string dir = ::testing::TempDir();
-  metrics::Counter& damaged = metrics::global().counter("telemetry.damaged");
-  const std::uint64_t before = damaged.value();
-
-  // Missing file: silent nullopt (the worker died before reporting).
-  EXPECT_FALSE(
-      telemetry::read_sidecar_file(dir + "/does_not_exist.tele").has_value());
-  EXPECT_EQ(damaged.value(), before);
-
-  // Truncated payload and a flipped payload byte: counted damage.
-  const std::string good = dir + "/good.tele";
-  ASSERT_TRUE(telemetry::write_sidecar_file(good, sample_telemetry()));
-  std::ostringstream buffer;
-  {
-    std::ifstream in(good, std::ios::binary);
-    buffer << in.rdbuf();
-  }
-  const std::string bytes = buffer.str();
-  {
-    std::ofstream out(dir + "/torn.tele", std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 7));
-  }
-  {
-    std::string flipped = bytes;
-    flipped[flipped.size() - 3] ^= char(0x40);
-    std::ofstream out(dir + "/flipped.tele", std::ios::binary);
-    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-  }
-  EXPECT_FALSE(telemetry::read_sidecar_file(dir + "/torn.tele").has_value());
-  EXPECT_FALSE(telemetry::read_sidecar_file(dir + "/flipped.tele").has_value());
-  EXPECT_EQ(damaged.value(), before + 2);
+TEST(TelemetryCodec, RejectsCountsBeyondThePayload) {
+  // A count decoded from the bytes must be checked against the bytes left
+  // before anything is sized by it: 0xFFFFFFFF spans in a 40-byte payload
+  // is damage (InputError), never a multi-gigabyte reserve().
+  std::string payload;
+  wire::put_u32(payload, telemetry::kTelemetryVersion);
+  wire::put_u64(payload, 1);  // trace id
+  wire::put_u64(payload, 2);  // pid
+  wire::put_bytes(payload, "w");
+  wire::put_u64(payload, 0);  // spans dropped
+  wire::put_u32(payload, 0xFFFFFFFFu);
+  EXPECT_THROW(telemetry::decode(payload), util::InputError);
 }
 
 // --- merged multi-process trace -------------------------------------------
@@ -427,14 +398,20 @@ class TelemetryE2ETest : public ::testing::Test {
     ::unsetenv("RID_FAILPOINTS");
   }
 
-  core::ShardedConfig sharded(const std::string& name) {
+  core::ShardedConfig sharded(const std::string& name,
+                              core::ShardTransport transport) {
     core::ShardedConfig config;
     config.num_shards = 2;
-    config.run_dir =
-        (fs::path(::testing::TempDir()) / ("telemetry_" + name)).string();
+    // One directory per transport: ctest runs the fork and socket cases
+    // concurrently.
+    const char* leg =
+        transport == core::ShardTransport::kFork ? "_fork" : "";
+    config.run_dir = (fs::path(::testing::TempDir()) /
+                      ("telemetry_" + name + leg))
+                         .string();
     fs::remove_all(config.run_dir);
     config.resume = false;
-    config.transport = core::ShardTransport::kSocket;
+    config.transport = transport;
     config.worker_command = RIDNET_CLI_PATH;
     config.graph_path = scenario().ridg_path;
     config.supervisor.backoff_initial_ms = 1.0;
@@ -442,67 +419,95 @@ class TelemetryE2ETest : public ::testing::Test {
     config.supervisor.poll_interval_ms = 2.0;
     return config;
   }
+
+  /// A crashed worker's shard still yields one merged multi-pid trace.
+  void crashed_worker_yields_merged_trace(core::ShardTransport transport) {
+    const Scenario& s = scenario();
+    const auto view = graph::ColumnarGraphView::open(s.ridg_path);
+    const core::DetectionResult want =
+        core::run_rid(view, view.states(), s.config);
+
+    // The first worker attempt dies at its 5th tree (SIGABRT — same wait
+    // status shape as a SIGKILL for the supervisor); the requeued attempt
+    // finishes and its telemetry still reaches the parent. Forked workers
+    // inherit the parent's arming; exec'd ones read $RID_FAILPOINTS.
+    const char* crash = "shard.worker_tree=abort@5";
+    if (transport == core::ShardTransport::kFork)
+      util::failpoint::arm(crash);
+    else
+      ::setenv("RID_FAILPOINTS", crash, 1);
+    trace::start();
+    const core::DetectionResult got = core::run_rid_sharded(
+        view, view.states(), s.config, sharded("crash", transport));
+    trace::stop();
+    util::failpoint::disarm_all();
+    ::unsetenv("RID_FAILPOINTS");
+
+    expect_identical(got, want);
+    EXPECT_TRUE(got.diagnostics.all_ok());
+    EXPECT_GE(got.diagnostics.shard_crashes, 1u);
+
+    const std::vector<trace::ProcessSpans> remote = trace::remote_processes();
+    ASSERT_GE(remote.size(), 1u) << "no worker telemetry reached the parent";
+    std::set<std::uint64_t> pids;
+    std::size_t remote_solves = 0;
+    for (const trace::ProcessSpans& p : remote) {
+      EXPECT_NE(p.pid, 0u);
+      pids.insert(p.pid);
+      for (const trace::RemoteSpan& span : p.spans)
+        if (span.name == "solve_tree") ++remote_solves;
+    }
+    EXPECT_GT(remote_solves, 0u);
+
+    const std::string json = trace::chrome_trace_json();
+    std::set<std::uint64_t> json_pids = pids;
+    json_pids.insert(static_cast<std::uint64_t>(::getpid()));
+    EXPECT_GE(json_pids.size(), 2u);
+    for (const std::uint64_t pid : json_pids)
+      EXPECT_NE(json.find("\"pid\": " + std::to_string(pid)),
+                std::string::npos)
+          << "pid " << pid << " missing from merged trace";
+    trace::clear_remote_processes();
+  }
+
+  /// Every kTelemetry frame the dispatcher receives is "damaged" (decode
+  /// throws inside the stream phase). The stream continues, results match.
+  void torn_telemetry_is_counted_not_fatal(core::ShardTransport transport) {
+    const Scenario& s = scenario();
+    const auto view = graph::ColumnarGraphView::open(s.ridg_path);
+    const core::DetectionResult want =
+        core::run_rid(view, view.states(), s.config);
+
+    metrics::Counter& damaged =
+        metrics::global().counter("telemetry.damaged");
+    const std::uint64_t before = damaged.value();
+    util::failpoint::arm("net.telemetry_frame=throw");
+    const core::DetectionResult got = core::run_rid_sharded(
+        view, view.states(), s.config, sharded("torn", transport));
+    util::failpoint::disarm_all();
+
+    expect_identical(got, want);
+    EXPECT_TRUE(got.diagnostics.all_ok());
+    EXPECT_GE(damaged.value(), before + 2) << "2 shards -> 2 damaged frames";
+  }
 };
 
 TEST_F(TelemetryE2ETest, CrashedWorkerStillYieldsMergedMultiPidTrace) {
   if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
-  const Scenario& s = scenario();
-  const auto view = graph::ColumnarGraphView::open(s.ridg_path);
-  const core::DetectionResult want = core::run_rid(view, view.states(), s.config);
+  crashed_worker_yields_merged_trace(core::ShardTransport::kSocket);
+}
 
-  // The first worker attempt dies at its 5th tree (SIGABRT — same wait
-  // status shape as a SIGKILL for the supervisor); the requeued attempt
-  // finishes and its telemetry still reaches the parent.
-  ::setenv("RID_FAILPOINTS", "shard.worker_tree=abort@5", 1);
-  trace::start();
-  const core::DetectionResult got =
-      core::run_rid_sharded(view, view.states(), s.config, sharded("crash"));
-  trace::stop();
-  ::unsetenv("RID_FAILPOINTS");
-
-  expect_identical(got, want);
-  EXPECT_TRUE(got.diagnostics.all_ok());
-  EXPECT_GE(got.diagnostics.shard_crashes, 1u);
-
-  const std::vector<trace::ProcessSpans> remote = trace::remote_processes();
-  ASSERT_GE(remote.size(), 1u) << "no worker telemetry reached the parent";
-  std::set<std::uint64_t> pids;
-  std::size_t remote_solves = 0;
-  for (const trace::ProcessSpans& p : remote) {
-    EXPECT_NE(p.pid, 0u);
-    pids.insert(p.pid);
-    for (const trace::RemoteSpan& span : p.spans)
-      if (span.name == "solve_tree") ++remote_solves;
-  }
-  EXPECT_GT(remote_solves, 0u);
-
-  const std::string json = trace::chrome_trace_json();
-  std::set<std::uint64_t> json_pids = pids;
-  json_pids.insert(static_cast<std::uint64_t>(::getpid()));
-  EXPECT_GE(json_pids.size(), 2u);
-  for (const std::uint64_t pid : json_pids)
-    EXPECT_NE(json.find("\"pid\": " + std::to_string(pid)), std::string::npos)
-        << "pid " << pid << " missing from merged trace";
-  trace::clear_remote_processes();
+TEST_F(TelemetryE2ETest, ForkCrashedWorkerStillYieldsMergedMultiPidTrace) {
+  if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
+  crashed_worker_yields_merged_trace(core::ShardTransport::kFork);
 }
 
 TEST_F(TelemetryE2ETest, TornTelemetryFrameIsCountedNotFatal) {
-  const Scenario& s = scenario();
-  const auto view = graph::ColumnarGraphView::open(s.ridg_path);
-  const core::DetectionResult want = core::run_rid(view, view.states(), s.config);
+  torn_telemetry_is_counted_not_fatal(core::ShardTransport::kSocket);
+}
 
-  // Every kTelemetry frame the dispatcher receives is "damaged" (decode
-  // throws inside the handler). The stream continues, results match.
-  metrics::Counter& damaged = metrics::global().counter("telemetry.damaged");
-  const std::uint64_t before = damaged.value();
-  util::failpoint::arm("net.telemetry_frame=throw");
-  const core::DetectionResult got =
-      core::run_rid_sharded(view, view.states(), s.config, sharded("torn"));
-  util::failpoint::disarm_all();
-
-  expect_identical(got, want);
-  EXPECT_TRUE(got.diagnostics.all_ok());
-  EXPECT_GE(damaged.value(), before + 2) << "2 shards -> 2 damaged frames";
+TEST_F(TelemetryE2ETest, ForkTornTelemetryFrameIsCountedNotFatal) {
+  torn_telemetry_is_counted_not_fatal(core::ShardTransport::kFork);
 }
 
 }  // namespace
