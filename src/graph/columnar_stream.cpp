@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/columnar.hpp"
+#include "graph/label_compactor.hpp"
 #include "util/errors.hpp"
 #include "util/fnv.hpp"
 
@@ -253,26 +253,22 @@ StreamConvertResult stream_convert_to_columnar(
   static_assert(sizeof(double) == 8 && sizeof(NodeState) == 1);
 
   // --- pass 1: compact ids (appearance order) + pre-normalization degrees --
-  std::unordered_map<std::uint64_t, NodeId> compact;
+  LabelCompactor ids;
   std::vector<std::uint32_t> outdeg_pre;
   std::vector<std::uint32_t> indeg_pre;
-  const auto id_of = [&](std::uint64_t label) {
-    const auto [it, inserted] =
-        compact.emplace(label, static_cast<NodeId>(compact.size()));
-    if (inserted) {
-      outdeg_pre.push_back(0);
-      indeg_pre.push_back(0);
-    }
-    return it->second;
-  };
-
   std::uint64_t kept_pre = 0;
   ParsedEdge edge;
   source.rewind();
   while (source.next(edge)) {
     // Source id before destination id, same as assemble_edges.
-    const NodeId s = id_of(edge.src);
-    const NodeId d = id_of(edge.dst);
+    const NodeId s = ids.insert(edge.src);
+    const NodeId d = ids.insert(edge.dst);
+    if (s == kInvalidNode || d == kInvalidNode)
+      fail(out_path, "node count exceeds 32-bit id space");
+    if (ids.size() > outdeg_pre.size()) {
+      outdeg_pre.resize(ids.size());
+      indeg_pre.resize(ids.size());
+    }
     if (s == d) continue;  // builder drops self-loops; skip them early
     const NodeId fsrc = options.social ? s : d;
     const NodeId fdst = options.social ? d : s;
@@ -282,9 +278,7 @@ StreamConvertResult stream_convert_to_columnar(
     if (kept_pre >= kInvalidEdge)
       fail(out_path, "edge count exceeds 32-bit id space");
   }
-  if (compact.size() >= kInvalidNode)
-    fail(out_path, "node count exceeds 32-bit id space");
-  const auto n = static_cast<NodeId>(compact.size());
+  const auto n = static_cast<NodeId>(ids.size());
 
   // Embedded snapshot: resolved now so a bad one fails before pass 2.
   std::vector<NodeState> states;
@@ -308,21 +302,21 @@ StreamConvertResult stream_convert_to_columnar(
   std::uint64_t seq = 0;
   source.rewind();
   while (source.next(edge)) {
-    const auto s_it = compact.find(edge.src);
-    const auto d_it = compact.find(edge.dst);
-    if (s_it == compact.end() || d_it == compact.end())
+    const NodeId s = ids.find(edge.src);
+    const NodeId d = ids.find(edge.dst);
+    if (s == kInvalidNode || d == kInvalidNode)
       fail(out_path, "input changed between conversion passes");
-    if (s_it->second == d_it->second) continue;
+    if (s == d) continue;
     EdgeRecord rec{};
-    rec.src = options.social ? s_it->second : d_it->second;
-    rec.dst = options.social ? d_it->second : s_it->second;
+    rec.src = options.social ? s : d;
+    rec.dst = options.social ? d : s;
     rec.seq = static_cast<std::uint32_t>(seq++);
     rec.sign = static_cast<std::int8_t>(edge.sign);
     rec.weight = edge.weight;
     out_buckets[out_map.of_node[rec.src]].append(&rec, sizeof(rec));
   }
   if (seq != kept_pre) fail(out_path, "input changed between conversion passes");
-  compact = {};
+  ids = {};
 
   // --- bucket sweep: normalize and emit the CSR edge columns --------------
   std::vector<std::uint64_t> out_offsets(std::size_t{n} + 1, 0);

@@ -9,12 +9,14 @@
 #pragma once
 
 #include "graph/signed_graph.hpp"
+#include "util/trace.hpp"
 
 namespace rid::graph {
 
 /// Builds the diffusion network G_D from the social network G by reversing
 /// every edge and preserving signs and weights.
 inline SignedGraph make_diffusion_network(const SignedGraph& social) {
+  util::trace::TraceSpan span("reverse");
   return social.reversed();
 }
 

@@ -1,14 +1,14 @@
 #include "graph/graph_io.hpp"
 
+#include <cctype>
 #include <charconv>
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
 #include <string_view>
 #include <system_error>
-#include <unordered_map>
 
+#include "graph/label_compactor.hpp"
 #include "util/errors.hpp"
+#include "util/trace.hpp"
 
 namespace rid::graph {
 
@@ -19,107 +19,147 @@ namespace {
                          what);
 }
 
-/// Splits on whitespace; returns false for blank/comment lines.
-bool tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
-  tokens.clear();
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                               line[i] == '\r'))
-      ++i;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r')
-      ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
-  }
-  if (tokens.empty()) return false;
-  if (tokens.front().front() == '#' || tokens.front().front() == '%')
-    return false;
-  return true;
+bool is_separator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// The next separator-delimited token at or after `pos`; empty at the end.
+std::string_view next_token(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && is_separator(line[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_separator(line[pos])) ++pos;
+  return line.substr(start, pos - start);
 }
 
 template <typename T>
-T parse_number(std::string_view token, std::size_t line_no) {
+T parse_integer(std::string_view token, std::size_t line_no) {
   T value{};
-  if constexpr (std::is_floating_point_v<T>) {
-    try {
-      std::size_t pos = 0;
-      value = static_cast<T>(std::stod(std::string(token), &pos));
-      if (pos != token.size()) fail(line_no, "trailing characters in number");
-    } catch (const std::exception&) {
-      fail(line_no, "expected a number, got '" + std::string(token) + "'");
-    }
-  } else {
-    const auto res =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
-      fail(line_no, "expected an integer, got '" + std::string(token) + "'");
-  }
+  const auto res =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  if (res.ec != std::errc{} || res.ptr != token.data() + token.size())
+    fail(line_no, "expected an integer, got '" + std::string(token) + "'");
   return value;
 }
 
+/// strtod's grammar in the C locale, parsed by from_chars. strtod also takes
+/// leading whitespace (past the separators, only \n \v \f can start a
+/// token), a '+' and a "0x" prefix, which from_chars does not; those are
+/// peeled off here. Results that overflow or underflow to zero are
+/// rejected, as strtod flags them; subnormal results load.
+double parse_weight(std::string_view token, std::size_t line_no) {
+  std::string_view digits = token;
+  while (!digits.empty() && (digits.front() == '\n' ||
+                             digits.front() == '\v' || digits.front() == '\f'))
+    digits.remove_prefix(1);
+  bool negative = false;
+  if (!digits.empty() && (digits.front() == '+' || digits.front() == '-')) {
+    negative = digits.front() == '-';
+    digits.remove_prefix(1);
+  }
+  auto format = std::chars_format::general;
+  if (digits.size() >= 2 && digits[0] == '0' &&
+      (digits[1] == 'x' || digits[1] == 'X')) {
+    format = std::chars_format::hex;
+    digits.remove_prefix(2);
+  }
+  // from_chars takes a '-' of its own, so a second sign must be refused
+  // here. Its hex parser also reads "p+-1" as "p-1".
+  bool ok = !digits.empty() && digits.front() != '+' && digits.front() != '-';
+  if (ok && format == std::chars_format::hex)
+    ok = (std::isxdigit(static_cast<unsigned char>(digits.front())) ||
+          digits.front() == '.') &&
+         digits.find("+-") == std::string_view::npos;
+  double value = 0.0;
+  if (ok) {
+    const char* end = digits.data() + digits.size();
+    const auto res = std::from_chars(digits.data(), end, value, format);
+    ok = res.ec == std::errc{} && res.ptr == end;
+  }
+  if (!ok) fail(line_no, "expected a number, got '" + std::string(token) + "'");
+  return negative ? -value : value;
+}
+
+/// Streams parsed rows into the builder's columns, numbering labels in
+/// order of first appearance (sources before destinations within a row).
+class EdgeAssembler {
+ public:
+  void reserve(std::size_t rows) { builder_.reserve(rows); }
+
+  void add(const ParsedEdge& e, std::size_t line_no) {
+    const NodeId src = ids_.insert(e.src);
+    const NodeId dst = ids_.insert(e.dst);
+    if (src == kInvalidNode || dst == kInvalidNode)
+      fail(line_no, "node count exceeds 32-bit id space");
+    if (builder_.num_edges() + 1 >= kInvalidEdge)
+      fail(line_no, "edge count exceeds 32-bit id space");
+    if (ids_.size() > builder_.num_nodes())
+      builder_.ensure_node(static_cast<NodeId>(ids_.size() - 1));
+    builder_.add_edge(src, dst, sign_from_value(e.sign), e.weight);
+  }
+
+  std::size_t rows() const noexcept { return builder_.num_edges(); }
+
+  LoadedGraph finish() {
+    LoadedGraph out;
+    {
+      util::trace::TraceSpan span("csr_build");
+      out.graph = builder_.build();
+    }
+    out.original_label = std::move(ids_).release_labels();
+    return out;
+  }
+
+ private:
+  LabelCompactor ids_;
+  SignedGraphBuilder builder_{0};
+};
+
 LoadedGraph load_impl(std::istream& in, bool weighted) {
-  std::vector<ParsedEdge> raw;
+  util::trace::TraceSpan span("load_text");
+  EdgeAssembler assembler;
   std::string line;
   std::size_t line_no = 0;
+  ParsedEdge e;
   while (std::getline(in, line)) {
     ++line_no;
-    ParsedEdge e;
-    if (parse_edge_line(line, line_no, weighted, e)) raw.push_back(e);
+    if (parse_edge_line(line, line_no, weighted, e)) assembler.add(e, line_no);
   }
-  return assemble_edges(raw);
+  span.tag("rows", static_cast<std::int64_t>(assembler.rows()));
+  LoadedGraph out = assembler.finish();
+  span.tag("nodes", static_cast<std::int64_t>(out.graph.num_nodes()));
+  return out;
 }
 
 }  // namespace
 
 bool parse_edge_line(std::string_view line, std::size_t line_no, bool weighted,
                      ParsedEdge& out) {
-  thread_local std::vector<std::string_view> tokens;
-  if (!tokenize(line, tokens)) return false;
   const std::size_t expected = weighted ? 4 : 3;
-  if (tokens.size() < expected)
+  std::string_view tokens[4];
+  std::size_t count = 0;
+  std::size_t pos = 0;
+  while (count < expected && !(tokens[count] = next_token(line, pos)).empty())
+    ++count;
+  if (count == 0 || tokens[0].front() == '#' || tokens[0].front() == '%')
+    return false;
+  if (count < expected)
     fail(line_no, "expected " + std::to_string(expected) + " columns, got " +
-                      std::to_string(tokens.size()));
-  out.src = parse_number<std::uint64_t>(tokens[0], line_no);
-  out.dst = parse_number<std::uint64_t>(tokens[1], line_no);
-  out.sign = parse_number<int>(tokens[2], line_no);
+                      std::to_string(count));
+  out.src = parse_integer<std::uint64_t>(tokens[0], line_no);
+  out.dst = parse_integer<std::uint64_t>(tokens[1], line_no);
+  out.sign = parse_integer<int>(tokens[2], line_no);
   if (out.sign != 1 && out.sign != -1)
     fail(line_no, "sign must be +1 or -1, got " + std::to_string(out.sign));
-  out.weight = weighted ? parse_number<double>(tokens[3], line_no) : 1.0;
+  out.weight = weighted ? parse_weight(tokens[3], line_no) : 1.0;
   if (!(out.weight >= 0.0 && out.weight <= 1.0))
     fail(line_no, "weight outside [0, 1]");
   return true;
 }
 
 LoadedGraph assemble_edges(std::span<const ParsedEdge> edges) {
-  LoadedGraph out;
-  std::unordered_map<std::uint64_t, NodeId> compact;
-  compact.reserve(edges.size());
-  const auto id_of = [&](std::uint64_t label) {
-    const auto [it, inserted] =
-        compact.emplace(label, static_cast<NodeId>(out.original_label.size()));
-    if (inserted) out.original_label.push_back(label);
-    return it->second;
-  };
-  // First pass assigns compact ids in order of appearance (sources before
-  // destinations within each line; explicit sequencing because function
-  // argument evaluation order is unspecified).
-  std::vector<std::pair<NodeId, NodeId>> endpoints;
-  endpoints.reserve(edges.size());
-  for (const ParsedEdge& e : edges) {
-    const NodeId src = id_of(e.src);
-    const NodeId dst = id_of(e.dst);
-    endpoints.emplace_back(src, dst);
-  }
-
-  SignedGraphBuilder builder(static_cast<NodeId>(out.original_label.size()));
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    builder.add_edge(endpoints[i].first, endpoints[i].second,
-                     sign_from_value(edges[i].sign), edges[i].weight);
-  }
-  out.graph = builder.build();
-  return out;
+  EdgeAssembler assembler;
+  assembler.reserve(edges.size());
+  // Errors name the 1-based row as the line.
+  for (std::size_t i = 0; i < edges.size(); ++i) assembler.add(edges[i], i + 1);
+  return assembler.finish();
 }
 
 LoadedGraph load_snap(std::istream& in) { return load_impl(in, false); }

@@ -5,7 +5,9 @@
 //    the public soc-sign-epinions / soc-sign-Slashdot dumps the paper uses;
 //    weights default to 1.0 and are normally assigned afterwards with
 //    apply_jaccard_weights().
-//  * weighted format with a fourth column holding the weight in [0, 1].
+//  * weighted format with a fourth column holding the weight in [0, 1],
+//    written in strtod's C-locale grammar (sign, decimal or hex float;
+//    subnormals load, values that overflow or underflow to zero do not).
 //
 // Node ids in files may be sparse; they are compacted to 0..n-1 and the
 // original labels are returned so results can be reported in file ids.

@@ -36,6 +36,9 @@ class SignedGraphBuilder {
   /// Grows the node universe (ids are stable). New count must not shrink.
   void ensure_node(NodeId id);
 
+  /// Pre-allocates room for `edges` add_edge calls.
+  void reserve(std::size_t edges);
+
   /// Options controlling normalization during build().
   struct BuildOptions {
     bool drop_self_loops = true;
@@ -43,7 +46,9 @@ class SignedGraphBuilder {
     bool dedup_parallel_edges = true;
   };
 
-  /// Produces the CSR graph. The builder is left empty afterwards.
+  /// Produces the CSR graph: edges ordered by (src, dst, insertion order),
+  /// normalized per `options`. The builder is left empty afterwards.
+  /// Throws std::length_error at kInvalidEdge or more added edges.
   SignedGraph build(const BuildOptions& options);
   SignedGraph build();  // build(BuildOptions{})
 
@@ -124,6 +129,8 @@ class SignedGraph {
 
   /// The reversed graph: edge (u, v) becomes (v, u) with the same sign and
   /// weight. This is exactly the paper's social -> diffusion transformation.
+  /// Every edge is kept, self-loops and parallel edges included; reversed
+  /// edge k is in_edge_ids order position k of this graph.
   SignedGraph reversed() const;
 
   /// Structural + weight equality (same CSR content).

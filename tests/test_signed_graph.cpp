@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "graph/diffusion_network.hpp"
 #include "graph/types.hpp"
+#include "util/rng.hpp"
 
 namespace rid::graph {
 namespace {
@@ -204,6 +209,172 @@ TEST(SignedGraph, ParallelEdgeHeavyBuild) {
   builder.add_edge(1, 2, Sign::kNegative, 0.5);
   const SignedGraph g = builder.build();
   EXPECT_EQ(g.num_edges(), 2u);
+}
+
+// --- Oracles: the builder's index-sort normalization and the builder-based
+// reversal that SignedGraph used before its counting-sort build and O(m)
+// transpose. Both live here only, as references.
+
+/// Every CSR column a SignedGraph exposes.
+struct Csr {
+  std::vector<EdgeId> out_offsets;
+  std::vector<NodeId> src, dst;
+  std::vector<Sign> sign;
+  std::vector<double> weight;
+  std::vector<EdgeId> in_offsets, in_edge;
+  bool operator==(const Csr&) const = default;
+};
+
+Csr csr_of(const SignedGraph& g) {
+  const auto copy = [](auto span) {
+    return std::vector<typename decltype(span)::value_type>(span.begin(),
+                                                            span.end());
+  };
+  return {copy(g.csr_out_offsets()), copy(g.csr_srcs()),
+          copy(g.csr_dsts()),        copy(g.csr_signs()),
+          copy(g.csr_weights()),     copy(g.csr_in_offsets()),
+          copy(g.csr_in_edges())};
+}
+
+/// Edge rows in insertion order.
+struct Rows {
+  NodeId num_nodes = 0;
+  std::vector<NodeId> src, dst;
+  std::vector<Sign> sign;
+  std::vector<double> weight;
+
+  void add(NodeId s, NodeId d, Sign sg, double w) {
+    src.push_back(s);
+    dst.push_back(d);
+    sign.push_back(sg);
+    weight.push_back(w);
+  }
+};
+
+/// Comparison sort of insertion indices by (src, dst, index), then the
+/// first-occurrence sweep and a counting sort for the in-adjacency.
+Csr oracle_build(const Rows& rows,
+                 const SignedGraphBuilder::BuildOptions& options) {
+  std::vector<std::size_t> order(rows.src.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (rows.src[a] != rows.src[b]) return rows.src[a] < rows.src[b];
+    if (rows.dst[a] != rows.dst[b]) return rows.dst[a] < rows.dst[b];
+    return a < b;
+  });
+  Csr g;
+  g.out_offsets.assign(rows.num_nodes + 1, 0);
+  NodeId prev_src = kInvalidNode;
+  NodeId prev_dst = kInvalidNode;
+  for (const std::size_t i : order) {
+    const NodeId s = rows.src[i];
+    const NodeId d = rows.dst[i];
+    if (options.drop_self_loops && s == d) continue;
+    if (options.dedup_parallel_edges && s == prev_src && d == prev_dst)
+      continue;
+    prev_src = s;
+    prev_dst = d;
+    g.src.push_back(s);
+    g.dst.push_back(d);
+    g.sign.push_back(rows.sign[i]);
+    g.weight.push_back(rows.weight[i]);
+    ++g.out_offsets[s + 1];
+  }
+  for (NodeId u = 0; u < rows.num_nodes; ++u)
+    g.out_offsets[u + 1] += g.out_offsets[u];
+  g.in_offsets.assign(rows.num_nodes + 1, 0);
+  for (const NodeId d : g.dst) ++g.in_offsets[d + 1];
+  for (NodeId v = 0; v < rows.num_nodes; ++v)
+    g.in_offsets[v + 1] += g.in_offsets[v];
+  g.in_edge.resize(g.dst.size());
+  std::vector<EdgeId> cursor(g.in_offsets.begin(), g.in_offsets.end() - 1);
+  for (EdgeId e = 0; e < g.dst.size(); ++e) g.in_edge[cursor[g.dst[e]]++] = e;
+  return g;
+}
+
+/// Every edge re-added flipped, in edge id order, then built without
+/// normalization.
+Rows reversed_rows(const SignedGraph& g) {
+  Rows rows;
+  rows.num_nodes = g.num_nodes();
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    rows.add(g.edge_dst(e), g.edge_src(e), g.edge_sign(e), g.edge_weight(e));
+  return rows;
+}
+
+SignedGraph build_rows(const Rows& rows,
+                       const SignedGraphBuilder::BuildOptions& options) {
+  SignedGraphBuilder builder(rows.num_nodes);
+  for (std::size_t i = 0; i < rows.src.size(); ++i)
+    builder.add_edge(rows.src[i], rows.dst[i], rows.sign[i], rows.weight[i]);
+  return builder.build(options);
+}
+
+/// Random multigraph rows in random insertion order: hub-heavy endpoints
+/// make parallel edges and self-loops common, and a sparse edge budget
+/// leaves isolated nodes.
+Rows random_rows(util::Rng& rng) {
+  Rows rows;
+  rows.num_nodes = static_cast<NodeId>(rng.next_below(40));
+  const std::size_t m =
+      rows.num_nodes == 0 ? 0 : static_cast<std::size_t>(rng.next_below(160));
+  const auto node = [&] {
+    const std::uint64_t span = rng.bernoulli(0.5)
+                                   ? std::min<std::uint64_t>(rows.num_nodes, 3)
+                                   : rows.num_nodes;
+    return static_cast<NodeId>(rng.next_below(span));
+  };
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeId s = node();
+    const NodeId d = rng.bernoulli(0.1) ? s : node();
+    rows.add(s, d, rng.bernoulli(0.7) ? Sign::kPositive : Sign::kNegative,
+             rng.bernoulli(0.2) ? 0.5 : rng.uniform(0.0, 1.0));
+  }
+  return rows;
+}
+
+TEST(SignedGraphOracle, BuildAndReversedMatchOraclesOnRandomMultigraphs) {
+  util::Rng rng(20260415);
+  const SignedGraphBuilder::BuildOptions all_options[] = {
+      {.drop_self_loops = true, .dedup_parallel_edges = true},
+      {.drop_self_loops = true, .dedup_parallel_edges = false},
+      {.drop_self_loops = false, .dedup_parallel_edges = true},
+      {.drop_self_loops = false, .dedup_parallel_edges = false},
+  };
+  std::size_t empty_graphs = 0, edgeless_graphs = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Rows rows = random_rows(rng);
+    empty_graphs += rows.num_nodes == 0;
+    edgeless_graphs += rows.num_nodes > 0 && rows.src.empty();
+    for (const auto& options : all_options) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " self-loops "
+                   << !options.drop_self_loops << " parallel "
+                   << !options.dedup_parallel_edges);
+      const SignedGraph g = build_rows(rows, options);
+      ASSERT_EQ(csr_of(g), oracle_build(rows, options));
+
+      const SignedGraph r = g.reversed();
+      const Rows flipped = reversed_rows(g);
+      ASSERT_EQ(csr_of(r), oracle_build(flipped, {false, false}));
+      ASSERT_EQ(r, build_rows(flipped, {false, false}));
+      for (NodeId u = 0; u < r.num_nodes(); ++u) {
+        const auto ids = r.out_edge_ids(u);
+        for (std::size_t j = 0; j < ids.size(); ++j)
+          ASSERT_EQ(ids[j], r.csr_out_offsets()[u] + j);
+      }
+      if (!options.dedup_parallel_edges) {
+        ASSERT_EQ(r.reversed(), g);
+      }
+    }
+  }
+  // The generator must reach the degenerate shapes it is meant to cover.
+  EXPECT_GT(empty_graphs, 0u);
+  EXPECT_GT(edgeless_graphs, 0u);
+}
+
+TEST(SignedGraphOracle, DefaultConstructedGraphReversesLikeTheBuilder) {
+  EXPECT_EQ(SignedGraph{}.reversed(), SignedGraphBuilder(0).build());
 }
 
 }  // namespace
