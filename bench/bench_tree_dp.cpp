@@ -12,9 +12,16 @@
 //
 // The generated trees model the paper's giant-component regime: one big
 // random recursive tree with strong (g ~ 1) links plus a band of weak
-// (g = 0.01) root children that forces k* = 41 and with it three k-cap
-// doublings (8 -> 16 -> 32 -> 64), which is what the incremental layer is
-// about.
+// (g = 0.01) root children that forces k* >= 41 and with it at least three
+// k-cap doublings (8 -> 16 -> 32 -> 64), which is what the incremental
+// layer is about.
+//
+// Two solver configurations are raced, each row recording its own:
+//   - max_reach 12, hard_k_cap 64: 2k, 10k and 50k nodes (1.5k in --smoke),
+//     small enough rows for the 50k-node table;
+//   - the CLI defaults (TreeDpOptions{}: max_reach 48, hard_k_cap 256):
+//     2k nodes, near the Epinions giant tree's ~1.5k, in both modes, plus
+//     10k nodes in full runs — what `ridnet_cli detect` actually solves.
 //
 // Writes a machine-readable BENCH_tree_dp.json so the perf trajectory has a
 // DP datapoint next to BENCH_mfc_engine.json.
@@ -305,9 +312,18 @@ core::CascadeTree make_giant_tree(NodeId n, NodeId weak, std::uint64_t seed) {
   return tree;
 }
 
+/// One raced solve: a tree size and the solver configuration both paths use.
+struct Case {
+  NodeId nodes = 0;
+  std::uint32_t max_reach = 0;
+  std::uint32_t hard_k_cap = 0;
+};
+
 struct Row {
   std::size_t nodes = 0;
   std::size_t threads = 0;
+  std::uint32_t max_reach = 0;
+  std::uint32_t hard_k_cap = 0;
   std::uint32_t k = 0;
   double baseline_ms = 0.0;   // serial-scratch seed copy
   double optimized_ms = 0.0;  // arena + incremental + clamps + parallel
@@ -323,23 +339,26 @@ int main(int argc, char** argv) {
   const auto flags = util::Flags::parse(argc, argv);
   const bool smoke = flags.get_bool("smoke", false);
 
-  // max_reach = 12 keeps the 50k-node table under the solver's entry cap;
-  // both paths use the same value, so the comparison is like for like.
-  const std::uint32_t max_reach = 12;
   const double beta = 0.05;
-  // On large trees the optimum keeps improving well past the weak band, so
-  // both paths share a k cap of 64 — enough for the three doublings the
-  // incremental layer is meant to absorb, small enough that the largest
-  // table stays under the solver's deterministic entry limit.
-  const std::uint32_t hard_k_cap = 64;
-  const NodeId weak = 40;  // >= 41 initiators -> three cap doublings
-  const std::vector<NodeId> sizes =
-      smoke ? std::vector<NodeId>{1500}
-            : std::vector<NodeId>{2000, 10000, 50000};
+  const NodeId weak = 40;  // >= 41 initiators -> >= three cap doublings
+  // max_reach = 12 keeps the 50k-node table under the solver's entry cap,
+  // and on large trees the optimum keeps improving well past the weak band,
+  // so these rows share a k cap of 64 — enough for the three doublings the
+  // incremental layer is meant to absorb. The CLI-default rows then show
+  // what `detect` solves. Both paths use each case's values, so every
+  // comparison is like for like.
+  std::vector<Case> cases;
+  for (const NodeId n : smoke ? std::vector<NodeId>{1500}
+                              : std::vector<NodeId>{2000, 10000, 50000})
+    cases.push_back({n, 12, 64});
+  const core::TreeDpOptions cli_defaults;
+  for (const NodeId n : smoke ? std::vector<NodeId>{2000}
+                              : std::vector<NodeId>{2000, 10000})
+    cases.push_back({n, cli_defaults.max_reach, cli_defaults.hard_k_cap});
   const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
 
-  util::AsciiTable table(
-      {"nodes", "threads", "k*", "baseline ms", "optimized ms", "speedup"});
+  util::AsciiTable table({"nodes", "reach", "k cap", "threads", "k*",
+                          "baseline ms", "optimized ms", "speedup"});
   table.set_title("k-ISOMIT-BT DP: seed serial-scratch vs "
                   "parallel-incremental-arena solve");
   auto& fresh_counter = util::metrics::global().counter("dp.cols_fresh");
@@ -347,17 +366,18 @@ int main(int argc, char** argv) {
       util::metrics::global().counter("dp.cols_recomputed");
 
   std::vector<Row> rows;
-  for (const NodeId n : sizes) {
+  for (const Case& c : cases) {
+    const NodeId n = c.nodes;
     const core::CascadeTree tree = make_giant_tree(n, weak, /*seed=*/71);
 
     util::Timer base_timer;
-    const SeedSolution base = seed_solve(tree, beta, max_reach, hard_k_cap);
+    const SeedSolution base = seed_solve(tree, beta, c.max_reach, c.hard_k_cap);
     const double baseline_ms = base_timer.seconds() * 1e3;
 
     for (const std::size_t threads : thread_counts) {
       core::TreeDpOptions options;
-      options.max_reach = max_reach;
-      options.hard_k_cap = hard_k_cap;
+      options.max_reach = c.max_reach;
+      options.hard_k_cap = c.hard_k_cap;
       options.num_threads = threads;
       const std::uint64_t f0 = fresh_counter.value();
       const std::uint64_t r0 = recomputed_counter.value();
@@ -366,6 +386,8 @@ int main(int argc, char** argv) {
       Row row;
       row.nodes = n;
       row.threads = threads;
+      row.max_reach = c.max_reach;
+      row.hard_k_cap = c.hard_k_cap;
       row.k = solution.k;
       row.baseline_ms = baseline_ms;
       row.optimized_ms = timer.seconds() * 1e3;
@@ -389,8 +411,8 @@ int main(int argc, char** argv) {
       rows.push_back(row);
       char speedup[32];
       std::snprintf(speedup, sizeof(speedup), "%.2fx", row.speedup);
-      table.row(row.nodes, row.threads, row.k, row.baseline_ms,
-                row.optimized_ms, speedup);
+      table.row(row.nodes, row.max_reach, row.hard_k_cap, row.threads, row.k,
+                row.baseline_ms, row.optimized_ms, speedup);
     }
   }
   table.render(std::cout);
@@ -405,10 +427,12 @@ int main(int argc, char** argv) {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"nodes\": %zu, \"threads\": %zu, \"k\": %u, "
+        "    {\"nodes\": %zu, \"threads\": %zu, \"max_reach\": %u, "
+        "\"hard_k_cap\": %u, \"k\": %u, "
         "\"baseline_ms\": %.3f, \"optimized_ms\": %.3f, \"speedup\": %.3f, "
         "\"cols_fresh\": %llu, \"cols_recomputed\": %llu, \"match\": %s}%s\n",
-        r.nodes, r.threads, r.k, r.baseline_ms, r.optimized_ms, r.speedup,
+        r.nodes, r.threads, r.max_reach, r.hard_k_cap, r.k, r.baseline_ms,
+        r.optimized_ms, r.speedup,
         static_cast<unsigned long long>(r.cols_fresh),
         static_cast<unsigned long long>(r.cols_recomputed),
         r.match ? "true" : "false", i + 1 < rows.size() ? "," : "");

@@ -5,9 +5,11 @@ Usage: check_bench.py BENCH_report.json
 
 Dispatches on the report's "benchmark" tag:
 
-  tree_dp        — seed-vs-optimized DP solve: every row must match the
-                   seed baseline bit-for-bit, recompute no k-columns across
-                   cap doublings, and carry self-consistent timings.
+  tree_dp        — seed-vs-optimized DP solve: every row must record its
+                   max_reach and hard_k_cap, match the seed baseline
+                   bit-for-bit, recompute no k-columns across cap doublings,
+                   and carry self-consistent timings; full reports must
+                   additionally hold a row at the CLI defaults.
   columnar_load  — .ridg mmap open vs text parse: every row must prove
                    run_rid bit-identity between backends and carry
                    self-consistent timings; full (non-smoke) reports must
@@ -29,9 +31,11 @@ import json
 import sys
 
 TREE_DP_KEYS = (
-    "nodes", "threads", "k", "baseline_ms", "optimized_ms",
-    "speedup", "cols_fresh", "cols_recomputed", "match",
+    "nodes", "threads", "max_reach", "hard_k_cap", "k", "baseline_ms",
+    "optimized_ms", "speedup", "cols_fresh", "cols_recomputed", "match",
 )
+# TreeDpOptions{} — what `ridnet_cli detect` solves with.
+TREE_DP_CLI_DEFAULTS = {"max_reach": 48, "hard_k_cap": 256}
 
 COLUMNAR_KEYS = (
     "nodes", "edges", "text_bytes", "ridg_bytes", "text_load_ms",
@@ -92,10 +96,18 @@ def check_tree_dp(path: str, doc: dict) -> None:
             fail(f"{path}: results[{i}]: cols_fresh {row['cols_fresh']} < "
                  f"k* = {row['k']} — table never reached the answer")
 
+    cli_rows = [row for row in rows
+                if all(row[key] == value
+                       for key, value in TREE_DP_CLI_DEFAULTS.items())]
+    if not doc["smoke"] and not cli_rows:
+        fail(f"{path}: full report has no row at the CLI defaults "
+             f"{TREE_DP_CLI_DEFAULTS}")
+
     sizes = sorted({row["nodes"] for row in rows})
     kind = "smoke" if doc["smoke"] else "full"
     print(f"check_bench: {path}: OK — {len(rows)} rows ({kind}), "
-          f"sizes {sizes}, all matched, 0 recomputed columns")
+          f"sizes {sizes}, {len(cli_rows)} at CLI defaults, all matched, "
+          f"0 recomputed columns")
 
 
 def check_columnar_load(path: str, doc: dict) -> None:

@@ -979,13 +979,23 @@ util::ShardLauncher SocketDispatcher::launcher(
           impl->options.graph_cache_dir.empty()
               ? std::string()
               : "--graph-cache-dir=" + impl->options.graph_cache_dir;
+      // The shared secret travels by environment, never argv: worker
+      // command lines are world-readable through ps/procfs. The child's
+      // environment is built here, before fork: the child of a multithreaded
+      // parent may only make async-signal-safe calls, and setenv takes
+      // glibc's environment lock and may allocate.
+      const std::string& token = impl->options.auth_token;
+      std::string token_entry = "RID_AUTH_TOKEN=" + token;
+      std::vector<char*> envp;
+      for (char** entry = environ; *entry != nullptr; ++entry)
+        if (token.empty() ||
+            !std::string_view(*entry).starts_with("RID_AUTH_TOKEN="))
+          envp.push_back(*entry);
+      if (!token.empty()) envp.push_back(token_entry.data());
+      envp.push_back(nullptr);
       const pid_t pid = fork();
       if (pid == 0) {
         util::apply_worker_rlimits(options);
-        // The shared secret travels by environment, never argv: worker
-        // command lines are world-readable through ps/procfs.
-        if (!impl->options.auth_token.empty())
-          ::setenv("RID_AUTH_TOKEN", impl->options.auth_token.c_str(), 1);
         const char* argv[] = {worker_command.c_str(),
                               "worker",
                               "--connect",
@@ -996,7 +1006,8 @@ util::ShardLauncher SocketDispatcher::launcher(
                               attempt_text.c_str(),
                               cache_flag.empty() ? nullptr : cache_flag.c_str(),
                               nullptr};
-        ::execv(worker_command.c_str(), const_cast<char* const*>(argv));
+        ::execve(worker_command.c_str(), const_cast<char* const*>(argv),
+                 envp.data());
         _exit(127);  // exec failure = a crash to the supervisor
       }
       if (pid > 0) transport_metrics().workers_launched.add(1);

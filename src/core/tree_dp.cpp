@@ -196,7 +196,7 @@ std::uint32_t BinarizedTreeDp::child_row(std::int32_t child,
   return std::min(child_j, layout_[child].reach);
 }
 
-void BinarizedTreeDp::fill_columns(std::uint32_t col_lo, std::uint32_t col_hi) {
+void BinarizedTreeDp::fill_columns(std::uint32_t col_lo) {
   // Columns come into use uninitialized, and almost every cell in them is
   // written by process_node before any parent (or opt_/extract) reads it.
   // The only cells read without ever being written are row 0 of ineligible
@@ -206,72 +206,29 @@ void BinarizedTreeDp::fill_columns(std::uint32_t col_lo, std::uint32_t col_hi) {
   // needs no fill at all — it is only read at cells whose value is finite,
   // and those were written together with their choice.
   for (std::size_t v = 0; v < layout_.size(); ++v) {
+    const std::uint32_t width = layout_[v].width;
     double* const row0 = values_ + layout_[v].offset;
     if (!eligible_[v]) {
-      std::fill(row0 + col_lo, row0 + col_hi, kNegInf);
+      std::fill(row0 + std::min(col_lo, width), row0 + width, kNegInf);
     } else if (col_lo == 0) {
       row0[0] = kNegInf;
     }
   }
-  filled_cols_ = std::max(filled_cols_, col_hi);
-}
-
-void BinarizedTreeDp::fresh_layout(std::uint32_t cols,
-                                   std::uint32_t reserve_cols) {
-  computed_k_ = 0;
-  if (cols_ < cols) {
-    // (Re)stride for max(cols, reserve_cols). The pure reservation (columns
-    // beyond the ones actually requested) is clamped so speculative capacity
-    // never pushes a resident arena into a spill; a request that genuinely
-    // needs more than the resident threshold spills instead of failing, and
-    // only the absolute runaway guard rejects a solve.
-    if (rows_total_ * cols > kAbsoluteMaxEntries)
-      throw std::runtime_error(
-          "BinarizedTreeDp: table too large (tree too deep for this k cap)");
-    const auto fit = static_cast<std::uint32_t>(std::min<std::size_t>(
-        std::max<std::size_t>(resident_cap_ / rows_total_, cols),
-        0xffffffffu));
-    const std::uint32_t stride = std::min(std::max(cols, reserve_cols), fit);
-    std::size_t offset = 0;
-    for (auto& nl : layout_) {
-      nl.offset = offset;
-      offset += static_cast<std::size_t>(nl.rows) * stride;
-    }
-    cols_ = stride;
-    filled_cols_ = 0;  // new buffers are uninitialized; refill below
-    const std::size_t entries = rows_total_ * stride;
-    const bool spill = entries > resident_cap_;
-    values_arena_ =
-        util::SpillableBuffer::allocate(entries * sizeof(double), spill);
-    choices_arena_ =
-        util::SpillableBuffer::allocate(entries * sizeof(Choice), spill);
-    values_ = static_cast<double*>(values_arena_.data());
-    choices_ = static_cast<Choice*>(choices_arena_.data());
-    if (values_arena_.spilled() || choices_arena_.spilled())
-      dp_metrics().arena_spills.add(1);
-  }
-  // Only ever initialize a column once: cells are pure functions of the
-  // (fixed) tree, so values surviving from earlier computes are bitwise
-  // what a recompute would write, and never-written cells stay -inf.
-  if (filled_cols_ < cols) fill_columns(filled_cols_, cols);
 }
 
 void BinarizedTreeDp::grow_layout(std::uint32_t cols) {
-  if (cols <= cols_) {
-    // Within the reserved stride: growth is just initializing the fresh
-    // columns — no data moves, offsets are unchanged.
-    if (filled_cols_ < cols) fill_columns(filled_cols_, cols);
-    return;
-  }
-  // Growth past the reservation: widen every (node, row) block into fresh
-  // buffers. Only the initialized column prefix carries data worth moving;
-  // the widened tail is then -inf/default initialized.
-  const std::uint32_t old_cols = cols_;
-  const std::uint32_t live_cols = filled_cols_;
-  if (rows_total_ * cols > kAbsoluteMaxEntries)  // throw before mutating
+  // The runaway guard bounds rows_total_ * cols, so whether a solve is
+  // rejected does not depend on the widths; the spill threshold compares the
+  // entries actually allocated. Nothing mutates until both arenas exist.
+  if (rows_total_ * cols > kAbsoluteMaxEntries)
     throw std::runtime_error(
         "BinarizedTreeDp: table too large (tree too deep for this k cap)");
-  const std::size_t entries = rows_total_ * cols;
+  const auto width_at = [cols](const NodeLayout& nl) {
+    return std::min(cols - 1, nl.real_count) + 1;
+  };
+  std::size_t entries = 0;
+  for (const NodeLayout& nl : layout_)
+    entries += static_cast<std::size_t>(nl.rows) * width_at(nl);
   const bool spill = entries > resident_cap_;
   auto new_values_arena =
       util::SpillableBuffer::allocate(entries * sizeof(double), spill);
@@ -281,30 +238,34 @@ void BinarizedTreeDp::grow_layout(std::uint32_t cols) {
     dp_metrics().arena_spills.add(1);
   double* const new_values = static_cast<double*>(new_values_arena.data());
   Choice* const new_choices = static_cast<Choice*>(new_choices_arena.data());
-  // memcpy, not element copy: the live prefix may contain never-touched
-  // cells (beyond a node's feasible k); moving them as raw bytes keeps this
-  // a plain block transfer. The widened tail is -inf/zero filled outright —
-  // a superset of what fill_columns would initialize.
-  for (std::size_t r = 0; r < rows_total_; ++r) {
-    const std::size_t src = r * old_cols;
-    const std::size_t dst = r * cols;
-    std::memcpy(new_values + dst, values_ + src, live_cols * sizeof(double));
-    std::memcpy(new_choices + dst, choices_ + src, live_cols * sizeof(Choice));
-    std::fill(new_values + dst + live_cols, new_values + dst + cols, kNegInf);
-    std::fill(new_choices + dst + live_cols, new_choices + dst + cols,
-              Choice{});
+  // memcpy, not element copy: old rows may hold never-written cells (past a
+  // node's computed k), and moving them as raw bytes keeps this a plain
+  // block transfer. Only nodes whose subtree holds more than the old cap
+  // widen; everything else keeps its width and moves as one block.
+  const auto move = [&](std::size_t dst, std::size_t src, std::size_t n) {
+    std::memcpy(new_values + dst, values_ + src, n * sizeof(double));
+    std::memcpy(new_choices + dst, choices_ + src, n * sizeof(Choice));
+  };
+  std::size_t offset = 0;
+  for (NodeLayout& nl : layout_) {
+    const std::uint32_t width = width_at(nl);
+    if (nl.width == width) {
+      move(offset, nl.offset, static_cast<std::size_t>(nl.rows) * width);
+    } else if (nl.width != 0) {  // width 0: first layout, nothing to move
+      for (std::size_t r = 0; r < nl.rows; ++r)
+        move(offset + r * width, nl.offset + r * nl.width, nl.width);
+    }
+    nl.offset = offset;
+    nl.width = width;
+    offset += static_cast<std::size_t>(nl.rows) * width;
   }
   values_arena_ = std::move(new_values_arena);
   choices_arena_ = std::move(new_choices_arena);
   values_ = new_values;
   choices_ = new_choices;
-  std::size_t offset = 0;
-  for (auto& nl : layout_) {
-    nl.offset = offset;
-    offset += static_cast<std::size_t>(nl.rows) * cols;
-  }
+  fill_columns(cols_);
   cols_ = cols;
-  filled_cols_ = cols;
+  entries_ = entries;
 }
 
 void BinarizedTreeDp::process_node(std::int32_t v, std::uint32_t k_lo,
@@ -347,8 +308,8 @@ void BinarizedTreeDp::process_node(std::int32_t v, std::uint32_t k_lo,
 
     const std::uint32_t lrow = lc >= 0 ? child_row(lc, child_j) : 0;
     const std::uint32_t rrow = rc >= 0 ? child_row(rc, child_j) : 0;
-    double* const vrow = vbase + static_cast<std::size_t>(row) * cols_;
-    Choice* const crow = cbase + static_cast<std::size_t>(row) * cols_;
+    double* const vrow = vbase + static_cast<std::size_t>(row) * nl.width;
+    Choice* const crow = cbase + static_cast<std::size_t>(row) * nl.width;
 
     const double* lrow_p = nullptr;
     const double* l0_p = nullptr;
@@ -358,12 +319,12 @@ void BinarizedTreeDp::process_node(std::int32_t v, std::uint32_t k_lo,
       // Max-plus split setup: build each child's best-of-{covered,
       // as-initiator} prefix once per row; the k loop below then scans two
       // flat arrays instead of re-reading four arena cells per split.
-      lrow_p = values_ + layout_[lc].offset +
-               static_cast<std::size_t>(lrow) * cols_;
-      l0_p = values_ + layout_[lc].offset;
-      rrow_p = values_ + layout_[rc].offset +
-               static_cast<std::size_t>(rrow) * cols_;
-      r0_p = values_ + layout_[rc].offset;
+      const NodeLayout& ll = layout_[lc];
+      const NodeLayout& rl = layout_[rc];
+      l0_p = values_ + ll.offset;
+      lrow_p = l0_p + static_cast<std::size_t>(lrow) * ll.width;
+      r0_p = values_ + rl.offset;
+      rrow_p = r0_p + static_cast<std::size_t>(rrow) * rl.width;
       const std::uint32_t l_hi = std::min(lcnt, k_top);
       const std::uint32_t r_hi = std::min(rcnt, k_top);
       for (std::uint32_t a = 0; a <= l_hi; ++a)
@@ -438,7 +399,7 @@ void BinarizedTreeDp::process_segment(std::uint32_t begin, std::uint32_t end,
 
 const std::vector<double>& BinarizedTreeDp::compute(
     std::uint32_t k_max, bool force_root, const util::BudgetScope* budget,
-    std::size_t num_threads, bool incremental, std::uint32_t k_reserve) {
+    std::size_t num_threads, bool incremental) {
   RID_FAILPOINT("tree_dp.compute");
   util::trace::TraceSpan span("dp_compute");
   DpMetrics& dm = dp_metrics();
@@ -450,16 +411,12 @@ const std::vector<double>& BinarizedTreeDp::compute(
 
   const std::uint32_t prev_k = computed_k_;
   const bool extend = incremental && prev_k > 0;
-  std::uint32_t k_lo;
-  if (extend) {
-    if (target_k >= filled_cols_) grow_layout(target_k + 1);
-    k_lo = prev_k + 1;  // columns <= prev_k are kept, not recomputed
-  } else {
-    const std::uint32_t reserve =
-        std::min(std::max(k_reserve, target_k), num_real_) + 1;
-    fresh_layout(target_k + 1, reserve);
-    k_lo = 0;
-  }
+  // Columns <= prev_k are kept when extending, not recomputed. A from-scratch
+  // compute keeps a wide-enough layout too: every cell is a pure function of
+  // the (fixed) tree, so stale values are bitwise what the recompute writes.
+  const std::uint32_t k_lo = extend ? prev_k + 1 : 0;
+  if (!extend) computed_k_ = 0;
+  if (target_k >= cols_) grow_layout(target_k + 1);
   const std::uint32_t fresh = target_k > prev_k ? target_k - prev_k : 0;
   const std::uint32_t recomputed =
       extend ? 0 : std::min(prev_k, target_k);
@@ -529,9 +486,8 @@ void BinarizedTreeDp::extract_into(std::uint32_t k,
     const ExtractFrame f = scratch.back();
     scratch.pop_back();
     const NodeLayout& nl = layout_[f.node];
-    const std::size_t idx =
-        nl.offset + static_cast<std::size_t>(f.row) * cols_ + f.k;
-    const Choice choice = choices_[idx];
+    const Choice choice =
+        choices_[nl.offset + static_cast<std::size_t>(f.row) * nl.width + f.k];
     std::uint32_t child_j;
     std::uint32_t kk = f.k;
     if (f.row == 0) {
@@ -623,15 +579,10 @@ TreeSolution solve_tree(const CascadeTree& tree, double beta,
     return -opt[k] + static_cast<double>(k - 1) * beta;
   };
 
-  // Reserving the effective hard cap up front keeps every adaptive cap
-  // doubling a pure column append (no table moves); the reservation is
-  // bounded by the same entry limit that guards a from-scratch compute.
-  const std::uint32_t k_reserve = std::min(n_real, hard_k_cap);
-
   while (true) {
     const std::vector<double>& opt =
         dp.compute(cap, options.force_root, options.budget, dp_threads,
-                   options.incremental_growth, k_reserve);
+                   options.incremental_growth);
     std::uint32_t best_k = 1;
     if (options.greedy_stop) {
       while (best_k + 1 <= cap &&
@@ -732,15 +683,11 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
     return best_k;
   };
 
-  // Reserve the effective hard cap so shared-cap doublings append columns
-  // without moving the tables (see solve_tree).
-  const std::uint32_t k_reserve = std::min(n_real, hard_k_cap);
-
   // Grow the shared cap until no beta's optimum is clipped by it.
   while (true) {
     const std::vector<double>& opt =
         dp.compute(cap, options.force_root, options.budget, dp_threads,
-                   options.incremental_growth, k_reserve);
+                   options.incremental_growth);
     bool clipped = false;
     for (const double beta : betas) {
       if (pick_k(opt, beta) == cap &&

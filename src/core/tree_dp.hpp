@@ -28,14 +28,16 @@
 // general-tree DP (general_tree_dp.hpp) is property-tested.
 //
 // Storage & scheduling (see DESIGN.md §10). Value and choice tables live in
-// two flat arenas indexed through NodeLayout::offset — one allocation per
-// solve, reused and extended in place when the adaptive k cap grows, so
-// columns k <= old cap are moved, never recomputed. The postorder is split
-// into independent subtree segments (heavy-subtree cut at `parallel_grain`
-// binarized nodes) solved as thread-pool tasks plus a serial residual spine;
-// every node's arithmetic depends only on its children's finished tables, so
-// results are bit-identical for any thread count and for incremental vs
-// from-scratch computes.
+// two flat arenas indexed through NodeLayout::offset, where each node's rows
+// are min(cap, real_count) + 1 columns wide: an exact-k value past the
+// subtree's real node count is -inf and never read. When the adaptive k cap
+// grows the arenas are laid out again and every computed column is moved,
+// never recomputed; only nodes whose subtree exceeds the old cap widen. The
+// postorder is split into independent subtree segments (heavy-subtree cut
+// at `parallel_grain` binarized nodes) solved as thread-pool tasks plus a
+// serial residual spine; every node's arithmetic depends only on its
+// children's finished tables, so results are bit-identical for any thread
+// count and for incremental vs from-scratch computes.
 #pragma once
 
 #include <cstdint>
@@ -85,11 +87,9 @@ struct TreeDpOptions {
   /// substitutes this tree's share of RidConfig::num_threads; direct
   /// solve_tree callers get serial. Results are bit-identical for any value.
   std::size_t num_threads = 0;
-  /// Extend the DP tables with new k-columns when the adaptive cap grows
-  /// instead of recomputing from scratch. Bit-identical either way; the
-  /// incremental path retains every node's value table for the lifetime of
-  /// the solve (~3x the choice-table footprint) — disable to trade the
-  /// redundant recompute back for the smaller frontier-only peak.
+  /// Compute only the new k-columns when the adaptive cap grows. When false,
+  /// every cap recomputes all columns from k = 0 in the same tables (same
+  /// layout, same memory); results are bit-identical either way.
   bool incremental_growth = true;
   /// Minimum binarized-subtree size (nodes) for one parallel DP task; the
   /// residual spine above the cut runs serially. 0 = auto
@@ -139,21 +139,15 @@ class BinarizedTreeDp {
   /// util::BudgetExceededError mid-computation. With num_threads > 1 the
   /// subtree tasks run on a thread pool; with `incremental` a second call
   /// with a larger k_max extends the existing tables (columns <= the old cap
-  /// are kept in place, not recomputed). `k_reserve` is a capacity hint: the
-  /// arena stride is sized for max(k_max, k_reserve) columns up front, so
-  /// later incremental growth up to k_reserve appends fresh columns without
-  /// moving a byte (the adaptive solve loop passes its effective hard cap).
-  /// The reservation is clamped to the resident-entry threshold; growth
-  /// beyond it falls back to a widen-and-move pass into spilled (temp-file
-  /// backed) arenas. Results are
-  /// bit-identical across thread counts, across incremental/from-scratch
-  /// computes, and for any k_reserve.
+  /// are moved into the wider layout, not recomputed). Tables larger than
+  /// the resident-entry threshold live in spilled (temp-file backed) arenas.
+  /// Results are bit-identical across thread counts and across
+  /// incremental/from-scratch computes.
   const std::vector<double>& compute(std::uint32_t k_max,
                                      bool force_root = true,
                                      const util::BudgetScope* budget = nullptr,
                                      std::size_t num_threads = 1,
-                                     bool incremental = true,
-                                     std::uint32_t k_reserve = 0);
+                                     bool incremental = true);
 
   /// Tree-local initiator indices of the optimal exact-k solution.
   /// Requires compute(k_max >= k) first and opt[k] > -inf.
@@ -176,6 +170,10 @@ class BinarizedTreeDp {
   /// Largest k whose column is currently computed (0 before compute()).
   std::uint32_t computed_k() const noexcept { return computed_k_; }
 
+  /// Entries per arena (values and choices alike): the sum over nodes of
+  /// rows * (min(cap, real_count) + 1) for the widest cap laid out so far.
+  std::size_t table_entries() const noexcept { return entries_; }
+
   /// Parallel decomposition shape: independent subtree segments and the
   /// serial residual spine (nodes). Fixed at construction; independent of
   /// num_threads.
@@ -186,8 +184,9 @@ class BinarizedTreeDp {
   struct NodeLayout {
     std::uint32_t rows = 0;       // 1 (initiator) + R + 1 (Z row)
     std::uint32_t reach = 0;      // R = min(depth, run of non-zero in_g)
-    std::size_t offset = 0;       // into values_/choices_ (rows * cols_)
+    std::size_t offset = 0;       // into values_/choices_ (rows * width)
     std::uint32_t real_count = 0; // real nodes in subtree (incl. self)
+    std::uint32_t width = 0;      // columns per row: min(cap, real_count) + 1
   };
   /// Deliberately without default member initializers: the choice arena is
   /// allocated uninitialized (SpillableBuffer) and only cells the DP writes
@@ -204,30 +203,26 @@ class BinarizedTreeDp {
   };
 
   double value(std::int32_t node, std::uint32_t row, std::uint32_t k) const {
-    return values_[layout_[node].offset +
-                   static_cast<std::size_t>(row) * cols_ + k];
+    const NodeLayout& nl = layout_[node];
+    return values_[nl.offset + static_cast<std::size_t>(row) * nl.width + k];
   }
   /// Maps a symbolic distance-to-initiator onto the child's compact rows.
   std::uint32_t child_row(std::int32_t child, std::uint32_t child_j) const;
 
-  /// Ensures the arena holds at least `cols` columns with a stride of at
-  /// least `reserve_cols` (clamped to the resident threshold), initializing any
-  /// not-yet-filled columns; marks all columns as uncomputed. Keeps an
-  /// already-wide-enough arena in place — filled cells are pure functions of
-  /// the tree, so stale values are exactly what a recompute would write.
-  void fresh_layout(std::uint32_t cols, std::uint32_t reserve_cols);
-  /// Extends the layout to `cols` columns, preserving computed ones. Within
-  /// the reserved stride this only initializes the fresh columns (no data
-  /// moves); beyond it, every (node, row) block is widened in place
-  /// back-to-front and offsets are rewritten.
+  /// Lays the arenas out again for `cols` columns (cols > cols_): node v's
+  /// rows become min(cols - 1, real_count) + 1 wide, every cell of the old
+  /// layout moves to the same (row, k) in new buffers, and fill_columns
+  /// initializes the widened columns. A node whose width is unchanged moves
+  /// as one block; a widened node moves row by row.
   void grow_layout(std::uint32_t cols);
-  /// -inf/default fills columns [col_lo, col_hi) of every (node, row) block
-  /// and advances filled_cols_.
-  void fill_columns(std::uint32_t col_lo, std::uint32_t col_hi);
+  /// Writes the cells of columns >= col_lo that process_node never writes
+  /// but its readers do: row 0 of ineligible nodes and every (row 0, k = 0)
+  /// cell, all -inf.
+  void fill_columns(std::uint32_t col_lo);
   /// Per-worker scratch for process_node's max-plus split: each child's
   /// best-of-{covered, as-initiator} prefix, built once per (node, row) and
-  /// scanned by every k. Sized to the arena stride by process_segment (or
-  /// the spine loop); one instance per concurrent worker.
+  /// scanned by every k. Sized to cols_ by process_segment (or the spine
+  /// loop); one instance per concurrent worker.
   struct DpScratch {
     std::vector<double> lbest;
     std::vector<double> rbest;
@@ -262,21 +257,21 @@ class BinarizedTreeDp {
   std::vector<TaskSegment> tasks_;
   std::vector<std::int32_t> spine_postorder_;
 
-  std::size_t rows_total_ = 0;     // sum of NodeLayout::rows over all nodes
-  std::uint32_t cols_ = 0;         // arena stride (reserved columns per row)
-  std::uint32_t filled_cols_ = 0;  // columns [0, filled_cols_) initialized
-  std::uint32_t computed_k_ = 0;   // columns 1..computed_k_ are valid
+  std::size_t rows_total_ = 0;    // sum of NodeLayout::rows over all nodes
+  std::size_t entries_ = 0;       // sum of rows * width: entries per arena
+  std::uint32_t cols_ = 0;        // columns laid out (the root's row width)
+  std::uint32_t computed_k_ = 0;  // columns 1..computed_k_ are valid
   bool force_root_ = true;
   /// Flat arenas for every node's value/choice rows, addressed via
-  /// NodeLayout::offset (replaces the seed's per-node heap vectors). values_
-  /// is retained across incremental growth — a parent's new columns read its
-  /// children's old ones — which is the memory cost of never recomputing.
-  /// Allocated uninitialized: columns are -inf/zero filled lazily the first
-  /// time they come into use (fill_columns), so reserving capacity for the
-  /// hard cap costs no up-front memory traffic. Arenas above the resident
-  /// threshold live in mappings of unlinked temp files (SpillableBuffer), so
-  /// the kernel can page cold table regions out instead of OOM-killing;
-  /// values_/choices_ are raw views into the active arena storage.
+  /// NodeLayout::offset and NodeLayout::width (replaces the seed's per-node
+  /// heap vectors). values_ is retained across incremental growth — a
+  /// parent's new columns read its children's old ones — which is the memory
+  /// cost of never recomputing. Allocated uninitialized: process_node writes
+  /// almost every cell before it is read, and fill_columns the rest. Arenas
+  /// above the resident threshold live in mappings of unlinked temp files
+  /// (SpillableBuffer), so the kernel can page cold table regions out
+  /// instead of OOM-killing; values_/choices_ are raw views into the active
+  /// arena storage.
   std::size_t resident_cap_ = 0;  // entries per arena before spilling
   util::SpillableBuffer values_arena_;
   util::SpillableBuffer choices_arena_;

@@ -451,6 +451,47 @@ TEST(TreeDpIncremental, CapDoublingsRecomputeZeroColumns) {
   EXPECT_EQ(recomputed.value() - r1, 8u + 16u + 32u);
 }
 
+TEST(TreeDpIncremental, RowsAreSizedToTheSubtree) {
+  // A random tree with at most two children per node binarizes without
+  // dummies, so every node's real count is its subtree size. All g > 0 and
+  // max_reach = 1 give the root 2 rows (initiator + Z) and every other node
+  // 3 (initiator, one distance row, Z).
+  util::Rng rng(53);
+  const NodeId n = 300;
+  std::vector<NodeId> parent(n, graph::kInvalidNode);
+  std::vector<double> in_g(n, 1.0);
+  std::vector<std::uint32_t> children(n, 0);
+  std::vector<NodeId> open{0};  // nodes with fewer than two children
+  for (NodeId v = 1; v < n; ++v) {
+    const std::size_t i = rng.next_below(open.size());
+    parent[v] = open[i];
+    in_g[v] = rng.uniform(0.05, 1.0);
+    if (++children[open[i]] == 2) {
+      open[i] = open.back();
+      open.pop_back();
+    }
+    open.push_back(v);
+  }
+  std::vector<std::uint32_t> size(n, 1);
+  for (NodeId v = n - 1; v > 0; --v) size[parent[v]] += size[v];
+  const CascadeTree tree = make_tree(parent, in_g);
+  const auto expected_entries = [&](std::uint32_t k) {
+    std::size_t entries = 0;
+    for (NodeId v = 0; v < n; ++v)
+      entries += (v == 0 ? 2u : 3u) * (std::min(k, size[v]) + 1);
+    return entries;
+  };
+
+  BinarizedTreeDp grown(tree, /*max_reach=*/1);
+  for (const std::uint32_t k : {1u, 8u, 16u, 64u}) {
+    grown.compute(k);
+    EXPECT_EQ(grown.table_entries(), expected_entries(k)) << "k = " << k;
+  }
+  BinarizedTreeDp scratch(tree, /*max_reach=*/1);
+  scratch.compute(64);
+  EXPECT_EQ(scratch.table_entries(), expected_entries(64));
+}
+
 std::uint64_t dp_double_bits(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
