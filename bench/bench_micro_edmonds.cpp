@@ -1,6 +1,7 @@
 // google-benchmark comparison of the two Chu-Liu/Edmonds implementations —
-// the paper-faithful recursive-contraction solver vs the skew-heap solver —
-// across graph sizes (the ablation behind ExtractionConfig::use_fast_solver).
+// the paper-faithful recursive-contraction solver (kept as the reference in
+// test_edmonds) vs the skew-heap solver that cascade extraction uses —
+// across graph sizes.
 #include <benchmark/benchmark.h>
 
 #include "algo/arborescence.hpp"

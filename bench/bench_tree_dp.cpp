@@ -1,14 +1,17 @@
-// Serial-scratch vs parallel-incremental k-ISOMIT-BT DP on giant cascade
-// trees.
+// Seed serial-scratch vs current serial-incremental k-ISOMIT-BT DP on giant
+// cascade trees.
 //
 // The "seed path" below is a faithful copy of the pre-arena BinarizedTreeDp:
 // per-node heap-vector value tables freed as soon as the parent consumes
 // them, a full from-scratch recompute on every adaptive k-cap doubling, and
 // unclamped row/k/a loops. The "optimized path" is the current solver —
-// arena-backed tables, incremental k-column growth, feasibility clamps, and
-// the heavy-subtree-cut parallel decomposition (DESIGN.md §10). Both run the
-// same adaptive solve on the same trees, so the selected k, the optimum and
-// the initiator set must match bit-for-bit — verified per row.
+// subtree-sized arena tables, incremental k-column growth and feasibility
+// clamps, in one serial postorder pass (DESIGN.md §10). Both run the same
+// adaptive solve on the same trees, so the selected k, the optimum and the
+// initiator set must match bit-for-bit — verified per row.
+//
+// Each path's time is the median of 3 solves after one untimed warm-up solve
+// (1 timed solve in --smoke), so neither path pays for a cold heap.
 //
 // The generated trees model the paper's giant-component regime: one big
 // random recursive tree with strong (g ~ 1) links plus a band of weak
@@ -53,7 +56,7 @@ constexpr std::uint32_t kRowZ = 0xffffffffu;
 
 /// Faithful copy of the pre-optimization solver (the PR 1-3 seed shape):
 /// per-node value vectors with free-after-consume, per-call layout, no
-/// feasibility clamps, no parallelism, full recompute per compute() call.
+/// feasibility clamps, full recompute per compute() call.
 class SeedTreeDp {
  public:
   SeedTreeDp(const core::CascadeTree& tree, std::uint32_t max_reach) {
@@ -321,17 +324,30 @@ struct Case {
 
 struct Row {
   std::size_t nodes = 0;
-  std::size_t threads = 0;
   std::uint32_t max_reach = 0;
   std::uint32_t hard_k_cap = 0;
   std::uint32_t k = 0;
   double baseline_ms = 0.0;   // serial-scratch seed copy
-  double optimized_ms = 0.0;  // arena + incremental + clamps + parallel
+  double optimized_ms = 0.0;  // arena + incremental + clamps
   double speedup = 0.0;
   std::uint64_t cols_fresh = 0;
-  std::uint64_t cols_recomputed = 0;
   bool match = false;  // identical k / opt / initiator set
 };
+
+/// Median wall time in ms of `reps` calls of `solve`, after one untimed
+/// warm-up call.
+template <typename Solve>
+double median_ms(int reps, const Solve& solve) {
+  solve();
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    util::Timer timer;
+    solve();
+    ms.push_back(timer.seconds() * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
 
 }  // namespace
 
@@ -355,65 +371,56 @@ int main(int argc, char** argv) {
   for (const NodeId n : smoke ? std::vector<NodeId>{2000}
                               : std::vector<NodeId>{2000, 10000})
     cases.push_back({n, cli_defaults.max_reach, cli_defaults.hard_k_cap});
-  const std::vector<std::size_t> thread_counts{1, 2, 4, 8};
+  const int reps = smoke ? 1 : 3;
 
-  util::AsciiTable table({"nodes", "reach", "k cap", "threads", "k*",
-                          "baseline ms", "optimized ms", "speedup"});
+  util::AsciiTable table({"nodes", "reach", "k cap", "k*", "baseline ms",
+                          "optimized ms", "speedup"});
   table.set_title("k-ISOMIT-BT DP: seed serial-scratch vs "
-                  "parallel-incremental-arena solve");
+                  "serial-incremental-arena solve");
   auto& fresh_counter = util::metrics::global().counter("dp.cols_fresh");
-  auto& recomputed_counter =
-      util::metrics::global().counter("dp.cols_recomputed");
 
   std::vector<Row> rows;
   for (const Case& c : cases) {
     const NodeId n = c.nodes;
     const core::CascadeTree tree = make_giant_tree(n, weak, /*seed=*/71);
 
-    util::Timer base_timer;
-    const SeedSolution base = seed_solve(tree, beta, c.max_reach, c.hard_k_cap);
-    const double baseline_ms = base_timer.seconds() * 1e3;
+    SeedSolution base;
+    const double baseline_ms = median_ms(reps, [&] {
+      base = seed_solve(tree, beta, c.max_reach, c.hard_k_cap);
+    });
 
-    for (const std::size_t threads : thread_counts) {
-      core::TreeDpOptions options;
-      options.max_reach = c.max_reach;
-      options.hard_k_cap = c.hard_k_cap;
-      options.num_threads = threads;
+    core::TreeDpOptions options;
+    options.max_reach = c.max_reach;
+    options.hard_k_cap = c.hard_k_cap;
+    core::TreeSolution solution;
+    std::uint64_t cols_fresh = 0;
+    const double optimized_ms = median_ms(reps, [&] {
       const std::uint64_t f0 = fresh_counter.value();
-      const std::uint64_t r0 = recomputed_counter.value();
-      util::Timer timer;
-      const core::TreeSolution solution = core::solve_tree(tree, beta, options);
-      Row row;
-      row.nodes = n;
-      row.threads = threads;
-      row.max_reach = c.max_reach;
-      row.hard_k_cap = c.hard_k_cap;
-      row.k = solution.k;
-      row.baseline_ms = baseline_ms;
-      row.optimized_ms = timer.seconds() * 1e3;
-      row.speedup = row.baseline_ms / row.optimized_ms;
-      row.cols_fresh = fresh_counter.value() - f0;
-      row.cols_recomputed = recomputed_counter.value() - r0;
-      row.match = solution.k == base.k && solution.opt == base.opt &&
-                  solution.initiators == base.initiators;
-      if (!row.match) {
-        std::cerr << "FATAL: solution mismatch at nodes " << n << " threads "
-                  << threads << " (seed k " << base.k << " opt " << base.opt
-                  << " vs optimized k " << solution.k << " opt "
-                  << solution.opt << ")\n";
-        return 1;
-      }
-      if (row.cols_recomputed != 0) {
-        std::cerr << "FATAL: incremental growth recomputed "
-                  << row.cols_recomputed << " columns at nodes " << n << "\n";
-        return 1;
-      }
-      rows.push_back(row);
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx", row.speedup);
-      table.row(row.nodes, row.max_reach, row.hard_k_cap, row.threads, row.k,
-                row.baseline_ms, row.optimized_ms, speedup);
+      solution = core::solve_tree(tree, beta, options);
+      cols_fresh = fresh_counter.value() - f0;
+    });
+    Row row;
+    row.nodes = n;
+    row.max_reach = c.max_reach;
+    row.hard_k_cap = c.hard_k_cap;
+    row.k = solution.k;
+    row.baseline_ms = baseline_ms;
+    row.optimized_ms = optimized_ms;
+    row.speedup = row.baseline_ms / row.optimized_ms;
+    row.cols_fresh = cols_fresh;
+    row.match = solution.k == base.k && solution.opt == base.opt &&
+                solution.initiators == base.initiators;
+    if (!row.match) {
+      std::cerr << "FATAL: solution mismatch at nodes " << n << " (seed k "
+                << base.k << " opt " << base.opt << " vs optimized k "
+                << solution.k << " opt " << solution.opt << ")\n";
+      return 1;
     }
+    rows.push_back(row);
+    char speedup[32];
+    std::snprintf(speedup, sizeof(speedup), "%.2fx", row.speedup);
+    table.row(row.nodes, row.max_reach, row.hard_k_cap, row.k, row.baseline_ms,
+              row.optimized_ms, speedup);
   }
   table.render(std::cout);
 
@@ -427,14 +434,12 @@ int main(int argc, char** argv) {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "    {\"nodes\": %zu, \"threads\": %zu, \"max_reach\": %u, "
-        "\"hard_k_cap\": %u, \"k\": %u, "
-        "\"baseline_ms\": %.3f, \"optimized_ms\": %.3f, \"speedup\": %.3f, "
-        "\"cols_fresh\": %llu, \"cols_recomputed\": %llu, \"match\": %s}%s\n",
-        r.nodes, r.threads, r.max_reach, r.hard_k_cap, r.k, r.baseline_ms,
+        "    {\"nodes\": %zu, \"max_reach\": %u, \"hard_k_cap\": %u, "
+        "\"k\": %u, \"baseline_ms\": %.3f, \"optimized_ms\": %.3f, "
+        "\"speedup\": %.3f, \"cols_fresh\": %llu, \"match\": %s}%s\n",
+        r.nodes, r.max_reach, r.hard_k_cap, r.k, r.baseline_ms,
         r.optimized_ms, r.speedup,
         static_cast<unsigned long long>(r.cols_fresh),
-        static_cast<unsigned long long>(r.cols_recomputed),
         r.match ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }

@@ -168,6 +168,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,7 +280,7 @@ diffusion::Cascade simulate_on(const graph::SignedGraph& diffusion,
   util::Rng rng(static_cast<std::uint64_t>(flags.get_int("sim-seed", 7)));
   const auto n = diffusion.num_nodes();
   const auto want = std::min<std::size_t>(
-      static_cast<std::size_t>(flags.get_int("n", 50)), n);
+      flags.get_count<std::size_t>("n", 50), n);
   const double theta = flags.get_double("theta", 0.5);
   const auto picks = rng.sample_without_replacement(n, want);
   seeds.nodes.assign(picks.begin(), picks.end());
@@ -331,13 +332,12 @@ core::RidConfig rid_config_from_flags(const util::Flags& flags) {
   core::RidConfig config;
   config.beta = flags.get_double("beta", 2.0);
   config.extraction.likelihood.alpha = flags.get_double("alpha", 3.0);
-  config.num_threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  config.num_threads = flags.get_count<std::size_t>("threads", 1);
   config.budget.deadline_seconds =
       flags.get_double("deadline", util::kUnlimitedSeconds);
   config.budget.max_tree_nodes =
-      static_cast<std::uint32_t>(flags.get_int("max-tree-nodes", 0));
-  config.budget.max_k =
-      static_cast<std::uint32_t>(flags.get_int("max-k", 0));
+      flags.get_count<std::uint32_t>("max-tree-nodes", 0);
+  config.budget.max_k = flags.get_count<std::uint32_t>("max-k", 0);
   config.budget.cancel = cli_cancel_token();
   if (flags.get_bool("repair", false))
     config.repair_policy = core::RepairPolicy::kRepair;
@@ -354,24 +354,27 @@ core::RidConfig rid_config_from_flags(const util::Flags& flags) {
 }
 
 core::ShardedConfig sharded_config_from_flags(const util::Flags& flags,
-                                              int shards,
+                                              std::size_t shards,
                                               const std::string& graph_path) {
   core::ShardedConfig sharded;
-  sharded.num_shards = static_cast<std::size_t>(shards);
+  sharded.num_shards = shards;
   sharded.run_dir = flags.get_string("run-dir", "ridnet-run");
   sharded.resume = flags.get_bool("resume", false);
   sharded.supervisor.max_shard_attempts =
-      static_cast<std::uint32_t>(flags.get_int("shard-attempts", 5));
+      flags.get_count<std::uint32_t>("shard-attempts", 5);
   sharded.supervisor.heartbeat_timeout_seconds =
       flags.get_double("shard-heartbeat", util::kUnlimitedSeconds);
   sharded.supervisor.shard_deadline_seconds =
       flags.get_double("shard-deadline", util::kUnlimitedSeconds);
+  // MiB on the command line; the bound keeps the shift inside 64 bits.
   sharded.supervisor.mem_limit_bytes =
-      static_cast<std::uint64_t>(flags.get_int("shard-mem-limit", 0)) << 20;
+      flags.get_count<std::uint64_t>(
+          "shard-mem-limit", 0, std::numeric_limits<std::uint64_t>::max() >> 20)
+      << 20;
   sharded.supervisor.cpu_limit_seconds =
       flags.get_double("shard-cpu-limit", 0.0);
   sharded.supervisor.poison_threshold =
-      static_cast<std::uint32_t>(flags.get_int("shard-poison-threshold", 2));
+      flags.get_count<std::uint32_t>("shard-poison-threshold", 2);
   sharded.supervisor.cancel = cli_cancel_token();
   const std::string transport = flags.get_string("transport", "fork");
   if (transport == "socket") {
@@ -412,7 +415,7 @@ core::DetectionResult detect_on(const graph::SignedGraph& diffusion,
                                                config);
     }
     // --shards=N: crash-isolated multi-process execution with checkpoints.
-    const int shards = flags.get_int("shards", 0);
+    const std::size_t shards = flags.get_count<std::size_t>("shards", 0);
     if (shards > 0)
       return core::run_rid_sharded(
           diffusion, snapshot, config,
@@ -451,7 +454,7 @@ core::DetectionResult detect_on(const graph::ColumnarGraphView& diffusion,
         "--early needs a text graph; pass the edge-list file instead of "
         "a .ridg input");
   const core::RidConfig config = rid_config_from_flags(flags);
-  const int shards = flags.get_int("shards", 0);
+  const std::size_t shards = flags.get_count<std::size_t>("shards", 0);
   if (shards > 0)
     return core::run_rid_sharded(
         diffusion, snapshot, config,
@@ -620,8 +623,7 @@ int cmd_convert(const util::Flags& flags) {
     graph::StreamConvertOptions options;
     options.social = social;
     options.flags = ridg_flags;
-    options.chunk_edges =
-        static_cast<std::size_t>(flags.get_int("chunk-edges", 1 << 20));
+    options.chunk_edges = flags.get_count<std::size_t>("chunk-edges", 1 << 20);
     options.make_states = make_states;
     result = graph::stream_convert_to_columnar(source, out_path, options);
   }
@@ -706,8 +708,8 @@ int cmd_worker(const util::Flags& flags) {
     options.delivery = delivery;
   return core::run_socket_worker(
       flags.get_string("connect", ""),
-      static_cast<std::size_t>(flags.get_int("shard", 0)),
-      static_cast<std::uint32_t>(flags.get_int("attempt", 1)), options);
+      flags.get_count<std::size_t>("shard", 0),
+      flags.get_count<std::uint32_t>("attempt", 1), options);
 }
 
 int cmd_serve(const util::Flags& flags) {
@@ -715,14 +717,12 @@ int cmd_serve(const util::Flags& flags) {
   options.run_dir = flags.get_string("run-dir", "ridnet-serve");
   options.endpoint = flags.get_string("endpoint", "");
   options.resume = flags.get_bool("resume", false);
-  options.max_queued_jobs =
-      static_cast<std::size_t>(flags.get_int("max-queued", 8));
+  options.max_queued_jobs = flags.get_count<std::size_t>("max-queued", 8);
   options.max_pending_nodes =
-      static_cast<std::uint64_t>(flags.get_int("max-pending-nodes", 0));
+      flags.get_count<std::uint64_t>("max-pending-nodes", 0);
   options.max_concurrent_jobs =
-      static_cast<std::size_t>(flags.get_int("max-concurrent", 2));
-  options.worker_slots =
-      static_cast<std::size_t>(flags.get_int("worker-slots", 0));
+      flags.get_count<std::size_t>("max-concurrent", 2);
+  options.worker_slots = flags.get_count<std::size_t>("worker-slots", 0);
   options.base_config = rid_config_from_flags(flags);
   const core::ShardedConfig sharded = sharded_config_from_flags(flags, 0, "");
   options.supervisor = sharded.supervisor;
@@ -797,7 +797,7 @@ int cmd_submit(const util::Flags& flags) {
   core::JobSpec spec;
   spec.graph_path = flags.get_string("graph", "graph.ridg");
   spec.beta = flags.get_double("beta", 2.0);
-  spec.num_shards = static_cast<std::size_t>(flags.get_int("shards", 2));
+  spec.num_shards = flags.get_count<std::size_t>("shards", 2);
   const core::SubmitOutcome outcome = core::submit_job(endpoint, spec);
   if (!outcome.accepted) {
     if (outcome.permanent) {

@@ -210,14 +210,8 @@ void finish_component(const Handle& diffusion,
                       util::BudgetChecker& checker,
                       std::vector<CascadeTree>& out_trees,
                       PageReclaimer* reclaimer = nullptr) {
-  const algo::Branching branching =
-      config.use_fast_solver
-          ? algo::max_branching_fast(
-                static_cast<graph::NodeId>(members.size()), arcs,
-                config.budget)
-          : algo::max_branching_simple(
-                static_cast<graph::NodeId>(members.size()), arcs,
-                config.budget);
+  const algo::Branching branching = algo::max_branching_fast(
+      static_cast<graph::NodeId>(members.size()), arcs, config.budget);
 
   // Split the branching into trees.
   const algo::RootedForest forest(branching.parent);

@@ -91,9 +91,6 @@ struct ExtractionConfig {
   /// Floor applied before log() so zero-probability arcs stay representable
   /// (they are only chosen when a node would otherwise be uncovered).
   double score_floor = 1e-12;
-  /// Use the O(E log V) solver (true) or the paper-faithful recursive
-  /// contraction solver (false). Results have equal total weight.
-  bool use_fast_solver = true;
   /// Optional armed work budget (non-owning; must outlive the call). The
   /// deadline/cancellation is polled from the arc-building, Edmonds, and
   /// side-evidence loops; overruns throw util::BudgetExceededError. Note

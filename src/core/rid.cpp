@@ -116,6 +116,19 @@ void solve_trees_isolated(const CascadeForest& forest,
   }
 }
 
+/// Resolves TreeDpOptions::num_threads == 0 (inherit) for run_rid_betas:
+/// the tree-level parallelism claims min(threads, trees) workers and the
+/// leftover goes to each tree's per-beta extraction pool — so a one-tree
+/// sweep hands the whole pool to its betas. Depends only on the config and
+/// the forest shape, never on scheduling.
+std::size_t per_beta_threads(const RidConfig& config,
+                             const CascadeForest& forest) {
+  const std::size_t pool = std::max<std::size_t>(1, config.num_threads);
+  const std::size_t outer =
+      std::min(pool, std::max<std::size_t>(1, forest.trees.size()));
+  return std::max<std::size_t>(1, pool / outer);
+}
+
 /// Shared front end for both storage backends: repair -> extract -> mask.
 /// Every step is either backend-agnostic or overloaded per backend, so the
 /// two public run_rid overloads are bit-identical on equal content.
@@ -216,17 +229,6 @@ PreparedForest prepare_forest(const graph::ColumnarGraphView& diffusion,
   return prepare_forest_impl(diffusion, states, config);
 }
 
-std::size_t intra_tree_threads(const RidConfig& config,
-                               const CascadeForest& forest) {
-  // The tree-level parallelism claims min(threads, trees) workers and the
-  // leftover goes to the intra-tree DP — so the giant-component case (one
-  // tree) hands the whole pool to the DP.
-  const std::size_t pool = std::max<std::size_t>(1, config.num_threads);
-  const std::size_t outer =
-      std::min(pool, std::max<std::size_t>(1, forest.trees.size()));
-  return std::max<std::size_t>(1, pool / outer);
-}
-
 void merge_solutions(const CascadeForest& forest,
                      const std::vector<const TreeSolution*>& solutions,
                      DetectionResult& out) {
@@ -278,8 +280,6 @@ DetectionResult run_rid_on_forest(const CascadeForest& forest,
   const util::BudgetScope scope(config.budget);
   TreeDpOptions dp = config.dp;
   if (!config.budget.unlimited()) dp.budget = &scope;
-  if (dp.num_threads == 0)
-    dp.num_threads = internal::intra_tree_threads(config, forest);
 
   // Trees are independent; solve them (optionally) in parallel with per-tree
   // fault isolation, then merge in deterministic tree order.
@@ -315,8 +315,7 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
   const util::BudgetScope scope(config.budget);
   TreeDpOptions dp = config.dp;
   if (!config.budget.unlimited()) dp.budget = &scope;
-  if (dp.num_threads == 0)
-    dp.num_threads = internal::intra_tree_threads(config, forest);
+  if (dp.num_threads == 0) dp.num_threads = per_beta_threads(config, forest);
 
   // Per-tree multi-beta solves (optionally parallel over trees, isolated
   // per tree), merged in deterministic tree order per beta.

@@ -37,11 +37,11 @@ struct RidConfig {
   std::vector<bool> candidates;
   /// Worker threads for the whole pipeline (1 = serial). Inherited by every
   /// stage left at its own "inherit" default: per-component extraction
-  /// (ExtractionConfig::num_threads), tree-level solves, and — with the
-  /// leftover share once min(threads, trees) workers cover the trees — the
-  /// intra-tree parallel DP (TreeDpOptions::num_threads), so a single giant
-  /// component still uses the full pool. Results are bit-identical
-  /// regardless of thread count (see DESIGN.md §10).
+  /// (ExtractionConfig::num_threads), tree-level solves, and — in
+  /// run_rid_betas, with the leftover share once min(threads, trees)
+  /// workers cover the trees — each tree's per-beta extraction pool
+  /// (TreeDpOptions::num_threads). Each tree's DP itself is serial. Results
+  /// are bit-identical regardless of thread count (see DESIGN.md §10).
   std::size_t num_threads = 1;
   /// Work budget for the superlinear per-tree solves, armed when
   /// run_rid_on_forest starts. Trees that exceed it degrade to the RID-Tree

@@ -29,12 +29,6 @@ namespace rid::core::internal {
 void fall_back_to_root(const CascadeTree& cascade, TreeSolution& solution,
                        TreeDiagnostics& tree);
 
-/// Resolves TreeDpOptions::num_threads == 0 (inherit) to this run's
-/// per-tree share of the pool (see rid.cpp for the policy). Depends only on
-/// the config and the forest shape, never on scheduling.
-std::size_t intra_tree_threads(const RidConfig& config,
-                               const CascadeForest& forest);
-
 /// Merges per-tree solutions (one per tree, in tree order) into the
 /// DetectionResult: global initiator ids sorted ascending, totals summed in
 /// tree order — the accumulation order is part of the bit-identity contract.

@@ -139,11 +139,10 @@ void validate_transport(const RidConfig& config, const ShardedConfig& sharded) {
 }
 
 /// The fully resolved solve configuration both launchers hand their
-/// workers (thread counts substituted: a worker must not re-derive anything
-/// from its own environment). Cancellation stays parent-side — the
-/// supervisor kills.
-WorkerAssignment resolve_assignment(const CascadeForest& forest,
-                                    const RidConfig& config,
+/// workers (the extraction thread count substituted: a worker must not
+/// re-derive anything from its own environment). Cancellation stays
+/// parent-side — the supervisor kills.
+WorkerAssignment resolve_assignment(const RidConfig& config,
                                     const ShardedConfig& sharded,
                                     std::uint64_t fingerprint) {
   WorkerAssignment assignment;
@@ -156,11 +155,6 @@ WorkerAssignment resolve_assignment(const CascadeForest& forest,
   assignment.beta = config.beta;
   assignment.dp = config.dp;
   assignment.dp.budget = nullptr;
-  // Resolved against the full forest, like run_rid_on_forest — the DP is
-  // bit-identical across thread counts, so a shard may use the whole
-  // pool's share.
-  if (assignment.dp.num_threads == 0)
-    assignment.dp.num_threads = internal::intra_tree_threads(config, forest);
   assignment.extraction = config.extraction;
   assignment.extraction.budget = nullptr;
   if (assignment.extraction.num_threads == 0)
@@ -459,7 +453,7 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   diagnostics.shard_count = std::min(sharded.num_shards, pending.size());
 
   WorkerAssignment assignment =
-      resolve_assignment(forest, config, sharded, run.fingerprint());
+      resolve_assignment(config, sharded, run.fingerprint());
   util::SupervisorReport report;
   if (socket_transport) {
     DispatcherOptions dispatcher_options;

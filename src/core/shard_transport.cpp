@@ -47,12 +47,14 @@ namespace wire = util::wire;
 /// Bumped on any change to the assignment body layout. v2 added the
 /// trace id + collect_trace flag (and the hello frame gained the worker
 /// pid); v3 added the graph data fingerprint + negotiated delivery mode
-/// (and moved version gating into the hello handshake proper).
-constexpr std::uint32_t kAssignmentVersion = 3;
+/// (and moved version gating into the hello handshake proper); v4 dropped
+/// the DP's growth-mode, thread-count and task-grain fields and the
+/// extraction's solver switch (a worker's single-beta DP is serial).
+constexpr std::uint32_t kAssignmentVersion = 4;
 
 /// The conversation version advertised in the hello. Bumped together with
 /// kAssignmentVersion — any change to any frame layout is a new protocol.
-constexpr std::uint32_t kProtocolVersion = 3;
+constexpr std::uint32_t kProtocolVersion = 4;
 
 constexpr double kDispatcherPollSeconds = 0.25;
 
@@ -279,17 +281,15 @@ std::string encode_assignment(const WorkerAssignment& assignment) {
   wire::put_u64(out, assignment.graph_fingerprint);
   wire::put_u8(out, assignment.delivery);
   wire::put_f64(out, assignment.beta);
-  // TreeDpOptions (resolved; the budget pointer travels as the WorkBudget
-  // fields below and is re-armed worker-side).
+  // TreeDpOptions (num_threads stays home: a worker's single-beta solves
+  // never read it; the budget pointer travels as the WorkBudget fields
+  // below and is re-armed worker-side).
   wire::put_u32(out, assignment.dp.initial_k_cap);
   wire::put_u32(out, assignment.dp.max_reach);
   wire::put_u32(out, assignment.dp.hard_k_cap);
   wire::put_u8(out, assignment.dp.greedy_stop ? 1 : 0);
   wire::put_u8(out, assignment.dp.rank_initiators ? 1 : 0);
   wire::put_u8(out, assignment.dp.force_root ? 1 : 0);
-  wire::put_u8(out, assignment.dp.incremental_growth ? 1 : 0);
-  wire::put_u64(out, assignment.dp.num_threads);
-  wire::put_u32(out, assignment.dp.parallel_grain);
   wire::put_u64(out, assignment.dp.max_resident_table_entries);
   // ExtractionConfig.
   wire::put_u8(out, static_cast<std::uint8_t>(assignment.extraction.arc_score));
@@ -297,7 +297,6 @@ std::string encode_assignment(const WorkerAssignment& assignment) {
   wire::put_f64(out, assignment.extraction.likelihood.inconsistent_value);
   wire::put_u8(out, assignment.extraction.side_evidence ? 1 : 0);
   wire::put_f64(out, assignment.extraction.score_floor);
-  wire::put_u8(out, assignment.extraction.use_fast_solver ? 1 : 0);
   wire::put_u64(out, assignment.extraction.num_threads);
   // WorkBudget (cancellation stays parent-side: the supervisor kills).
   wire::put_f64(out, assignment.budget.deadline_seconds);
@@ -331,9 +330,6 @@ WorkerAssignment decode_assignment(std::string_view body) {
   a.dp.greedy_stop = in.u8() != 0;
   a.dp.rank_initiators = in.u8() != 0;
   a.dp.force_root = in.u8() != 0;
-  a.dp.incremental_growth = in.u8() != 0;
-  a.dp.num_threads = static_cast<std::size_t>(in.u64());
-  a.dp.parallel_grain = in.u32();
   a.dp.max_resident_table_entries = static_cast<std::size_t>(in.u64());
   const std::uint8_t arc_score = in.u8();
   if (arc_score > static_cast<std::uint8_t>(ArcScore::kGFactor))
@@ -344,7 +340,6 @@ WorkerAssignment decode_assignment(std::string_view body) {
   a.extraction.likelihood.inconsistent_value = in.f64();
   a.extraction.side_evidence = in.u8() != 0;
   a.extraction.score_floor = in.f64();
-  a.extraction.use_fast_solver = in.u8() != 0;
   a.extraction.num_threads = static_cast<std::size_t>(in.u64());
   a.budget.deadline_seconds = in.f64();
   a.budget.max_tree_nodes = in.u32();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/binary_transform.hpp"
 #include "algo/forest.hpp"
@@ -25,8 +26,6 @@ struct DpMetrics {
       util::metrics::global().counter("dp.nodes_processed");
   util::metrics::Counter& cols_fresh =
       util::metrics::global().counter("dp.cols_fresh");
-  util::metrics::Counter& cols_recomputed =
-      util::metrics::global().counter("dp.cols_recomputed");
   util::metrics::Counter& arena_spills =
       util::metrics::global().counter("dp.arena_spills");
   util::metrics::Histogram& final_k =
@@ -50,9 +49,9 @@ constexpr std::size_t kDefaultResidentEntries = 120'000'000;
 /// hitting it means a pathological k cap rather than a big input.
 constexpr std::size_t kAbsoluteMaxEntries = 2'000'000'000;
 
-/// Entry gate shared by solve_tree / solve_tree_betas: rejects a solve whose
-/// armed budget is already blown or whose tree exceeds the deterministic
-/// node cap, before any DP memory is allocated.
+/// Entry gate of solve_tree_betas: rejects a solve whose armed budget is
+/// already blown or whose tree exceeds the deterministic node cap, before any
+/// DP memory is allocated.
 void check_tree_budget(const util::BudgetScope* budget,
                        std::size_t tree_size) {
   if (!budget) return;
@@ -77,7 +76,6 @@ std::uint32_t effective_k_cap(const util::BudgetScope* budget,
 
 BinarizedTreeDp::BinarizedTreeDp(const CascadeTree& tree,
                                  std::uint32_t max_reach,
-                                 std::uint32_t parallel_grain,
                                  std::size_t max_resident_entries) {
   if (max_reach == 0)
     throw std::invalid_argument("BinarizedTreeDp: max_reach must be >= 1");
@@ -108,10 +106,7 @@ BinarizedTreeDp::BinarizedTreeDp(const CascadeTree& tree,
     if (tree_.right[v] >= 0) parent_[tree_.right[v]] = v;
   }
 
-  // Preorder via stack; reversed it gives children-before-parents, and —
-  // since the reverse of a preorder is a postorder — every subtree is a
-  // contiguous postorder segment ending at its root. The parallel
-  // decomposition below leans on that.
+  // Preorder via stack; reversed it gives children-before-parents.
   std::vector<std::int32_t> preorder;
   preorder.reserve(n);
   std::vector<std::int32_t> stack{tree_.root};
@@ -146,41 +141,14 @@ BinarizedTreeDp::BinarizedTreeDp(const CascadeTree& tree,
       pathprod_[v][j] = tree_.in_value[v] * pathprod_[parent_[v]][j - 1];
   }
 
-  // Binarized subtree sizes + postorder positions drive both the real-count
-  // feasibility clamp and the parallel decomposition.
-  std::vector<std::uint32_t> bsize(n, 0);
-  std::vector<std::uint32_t> pos(n, 0);
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(n); ++i) {
-    const std::int32_t v = postorder_[i];
-    pos[v] = i;
-    bsize[v] = 1;
-    layout_[v].real_count = tree_.is_dummy(v) ? 0 : 1;
-    if (tree_.left[v] >= 0) {
-      bsize[v] += bsize[tree_.left[v]];
-      layout_[v].real_count += layout_[tree_.left[v]].real_count;
-    }
-    if (tree_.right[v] >= 0) {
-      bsize[v] += bsize[tree_.right[v]];
-      layout_[v].real_count += layout_[tree_.right[v]].real_count;
-    }
-  }
-
-  // Heavy-subtree cut: nodes whose binarized subtree exceeds the grain form
-  // the serial spine (a connected crown including the root); every maximal
-  // subtree at or under the grain becomes one independent task segment. The
-  // grain depends only on the tree — never on the thread count — so the
-  // decomposition (and everything derived from it: metrics, trace tags,
-  // results) is schedule-independent.
-  const std::uint32_t grain =
-      parallel_grain != 0
-          ? parallel_grain
-          : std::max<std::uint32_t>(512, static_cast<std::uint32_t>(n) / 64);
+  // Real (non-dummy) subtree sizes drive the feasibility clamp and the row
+  // widths.
   for (const std::int32_t v : postorder_) {
-    if (bsize[v] > grain) {
-      spine_postorder_.push_back(v);
-    } else if (parent_[v] < 0 || bsize[parent_[v]] > grain) {
-      tasks_.push_back({pos[v] + 1 - bsize[v], pos[v] + 1});
-    }
+    layout_[v].real_count = tree_.is_dummy(v) ? 0 : 1;
+    if (tree_.left[v] >= 0)
+      layout_[v].real_count += layout_[tree_.left[v]].real_count;
+    if (tree_.right[v] >= 0)
+      layout_[v].real_count += layout_[tree_.right[v]].real_count;
   }
 }
 
@@ -381,25 +349,8 @@ void BinarizedTreeDp::process_node(std::int32_t v, std::uint32_t k_lo,
   }
 }
 
-void BinarizedTreeDp::process_segment(std::uint32_t begin, std::uint32_t end,
-                                      std::uint32_t k_lo, std::uint32_t k_hi,
-                                      const util::BudgetScope* budget) {
-  RID_FAILPOINT("tree_dp.segment");
-  // Each postorder node costs O(rows * k^2), so poll the budget every few
-  // nodes rather than the default (coarser) checker interval.
-  util::BudgetChecker checker(budget, /*interval=*/64);
-  DpScratch scratch;
-  scratch.lbest.resize(cols_);
-  scratch.rbest.resize(cols_);
-  for (std::uint32_t i = begin; i < end; ++i) {
-    checker.tick();
-    process_node(postorder_[i], k_lo, k_hi, scratch);
-  }
-}
-
 const std::vector<double>& BinarizedTreeDp::compute(
-    std::uint32_t k_max, bool force_root, const util::BudgetScope* budget,
-    std::size_t num_threads, bool incremental) {
+    std::uint32_t k_max, bool force_root, const util::BudgetScope* budget) {
   RID_FAILPOINT("tree_dp.compute");
   util::trace::TraceSpan span("dp_compute");
   DpMetrics& dm = dp_metrics();
@@ -409,53 +360,32 @@ const std::vector<double>& BinarizedTreeDp::compute(
   std::uint32_t target_k = std::min(k_max, num_real_);
   if (target_k == 0) target_k = 1;
 
-  const std::uint32_t prev_k = computed_k_;
-  const bool extend = incremental && prev_k > 0;
-  // Columns <= prev_k are kept when extending, not recomputed. A from-scratch
-  // compute keeps a wide-enough layout too: every cell is a pure function of
-  // the (fixed) tree, so stale values are bitwise what the recompute writes.
-  const std::uint32_t k_lo = extend ? prev_k + 1 : 0;
-  if (!extend) computed_k_ = 0;
+  // Columns <= computed_k_ are kept, not recomputed: only the new ones run
+  // (the first compute also fills column 0).
+  const std::uint32_t k_lo = computed_k_ == 0 ? 0 : computed_k_ + 1;
   if (target_k >= cols_) grow_layout(target_k + 1);
-  const std::uint32_t fresh = target_k > prev_k ? target_k - prev_k : 0;
-  const std::uint32_t recomputed =
-      extend ? 0 : std::min(prev_k, target_k);
+  const std::uint32_t fresh =
+      target_k > computed_k_ ? target_k - computed_k_ : 0;
   dm.cols_fresh.add(fresh);
-  dm.cols_recomputed.add(recomputed);
   span.tag("k_cap", static_cast<std::int64_t>(target_k));
   span.tag("nodes", static_cast<std::int64_t>(num_real_));
   span.tag("cols_fresh", static_cast<std::int64_t>(fresh));
-  span.tag("cols_recomputed", static_cast<std::int64_t>(recomputed));
 
-  if (k_lo <= target_k) {
+  if (fresh > 0) {
     dm.nodes_processed.add(postorder_.size());
-    const std::size_t threads = num_threads == 0 ? 1 : num_threads;
-    if (threads > 1 && tasks_.size() > 1) {
-      // Independent subtree segments write disjoint arena blocks and read
-      // only within themselves; the residual spine then folds the finished
-      // subtrees serially. Each node's value is a pure function of its
-      // children's, so any schedule produces bit-identical tables. A budget
-      // throw in any task is rethrown here after the pool drains.
-      util::parallel_for_each(
-          tasks_.size(), threads, [&](std::size_t t) {
-            process_segment(tasks_[t].begin, tasks_[t].end, k_lo, target_k,
-                            budget);
-          });
-      util::BudgetChecker checker(budget, /*interval=*/64);
-      DpScratch scratch;
-      scratch.lbest.resize(cols_);
-      scratch.rbest.resize(cols_);
-      for (const std::int32_t v : spine_postorder_) {
-        checker.tick();
-        process_node(v, k_lo, target_k, scratch);
-      }
-    } else {
-      process_segment(0, static_cast<std::uint32_t>(postorder_.size()), k_lo,
-                      target_k, budget);
+    // Each postorder node costs O(rows * k^2), so poll the budget every few
+    // nodes rather than the default (coarser) checker interval.
+    util::BudgetChecker checker(budget, /*interval=*/64);
+    DpScratch scratch;
+    scratch.lbest.resize(cols_);
+    scratch.rbest.resize(cols_);
+    for (const std::int32_t v : postorder_) {
+      checker.tick();
+      process_node(v, k_lo, target_k, scratch);
     }
     // Only on success: a throw above leaves the previously computed columns
-    // (fresh path: none) still correctly advertised.
-    computed_k_ = std::max(computed_k_, target_k);
+    // still correctly advertised.
+    computed_k_ = target_k;
   }
 
   opt_.assign(cols_, kNegInf);
@@ -557,67 +487,6 @@ double evaluate_initiators(const CascadeTree& tree,
   return total;
 }
 
-TreeSolution solve_tree(const CascadeTree& tree, double beta,
-                        const TreeDpOptions& options) {
-  if (tree.size() == 0)
-    throw std::invalid_argument("solve_tree: empty tree");
-  check_tree_budget(options.budget, tree.size());
-  const std::uint32_t hard_k_cap =
-      effective_k_cap(options.budget, options.hard_k_cap);
-  BinarizedTreeDp dp(tree, options.max_reach, options.parallel_grain,
-                     options.max_resident_table_entries);
-  // 0 = inherit: run_rid fills in this tree's thread share; direct callers
-  // default to serial.
-  const std::size_t dp_threads =
-      options.num_threads == 0 ? 1 : options.num_threads;
-  const std::uint32_t n_real = dp.num_real();
-  std::uint32_t cap = std::max<std::uint32_t>(
-      1, std::min({options.initial_k_cap, hard_k_cap, n_real}));
-
-  const auto objective = [&](const std::vector<double>& opt,
-                             std::uint32_t k) {
-    return -opt[k] + static_cast<double>(k - 1) * beta;
-  };
-
-  while (true) {
-    const std::vector<double>& opt =
-        dp.compute(cap, options.force_root, options.budget, dp_threads,
-                   options.incremental_growth);
-    std::uint32_t best_k = 1;
-    if (options.greedy_stop) {
-      while (best_k + 1 <= cap &&
-             objective(opt, best_k + 1) < objective(opt, best_k)) {
-        ++best_k;
-      }
-    } else {
-      for (std::uint32_t k = 2; k <= cap; ++k) {
-        if (objective(opt, k) < objective(opt, best_k)) best_k = k;
-      }
-    }
-    const bool hit_cap = best_k == cap;
-    if (hit_cap && cap < std::min<std::uint32_t>(n_real, hard_k_cap)) {
-      cap = std::min({cap * 2, n_real, hard_k_cap});
-      dp_metrics().k_growths.add(1);
-      continue;
-    }
-    dp_metrics().final_k.observe(best_k);
-    if (opt[best_k] == kNegInf) {
-      // No eligible initiator in this tree (fully masked): empty solution.
-      return TreeSolution{};
-    }
-    TreeSolution solution;
-    solution.k = best_k;
-    solution.opt = opt[best_k];
-    solution.objective = objective(opt, best_k);
-    solution.initiators = dp.extract(best_k);
-    solution.states.reserve(solution.initiators.size());
-    for (const graph::NodeId v : solution.initiators)
-      solution.states.push_back(tree.state[v]);
-    if (options.rank_initiators) rank_initiators(dp, solution);
-    return solution;
-  }
-}
-
 void rank_initiators(const BinarizedTreeDp& dp, TreeSolution& solution) {
   solution.entry_k.assign(solution.initiators.size(), solution.k);
   if (solution.k <= 1 || solution.initiators.empty()) return;
@@ -655,7 +524,7 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
   check_tree_budget(options.budget, tree.size());
   const std::uint32_t hard_k_cap =
       effective_k_cap(options.budget, options.hard_k_cap);
-  BinarizedTreeDp dp(tree, options.max_reach, options.parallel_grain,
+  BinarizedTreeDp dp(tree, options.max_reach,
                      options.max_resident_table_entries);
   const std::size_t dp_threads =
       options.num_threads == 0 ? 1 : options.num_threads;
@@ -686,8 +555,7 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
   // Grow the shared cap until no beta's optimum is clipped by it.
   while (true) {
     const std::vector<double>& opt =
-        dp.compute(cap, options.force_root, options.budget, dp_threads,
-                   options.incremental_growth);
+        dp.compute(cap, options.force_root, options.budget);
     bool clipped = false;
     for (const double beta : betas) {
       if (pick_k(opt, beta) == cap &&
@@ -727,6 +595,11 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
     cap = std::min({cap * 2, n_real, hard_k_cap});
     dp_metrics().k_growths.add(1);
   }
+}
+
+TreeSolution solve_tree(const CascadeTree& tree, double beta,
+                        const TreeDpOptions& options) {
+  return std::move(solve_tree_betas(tree, {&beta, 1}, options).front());
 }
 
 }  // namespace rid::core

@@ -27,17 +27,16 @@
 // carry pass-through edges with g = 1 — the equivalence with the direct
 // general-tree DP (general_tree_dp.hpp) is property-tested.
 //
-// Storage & scheduling (see DESIGN.md §10). Value and choice tables live in
-// two flat arenas indexed through NodeLayout::offset, where each node's rows
-// are min(cap, real_count) + 1 columns wide: an exact-k value past the
-// subtree's real node count is -inf and never read. When the adaptive k cap
-// grows the arenas are laid out again and every computed column is moved,
-// never recomputed; only nodes whose subtree exceeds the old cap widen. The
-// postorder is split into independent subtree segments (heavy-subtree cut
-// at `parallel_grain` binarized nodes) solved as thread-pool tasks plus a
-// serial residual spine; every node's arithmetic depends only on its
-// children's finished tables, so results are bit-identical for any thread
-// count and for incremental vs from-scratch computes.
+// Storage (see DESIGN.md §10). Value and choice tables live in two flat
+// arenas indexed through NodeLayout::offset, where each node's rows are
+// min(cap, real_count) + 1 columns wide: an exact-k value past the subtree's
+// real node count is -inf and never read. When the adaptive k cap grows the
+// arenas are laid out again and every computed column is moved, never
+// recomputed; only nodes whose subtree exceeds the old cap widen. One serial
+// postorder pass computes the new columns; every node's arithmetic depends
+// only on its children's finished tables, so growing the cap step by step is
+// bit-identical to one compute at the final cap. Parallelism lives one level
+// up: run_rid solves independent trees concurrently.
 #pragma once
 
 #include <cstdint>
@@ -76,26 +75,17 @@ struct TreeDpOptions {
   /// initiator explains the tree better.
   bool force_root = true;
   /// Optional armed work budget (non-owning; must outlive the solve). The
-  /// solve checks it on entry and from the DP's per-node loop (including the
-  /// parallel subtree tasks), throwing util::BudgetExceededError on
-  /// deadline/cancellation and when the tree exceeds
-  /// budget->budget().max_tree_nodes; max_k additionally caps the adaptive
-  /// k growth (a quality cap, not an error). Null = unbudgeted.
+  /// solve checks it on entry and from the DP's per-node loop, throwing
+  /// util::BudgetExceededError on deadline/cancellation and when the tree
+  /// exceeds budget->budget().max_tree_nodes; max_k additionally caps the
+  /// adaptive k growth (a quality cap, not an error). Null = unbudgeted.
   const util::BudgetScope* budget = nullptr;
-  /// Worker threads for the intra-tree DP: independent subtree segments run
-  /// as thread-pool tasks (see DESIGN.md §10). 0 = inherit — run_rid
-  /// substitutes this tree's share of RidConfig::num_threads; direct
-  /// solve_tree callers get serial. Results are bit-identical for any value.
+  /// Worker threads for solve_tree_betas' per-beta extraction (each beta's
+  /// initiator walk is a pool task). The DP itself is one serial pass, and a
+  /// single-beta solve never reads this. 0 = inherit — run_rid_betas
+  /// substitutes this tree's share of RidConfig::num_threads; direct callers
+  /// get serial. Results are bit-identical for any value.
   std::size_t num_threads = 0;
-  /// Compute only the new k-columns when the adaptive cap grows. When false,
-  /// every cap recomputes all columns from k = 0 in the same tables (same
-  /// layout, same memory); results are bit-identical either way.
-  bool incremental_growth = true;
-  /// Minimum binarized-subtree size (nodes) for one parallel DP task; the
-  /// residual spine above the cut runs serially. 0 = auto
-  /// (max(512, nodes/64)). Depends only on the tree — never on num_threads —
-  /// so traces and dp.* metrics are schedule-independent.
-  std::uint32_t parallel_grain = 0;
   /// Entry threshold (per arena) above which the value/choice tables move
   /// from the heap into mappings of unlinked temp files
   /// (util::SpillableBuffer), letting deep ~100k-node trees exceed what RAM
@@ -126,7 +116,6 @@ class BinarizedTreeDp {
  public:
   explicit BinarizedTreeDp(const CascadeTree& tree,
                            std::uint32_t max_reach = 48,
-                           std::uint32_t parallel_grain = 0,
                            std::size_t max_resident_entries = 0);
 
   /// Number of real (non-dummy) nodes == tree.size().
@@ -135,19 +124,16 @@ class BinarizedTreeDp {
   /// Computes the table for budgets up to k_max (clamped to num_real()).
   /// Returns opt indexed by k (size >= k_max+1, [0] = -inf). With
   /// `force_root` the root is required to be an initiator. A non-null
-  /// `budget` is polled per DP node; overruns throw
-  /// util::BudgetExceededError mid-computation. With num_threads > 1 the
-  /// subtree tasks run on a thread pool; with `incremental` a second call
-  /// with a larger k_max extends the existing tables (columns <= the old cap
-  /// are moved into the wider layout, not recomputed). Tables larger than
-  /// the resident-entry threshold live in spilled (temp-file backed) arenas.
-  /// Results are bit-identical across thread counts and across
-  /// incremental/from-scratch computes.
+  /// `budget` is polled every 64 DP nodes; overruns throw
+  /// util::BudgetExceededError mid-computation and advertise no new column.
+  /// A second call with a larger k_max extends the existing tables (columns
+  /// <= the old cap are moved into the wider layout, not recomputed), with
+  /// results bit-identical to one call at the larger k_max. Tables larger
+  /// than the resident-entry threshold live in spilled (temp-file backed)
+  /// arenas.
   const std::vector<double>& compute(std::uint32_t k_max,
                                      bool force_root = true,
-                                     const util::BudgetScope* budget = nullptr,
-                                     std::size_t num_threads = 1,
-                                     bool incremental = true);
+                                     const util::BudgetScope* budget = nullptr);
 
   /// Tree-local initiator indices of the optimal exact-k solution.
   /// Requires compute(k_max >= k) first and opt[k] > -inf.
@@ -174,12 +160,6 @@ class BinarizedTreeDp {
   /// rows * (min(cap, real_count) + 1) for the widest cap laid out so far.
   std::size_t table_entries() const noexcept { return entries_; }
 
-  /// Parallel decomposition shape: independent subtree segments and the
-  /// serial residual spine (nodes). Fixed at construction; independent of
-  /// num_threads.
-  std::size_t num_parallel_tasks() const noexcept { return tasks_.size(); }
-  std::size_t spine_size() const noexcept { return spine_postorder_.size(); }
-
  private:
   struct NodeLayout {
     std::uint32_t rows = 0;       // 1 (initiator) + R + 1 (Z row)
@@ -195,13 +175,6 @@ class BinarizedTreeDp {
     std::uint16_t left_budget;
     std::uint8_t flags;  // bit0: left child initiator; bit1: right child
   };
-  /// One parallel DP task: a maximal subtree below the spine cut, as a
-  /// half-open postorder segment (children before parents, root last).
-  struct TaskSegment {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-
   double value(std::int32_t node, std::uint32_t row, std::uint32_t k) const {
     const NodeLayout& nl = layout_[node];
     return values_[nl.offset + static_cast<std::size_t>(row) * nl.width + k];
@@ -219,10 +192,9 @@ class BinarizedTreeDp {
   /// but its readers do: row 0 of ineligible nodes and every (row 0, k = 0)
   /// cell, all -inf.
   void fill_columns(std::uint32_t col_lo);
-  /// Per-worker scratch for process_node's max-plus split: each child's
+  /// Scratch for process_node's max-plus split: each child's
   /// best-of-{covered, as-initiator} prefix, built once per (node, row) and
-  /// scanned by every k. Sized to cols_ by process_segment (or the spine
-  /// loop); one instance per concurrent worker.
+  /// scanned by every k. One instance per compute, sized to cols_.
   struct DpScratch {
     std::vector<double> lbest;
     std::vector<double> rbest;
@@ -232,12 +204,6 @@ class BinarizedTreeDp {
   /// Writes only into v's arena block; reads only the children's blocks.
   void process_node(std::int32_t v, std::uint32_t k_lo, std::uint32_t k_hi,
                     DpScratch& scratch);
-  /// Runs process_node over postorder_[begin, end) under its own budget
-  /// checker and scratch. Disjoint segments touch disjoint arena blocks, so
-  /// independent subtree segments are safe to run concurrently.
-  void process_segment(std::uint32_t begin, std::uint32_t end,
-                       std::uint32_t k_lo, std::uint32_t k_hi,
-                       const util::BudgetScope* budget);
 
   algo::BinarizedTree tree_;
   std::vector<double> side_q_;           // per binarized node (1 for dummies)
@@ -249,13 +215,6 @@ class BinarizedTreeDp {
   std::vector<NodeLayout> layout_;
   std::vector<std::int32_t> postorder_;
   std::uint32_t num_real_ = 0;
-
-  /// Heavy-subtree cut (see DESIGN.md §10): maximal subtrees of binarized
-  /// size <= the grain become independent tasks (contiguous postorder
-  /// segments); the nodes above the cut form the serial spine, stored in
-  /// postorder order.
-  std::vector<TaskSegment> tasks_;
-  std::vector<std::int32_t> spine_postorder_;
 
   std::size_t rows_total_ = 0;    // sum of NodeLayout::rows over all nodes
   std::size_t entries_ = 0;       // sum of rows * width: entries per arena
@@ -294,11 +253,12 @@ TreeSolution solve_tree(const CascadeTree& tree, double beta,
 
 /// Solves one tree for several beta values while computing the DP table
 /// only once (the opt curve is beta-independent; only the k selection and
-/// extraction differ). Equivalent to calling solve_tree per beta, but this
-/// is what makes dense Figure-5/6 sweeps cheap. Per-beta extraction (and
-/// rank_initiators, when enabled) runs as thread-pool tasks under
-/// options.num_threads — read-only walks of the shared tables, so results
-/// are bit-identical for any thread count. Results align with `betas`.
+/// extraction differ). Equivalent to calling solve_tree per beta (solve_tree
+/// is this with one beta), but this is what makes dense Figure-5/6 sweeps
+/// cheap. Per-beta extraction (and rank_initiators, when enabled) runs as
+/// thread-pool tasks under options.num_threads — read-only walks of the
+/// shared tables, so results are bit-identical for any thread count.
+/// Results align with `betas`.
 std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
                                            std::span<const double> betas,
                                            const TreeDpOptions& options);

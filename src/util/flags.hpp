@@ -6,9 +6,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace rid::util {
@@ -25,6 +28,21 @@ class Flags {
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A count or size: like get_int, but a value below 0 or above `max`
+  /// (default: the largest T) throws std::invalid_argument naming the flag,
+  /// instead of wrapping around in the conversion to T.
+  template <typename T>
+  T get_count(const std::string& name, T fallback,
+              T max = std::numeric_limits<T>::max()) const {
+    static_assert(std::is_unsigned_v<T>);
+    if (!has(name)) return fallback;
+    const std::int64_t value = get_int(name, 0);
+    if (value < 0 || static_cast<std::uint64_t>(value) > max)
+      throw std::invalid_argument("flag --" + name + " must be in [0, " +
+                                  std::to_string(max) +
+                                  "]: " + std::to_string(value));
+    return static_cast<T>(value);
+  }
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -325,45 +325,10 @@ TEST(FaultIsolation, OverBudgetTreeDegradesOthersStayBitIdentical) {
   }
 }
 
-TEST(FaultIsolation, OverBudgetTreeDegradesAloneUnderIntraTreeParallelDp) {
-  // Same contract as the test above, but with the intra-tree parallel DP
-  // engaged in every surviving tree (tiny grain + explicit DP threads): the
-  // size-capped tree still degrades alone and the result stays bit-identical
-  // across thread counts.
-  const ThreeChains tc = make_three_chains();
-  core::RidConfig config;
-  config.beta = 0.0;
-  config.budget.max_tree_nodes = 5;
-  config.dp.parallel_grain = 2;
-  config.dp.num_threads = 4;
-  core::DetectionResult first;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    config.num_threads = threads;
-    const core::DetectionResult result =
-        core::run_rid(tc.graph, tc.states, config);
-    EXPECT_EQ(result.initiators, (std::vector<NodeId>{0, 8, 9, 10, 11, 12}))
-        << "threads " << threads;
-    ASSERT_EQ(result.diagnostics.trees.size(), 3u);
-    EXPECT_EQ(result.diagnostics.trees[0].status, core::TreeStatus::kDegraded);
-    EXPECT_EQ(result.diagnostics.trees[1].status, core::TreeStatus::kOk);
-    EXPECT_EQ(result.diagnostics.trees[2].status, core::TreeStatus::kOk);
-    if (threads == 1) {
-      first = result;
-    } else {
-      EXPECT_EQ(result.initiators, first.initiators);
-      EXPECT_EQ(result.states, first.states);
-      EXPECT_EQ(result.total_objective, first.total_objective);
-      EXPECT_EQ(result.total_opt, first.total_opt);
-    }
-  }
-}
-
 TEST(FaultIsolation, CancelMidParallelDpLeavesSolverReusable) {
-  // A pre-cancelled budget must surface from inside the parallel subtree
-  // workers as BudgetExceededError, and the failed compute must not poison
-  // the solver: a follow-up unbudgeted compute is bit-identical to a fresh
-  // one.
+  // A pre-cancelled budget must surface from the DP's per-64-node poll as
+  // BudgetExceededError, and the failed compute must not poison the solver:
+  // a follow-up unbudgeted compute is bit-identical to a fresh one.
   util::Rng rng(67);
   const NodeId n = 3000;
   core::CascadeTree tree;
@@ -385,17 +350,13 @@ TEST(FaultIsolation, CancelMidParallelDpLeavesSolverReusable) {
   budget.cancel.request_cancel();
   const util::BudgetScope scope(budget);
 
-  // Grain 256 leaves segments long enough for the per-64-node poll to fire
-  // inside the parallel tasks.
-  core::BinarizedTreeDp dp(tree, 48, /*parallel_grain=*/256);
-  ASSERT_GT(dp.num_parallel_tasks(), 1u);
-  EXPECT_THROW(dp.compute(8, true, &scope, /*num_threads=*/4),
-               util::BudgetExceededError);
+  core::BinarizedTreeDp dp(tree);
+  EXPECT_THROW(dp.compute(8, true, &scope), util::BudgetExceededError);
   EXPECT_EQ(dp.computed_k(), 0u);  // nothing advertised as computed
 
-  core::BinarizedTreeDp clean(tree, 48, 256);
+  core::BinarizedTreeDp clean(tree);
   const std::vector<double> expected = clean.compute(8);
-  const std::vector<double>& retried = dp.compute(8, true, nullptr, 4);
+  const std::vector<double>& retried = dp.compute(8);
   for (std::uint32_t k = 1; k <= 8; ++k) EXPECT_EQ(retried[k], expected[k]);
   EXPECT_EQ(dp.extract(4), clean.extract(4));
 }

@@ -290,8 +290,8 @@ TEST(Rid, FullSimulationBeatsOrMatchesBaselinesOnF1) {
   EXPECT_GE(rid_scores.f1 + 1e-9, positive_scores.f1);
 }
 
-/// Simulated snapshot big enough that extraction, the tree-level fan-out,
-/// and the intra-tree parallel DP all engage.
+/// Simulated snapshot big enough that parallel extraction and the
+/// tree-level fan-out both engage.
 struct SimulatedSnapshot {
   SignedGraph graph;
   std::vector<NodeState> states;
@@ -318,7 +318,6 @@ TEST(Rid, DetectionResultThreadInvariant) {
   const SimulatedSnapshot sim = make_parallel_snapshot();
   RidConfig config;
   config.beta = 0.05;
-  config.dp.parallel_grain = 8;  // force subtree decomposition on every tree
   config.dp.rank_initiators = true;
   DetectionResult base;
   for (const std::size_t threads :
@@ -345,7 +344,6 @@ TEST(RidBetas, DetectionResultThreadInvariant) {
   const SimulatedSnapshot sim = make_parallel_snapshot();
   const std::vector<double> betas{0.0, 0.1, 0.5};
   RidConfig config;
-  config.dp.parallel_grain = 8;
   config.dp.rank_initiators = true;
   const CascadeForest forest =
       extract_cascade_forest(sim.graph, sim.states, config.extraction);

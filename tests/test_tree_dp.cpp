@@ -357,44 +357,6 @@ CascadeTree make_weak_star(NodeId n) {
   return make_tree(std::move(parent), std::move(in_g));
 }
 
-TEST(TreeDpParallel, BitIdenticalAcrossThreadCounts) {
-  util::Rng rng(17);
-  const CascadeTree tree = random_tree(rng, 1500, 0.15);
-  // Tiny grain so the heavy-subtree cut actually produces many tasks.
-  BinarizedTreeDp serial(tree, 48, /*parallel_grain=*/32);
-  ASSERT_GT(serial.num_parallel_tasks(), 4u);
-  const std::vector<double> base = serial.compute(12);
-  const std::vector<NodeId> base_set = serial.extract(8);
-  for (const std::size_t threads :
-       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    BinarizedTreeDp dp(tree, 48, 32);
-    const std::vector<double>& opt =
-        dp.compute(12, /*force_root=*/true, /*budget=*/nullptr, threads);
-    for (std::uint32_t k = 1; k <= 12; ++k) EXPECT_EQ(opt[k], base[k]);
-    EXPECT_EQ(dp.extract(8), base_set);
-  }
-}
-
-TEST(TreeDpParallel, SolveTreeThreadInvariant) {
-  util::Rng rng(23);
-  const CascadeTree tree = random_tree(rng, 2000, 0.3);
-  TreeDpOptions options;
-  options.parallel_grain = 16;
-  options.rank_initiators = true;
-  const TreeSolution base = solve_tree(tree, 0.05, options);
-  for (const std::size_t threads :
-       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    options.num_threads = threads;
-    const TreeSolution sol = solve_tree(tree, 0.05, options);
-    EXPECT_EQ(sol.k, base.k);
-    EXPECT_EQ(sol.opt, base.opt);
-    EXPECT_EQ(sol.objective, base.objective);
-    EXPECT_EQ(sol.initiators, base.initiators);
-    EXPECT_EQ(sol.states, base.states);
-    EXPECT_EQ(sol.entry_k, base.entry_k);
-  }
-}
-
 TEST(TreeDpIncremental, GrowthEqualsFromScratch) {
   util::Rng rng(41);
   const CascadeTree tree = random_tree(rng, 300, 0.2);
@@ -404,9 +366,7 @@ TEST(TreeDpIncremental, GrowthEqualsFromScratch) {
   grown.compute(37);
   EXPECT_EQ(grown.computed_k(), 37u);
   BinarizedTreeDp scratch(tree);
-  const std::vector<double>& fresh = scratch.compute(
-      37, /*force_root=*/true, /*budget=*/nullptr, /*num_threads=*/1,
-      /*incremental=*/false);
+  const std::vector<double>& fresh = scratch.compute(37);
   const std::vector<double>& extended = grown.compute(37);
   for (std::uint32_t k = 1; k <= 37; ++k) EXPECT_EQ(extended[k], fresh[k]);
   for (const std::uint32_t k : {1u, 5u, 6u, 11u, 12u, 37u})
@@ -414,41 +374,32 @@ TEST(TreeDpIncremental, GrowthEqualsFromScratch) {
 }
 
 TEST(TreeDpIncremental, SolveTreeMatchesNonIncremental) {
+  // solve_tree grows the cap 8 -> 16 -> 32 -> 40; one compute at the final
+  // cap on a fresh solver must give the same optimum and initiator set.
   const CascadeTree tree = make_weak_star(40);
-  TreeDpOptions incremental;  // default: incremental_growth = true
-  const TreeSolution a = solve_tree(tree, 0.05, incremental);
-  TreeDpOptions scratch;
-  scratch.incremental_growth = false;
-  const TreeSolution b = solve_tree(tree, 0.05, scratch);
+  const TreeSolution a = solve_tree(tree, 0.05, TreeDpOptions{});
   EXPECT_EQ(a.k, 40u);  // forced through 3 cap doublings
-  EXPECT_EQ(a.k, b.k);
-  EXPECT_EQ(a.opt, b.opt);
-  EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.initiators, b.initiators);
-  EXPECT_EQ(a.states, b.states);
+  BinarizedTreeDp scratch(tree);
+  const std::vector<double>& opt = scratch.compute(40);
+  EXPECT_EQ(a.opt, opt[a.k]);
+  EXPECT_EQ(a.objective, -opt[a.k] + static_cast<double>(a.k - 1) * 0.05);
+  EXPECT_EQ(a.initiators, scratch.extract(a.k));
+  ASSERT_EQ(a.states.size(), a.initiators.size());
+  for (std::size_t i = 0; i < a.initiators.size(); ++i)
+    EXPECT_EQ(a.states[i], tree.state[a.initiators[i]]);
 }
 
 TEST(TreeDpIncremental, CapDoublingsRecomputeZeroColumns) {
   const CascadeTree tree = make_weak_star(40);
   auto& growths = util::metrics::global().counter("dp.k_growths");
   auto& fresh = util::metrics::global().counter("dp.cols_fresh");
-  auto& recomputed = util::metrics::global().counter("dp.cols_recomputed");
 
   const std::uint64_t g0 = growths.value();
   const std::uint64_t f0 = fresh.value();
-  const std::uint64_t r0 = recomputed.value();
   solve_tree(tree, 0.05, TreeDpOptions{});
   EXPECT_EQ(growths.value() - g0, 3u);  // 8 -> 16 -> 32 -> 40
   // Every one of the 40 columns is computed exactly once.
   EXPECT_EQ(fresh.value() - f0, 40u);
-  EXPECT_EQ(recomputed.value() - r0, 0u);
-
-  // Opting out of incremental growth pays for the prefix on every doubling.
-  const std::uint64_t r1 = recomputed.value();
-  TreeDpOptions scratch;
-  scratch.incremental_growth = false;
-  solve_tree(tree, 0.05, scratch);
-  EXPECT_EQ(recomputed.value() - r1, 8u + 16u + 32u);
 }
 
 TEST(TreeDpIncremental, RowsAreSizedToTheSubtree) {

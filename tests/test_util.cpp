@@ -110,10 +110,27 @@ TEST(Flags, PositionalArguments) {
 }
 
 TEST(Flags, ConversionErrorsThrow) {
-  const char* argv[] = {"prog", "--n=abc", "--b=maybe"};
-  const auto flags = util::Flags::parse(3, argv);
+  const char* argv[] = {"prog",          "--n=abc",  "--b=maybe",
+                        "--neg=-1",      "--big=4294967296",
+                        "--zero=0",      "--seven=7"};
+  const auto flags = util::Flags::parse(7, argv);
   EXPECT_THROW(flags.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(flags.get_bool("b", false), std::invalid_argument);
+  // Counts refuse what a cast to the target type would wrap around.
+  EXPECT_THROW(flags.get_count<std::uint32_t>("n", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_count<std::uint32_t>("big", 0), std::invalid_argument);
+  try {
+    flags.get_count<std::uint32_t>("neg", 0);
+    ADD_FAILURE() << "--neg=-1 accepted as a count";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--neg"), std::string::npos);
+  }
+  EXPECT_EQ(flags.get_count<std::uint64_t>("big", 0), 4294967296u);
+  EXPECT_EQ(flags.get_count<std::uint32_t>("zero", 5), 0u);
+  EXPECT_EQ(flags.get_count<std::uint32_t>("seven", 0), 7u);
+  EXPECT_EQ(flags.get_count<std::uint32_t>("absent", 9), 9u);
+  EXPECT_THROW(flags.get_count<std::uint32_t>("seven", 0, 6),
+               std::invalid_argument);
 }
 
 TEST(Flags, BooleanSpellings) {
