@@ -44,8 +44,10 @@
 // by magic and mmaps them zero-copy (method=rid only; baselines and --early
 // need the in-RAM graph); `--snapshot` then overrides any embedded state
 // column. `--arc-gather=auto|copy|streamed` (detect/pipeline, method=rid)
-// picks how per-component candidate arcs are materialized — `auto` streams
-// edge windows on .ridg inputs; results are bit-identical either way.
+// picks how per-component candidate arcs are materialized — `auto` copies
+// unless the input is a .ridg larger than the streamed path's 128 MiB
+// resident cap, where it streams edge windows; results are bit-identical
+// either way.
 //
 // `checkpoints` inspects a --run-dir of sharded-run checkpoint files (path,
 // version, forest fingerprint, valid record prefix, damage); `--verify`

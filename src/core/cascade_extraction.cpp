@@ -48,11 +48,11 @@ double raw_arc_score(const Graph& diffusion, graph::EdgeId e,
 /// land randomly across the edge columns and never fall behind a sweep
 /// cursor — and the kernel's fault-around maps up to 16 surrounding
 /// page-cache pages (~64 KiB) per probe, so unchecked lookups accumulate
-/// to O(file) resident set. Component tasks share one reclaimer and tick
-/// it once per column probe; every kDropVisits probes the per-edge pages
-/// are dropped, capping the phase's resident set near 128 MiB regardless
-/// of file size. madvise is data-neutral, so results stay bit-identical
-/// for any thread count or drop schedule.
+/// to O(file) resident set. Under the streamed plan, component tasks share
+/// one reclaimer and tick it once per column probe; every kDropVisits
+/// probes the per-edge pages are dropped, capping the phase's resident set
+/// near kResidentCapBytes regardless of file size. madvise is data-neutral,
+/// so results stay bit-identical for any thread count or drop schedule.
 class PageReclaimer {
  public:
   explicit PageReclaimer(const graph::ColumnarGraphView& view)
@@ -66,7 +66,9 @@ class PageReclaimer {
   }
 
  private:
-  static constexpr std::uint64_t kDropVisits = 1u << 11;
+  static constexpr std::uint64_t kFaultAroundBytes = std::uint64_t{64} << 10;
+  static constexpr std::uint64_t kDropVisits =
+      kResidentCapBytes / kFaultAroundBytes;
   const graph::ColumnarGraphView* view_;
   std::atomic<std::uint64_t> count_{0};
 };
@@ -300,6 +302,12 @@ void annotate_g_factors(CascadeTree& tree,
   annotate_g_factors_impl(tree, diffusion, config);
 }
 
+ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes) {
+  if (requested != ArcGather::kAuto) return requested;
+  return mapped_bytes <= kResidentCapBytes ? ArcGather::kCopy
+                                           : ArcGather::kStreamed;
+}
+
 void apply_candidate_mask(CascadeForest& forest,
                           const std::vector<bool>& candidates) {
   for (CascadeTree& tree : forest.trees) {
@@ -335,9 +343,13 @@ CascadeForest extract_cascade_forest_impl(
   out.num_components = comps.count;
   const auto groups = comps.groups();
 
+  // The in-RAM backend has no edge windows, so it always copies.
   constexpr bool is_columnar =
       std::is_same_v<Graph, graph::ColumnarGraphView>;
-  const bool streamed = is_columnar && config.arc_gather != ArcGather::kCopy;
+  bool streamed = false;
+  if constexpr (is_columnar)
+    streamed = resolve_arc_gather(config.arc_gather, diffusion.file_bytes()) ==
+               ArcGather::kStreamed;
 
   // Local-index map shared by all component tasks, populated up front and
   // read-only during the tasks: component member sets are disjoint, and any
@@ -435,6 +447,7 @@ CascadeForest extract_cascade_forest_impl(
   span.tag("components", static_cast<std::int64_t>(out.num_components));
   span.tag("trees", static_cast<std::int64_t>(out.trees.size()));
   span.tag("arcs", static_cast<std::int64_t>(out.num_candidate_arcs));
+  span.tag("gather", streamed ? "streamed" : "copy");
   util::metrics::global().counter("extract.runs").add(1);
   util::metrics::global().counter("extract.trees").add(out.trees.size());
   util::metrics::global()

@@ -65,20 +65,33 @@ enum class ArcScore {
 };
 
 /// How candidate arcs are materialized for the per-component Edmonds solves.
+/// Arc sequences (hence forests) are bit-identical under either plan; only
+/// the paging pattern and the budget poll cadence differ.
 enum class ArcGather {
-  /// Streamed on the columnar backend (one ascending edge-window sweep
-  /// scatters arcs into a per-component spillable arena, resident set
-  /// O(window)); per-component adjacency-walk copies on the in-RAM backend.
+  /// Pick a plan from the input (resolve_arc_gather).
   kAuto,
-  /// Force per-component adjacency-walk copies on either backend — the
-  /// original path, kept as the oracle the streamed gather is verified
-  /// against. Arc sequences (and hence forests) are bit-identical either
-  /// way; only the paging pattern and budget poll cadence differ.
+  /// Per-component adjacency-walk copies on either backend. The pages it
+  /// faults in stay mapped, so on a .ridg the resident set can grow to the
+  /// file's size. Also the oracle the streamed plan is verified against.
   kCopy,
-  /// Force the streamed gather (columnar only; the in-RAM backend has no
-  /// edge windows and falls back to copies).
+  /// One ascending edge-window sweep scatters arcs into a per-component
+  /// spillable arena, and the edge pages are dropped behind the sweep and
+  /// during the solves, holding the resident set near kResidentCapBytes
+  /// whatever the file size. Columnar only; the in-RAM backend copies.
   kStreamed,
 };
+
+/// The edge-page resident set the streamed plan holds a .ridg under, and
+/// the largest mapped file kAuto copies: copy keeps at most the file's
+/// pages resident and fewer arcs on the heap than the streamed arena, so
+/// on such a file it cannot exceed the bound streaming promises.
+inline constexpr std::size_t kResidentCapBytes = std::size_t{128} << 20;
+
+/// The plan for a .ridg of `mapped_bytes` bytes: kAuto becomes kCopy up to
+/// kResidentCapBytes and kStreamed above it; kCopy and kStreamed stand.
+/// It reads no host state, so every process opening the same file (socket
+/// workers included) resolves the same plan.
+ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes);
 
 struct ExtractionConfig {
   ArcScore arc_score = ArcScore::kRawWeight;
@@ -117,11 +130,12 @@ struct CascadeForest {
 
 /// Runs steps 1-4 for the whole snapshot. The two overloads share one
 /// template body and produce bit-identical forests for the same graph
-/// content; the columnar variant streams component discovery *and* (under
-/// ArcGather::kAuto) candidate-arc gathering over the mmap-ed edge array in
-/// windows, dropping pages behind the cursor, and runs tree assembly and
-/// side evidence through per-component PartialGraphView windows — no
-/// per-component graph copies, resident set O(window + forest).
+/// content under any ArcGather. The columnar variant streams component
+/// discovery over the mmap-ed edge array in windows, gathers arcs under
+/// resolve_arc_gather(config.arc_gather, diffusion.file_bytes()), and
+/// runs tree assembly and side evidence through per-component
+/// PartialGraphView windows — no per-component graph copies. The
+/// "extract_forest" span's `gather` tag names the plan run.
 CascadeForest extract_cascade_forest(const graph::SignedGraph& diffusion,
                                      std::span<const graph::NodeState> states,
                                      const ExtractionConfig& config);

@@ -2,15 +2,18 @@
 // fingerprint-identity with the in-RAM writer across orientations, snapshot
 // embedding, chunk sizes and degenerate inputs; error-message parity with
 // load_weighted_file on a malformed-input corpus; bounded-address-space
-// conversion where the in-RAM path cannot fit; and ArcGather::kStreamed /
-// ArcGather::kCopy forest bit-identity across thread counts.
+// conversion where the in-RAM path cannot fit; ArcGather::kStreamed /
+// ArcGather::kCopy forest bit-identity across thread counts; and the plan
+// the extraction span reports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -28,6 +31,7 @@
 #endif
 
 #include "core/cascade_extraction.hpp"
+#include "core/isomit.hpp"
 #include "core/snapshot_io.hpp"
 #include "diffusion/mfc.hpp"
 #include "gen/sign_assigner.hpp"
@@ -39,6 +43,7 @@
 #include "util/errors.hpp"
 #include "util/proc_supervisor.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace rid::graph {
 namespace {
@@ -434,6 +439,57 @@ TEST(ColumnarStream, StreamedArcGatherMatchesCopyOracle) {
                                        c),
           want);
     }
+  }
+}
+
+TEST(ColumnarStream, ExtractForestSpanTagsTheResolvedGather) {
+  namespace trace = util::trace;
+  if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
+  const fs::path dir = test_dir("span");
+  const fs::path ridg = dir / "g.ridg";
+  write_columnar_file(scenario().graph, scenario().states, ridg.string(),
+                      kRidgFlagDiffusion);
+  const auto view = ColumnarGraphView::open(ridg.string());
+  ASSERT_LE(view.file_bytes(), core::kResidentCapBytes);
+  const auto infected = static_cast<std::int64_t>(
+      core::infected_nodes(scenario().states).size());
+
+  for (const auto& [gather, want] :
+       {std::pair{core::ArcGather::kAuto, "copy"},
+        std::pair{core::ArcGather::kStreamed, "streamed"}}) {
+    core::ExtractionConfig config;
+    config.arc_gather = gather;
+    trace::start();
+    const core::CascadeForest forest =
+        core::extract_cascade_forest(view, scenario().states, config);
+    trace::stop();
+
+    std::size_t spans = 0;
+    for (const trace::SpanRecord& span : trace::snapshot().spans) {
+      if (std::string(span.name) != "extract_forest") continue;
+      ++spans;
+      std::map<std::string, std::int64_t> counts;
+      std::string plan;
+      for (std::uint8_t i = 0; i < span.num_tags; ++i) {
+        const trace::TagValue& tag = span.tags[i];
+        if (tag.sval == nullptr) {
+          counts[tag.key] = tag.ival;
+        } else {
+          EXPECT_STREQ(tag.key, "gather");
+          plan = tag.sval;
+        }
+      }
+      EXPECT_EQ(plan, want);
+      EXPECT_EQ(counts, (std::map<std::string, std::int64_t>{
+                            {"arcs", static_cast<std::int64_t>(
+                                         forest.num_candidate_arcs)},
+                            {"components", static_cast<std::int64_t>(
+                                               forest.num_components)},
+                            {"infected", infected},
+                            {"trees", static_cast<std::int64_t>(
+                                          forest.trees.size())}}));
+    }
+    EXPECT_EQ(spans, 1u) << want;
   }
 }
 

@@ -229,8 +229,10 @@ TEST_F(RemoteTransportTest, AssignmentDecodeRejectsCountsBeyondThePayload) {
 
 /// Checks that every field the assignment codec carries decodes equal. Not
 /// carried: the budget pointers and the cancel token (re-armed or kept
-/// parent-side), ExtractionConfig::arc_gather, and TreeDpOptions::num_threads
-/// (a worker's single-beta solves never read it).
+/// parent-side), ExtractionConfig::arc_gather (a worker extracts under
+/// kAuto and resolves the same plan from the same file; either plan gives
+/// the same forest), and TreeDpOptions::num_threads (a worker's single-beta
+/// solves never read it).
 void expect_round_trip(const WorkerAssignment& want) {
   const WorkerAssignment got = decode_assignment(encode_assignment(want));
   EXPECT_EQ(got.fingerprint, want.fingerprint);
