@@ -2,9 +2,9 @@
 // k cap, and the binarized-vs-general formulations.
 #include <benchmark/benchmark.h>
 
-#include "core/general_tree_dp.hpp"
 #include "core/tree_dp.hpp"
 #include "gen/trees.hpp"
+#include "oracles/general_tree_dp.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -22,25 +22,15 @@ namespace rid::core {
 
 namespace {
 
-/// Arc score before log: either the raw weight or the g-factor. Unknown
-/// states are treated optimistically (as if consistent) because imputation
-/// will later choose the consistent interpretation.
-template <typename Graph>
-double raw_arc_score(const Graph& diffusion, graph::EdgeId e,
-                     std::span<const graph::NodeState> states,
-                     const ExtractionConfig& config) {
-  if (config.arc_score == ArcScore::kRawWeight) return diffusion.edge_weight(e);
-  const graph::NodeState sx = states[diffusion.edge_src(e)];
-  const graph::NodeState sy = states[diffusion.edge_dst(e)];
-  const double w = diffusion.edge_weight(e);
-  if (sx == graph::NodeState::kUnknown || sy == graph::NodeState::kUnknown) {
-    // Optimistic consistent interpretation.
-    if (diffusion.edge_sign(e) == graph::Sign::kPositive)
-      return std::min(1.0, config.likelihood.alpha * w);
-    return w;
-  }
-  return diffusion::g_factor(sx, diffusion.edge_sign(e), sy, w,
-                             config.likelihood);
+/// Floor applied to an arc's weight before log() so zero-weight arcs stay
+/// representable (they are only chosen when a node would otherwise be
+/// uncovered).
+constexpr double kScoreFloor = 1e-12;
+
+/// Edmonds weight of a candidate arc: log w(u, v), so the maximum branching
+/// maximizes L(T) = prod w(u, v).
+double arc_log_weight(double weight) {
+  return std::log(std::max(weight, kScoreFloor));
 }
 
 /// The finish phase (state imputation, g-factors, side evidence) looks
@@ -72,23 +62,6 @@ class PageReclaimer {
   const graph::ColumnarGraphView* view_;
   std::atomic<std::uint64_t> count_{0};
 };
-
-template <typename Graph>
-void annotate_g_factors_impl(CascadeTree& tree, const Graph& diffusion,
-                             const diffusion::LikelihoodConfig& config,
-                             PageReclaimer* reclaimer = nullptr) {
-  for (std::size_t v = 0; v < tree.size(); ++v) {
-    if (tree.parent[v] == graph::kInvalidNode) {
-      tree.in_g[v] = 1.0;
-      continue;
-    }
-    const graph::EdgeId e = tree.parent_edge[v];
-    tree.in_g[v] =
-        diffusion::g_factor(tree.state[tree.parent[v]], diffusion.edge_sign(e),
-                            tree.state[v], diffusion.edge_weight(e), config);
-    if (reclaimer != nullptr) reclaimer->tick(2);
-  }
-}
 
 /// Component discovery per backend: the columnar view streams the edge
 /// array in budgeted blocks, the in-RAM graph walks per-node adjacency.
@@ -139,7 +112,6 @@ ArcArena gather_arcs_streamed(const graph::ColumnarGraphView& diffusion,
                               const algo::Components& comps,
                               std::span<const graph::NodeId> to_local,
                               std::size_t num_groups,
-                              std::span<const graph::NodeState> states,
                               const ExtractionConfig& config) {
   ArcArena arena;
   arena.offsets.assign(num_groups + 1, 0);
@@ -183,11 +155,9 @@ ArcArena gather_arcs_streamed(const graph::ColumnarGraphView& diffusion,
       if (to_local[u] == graph::kInvalidNode ||
           to_local[v] == graph::kInvalidNode)
         continue;
-      const auto e = static_cast<graph::EdgeId>(w.first + i);
-      const double score = raw_arc_score(diffusion, e, states, config);
       arcs[cursor[comps.label[u]]++] = {
-          to_local[u], to_local[v],
-          std::log(std::max(score, config.score_floor)), e};
+          to_local[u], to_local[v], arc_log_weight(w.weights[i]),
+          static_cast<graph::EdgeId>(w.first + i)};
     }
     if (config.budget != nullptr) config.budget->check();
     if (hi - drop_from >= kDropStride) {
@@ -200,11 +170,10 @@ ArcArena gather_arcs_streamed(const graph::ColumnarGraphView& diffusion,
 
 /// Everything downstream of arc gathering for one component: the Edmonds
 /// solve, tree splitting, state imputation, g-factor annotation, and side
-/// evidence. `Handle` is the SignedGraph itself or a PartialGraphView
-/// window over the component's node range — only per-edge accessors and
-/// in_edge_ids of member nodes are touched, so the window suffices.
-template <typename Handle>
-void finish_component(const Handle& diffusion,
+/// evidence. Only per-edge accessors and in_edge_ids of member nodes are
+/// touched, so no per-component graph copy is needed.
+template <typename Graph>
+void finish_component(const Graph& diffusion,
                       std::span<const graph::NodeId> members,
                       std::span<const algo::WeightedArc> arcs,
                       std::span<const graph::NodeState> states,
@@ -254,35 +223,39 @@ void finish_component(const Handle& diffusion,
         if (reclaimer != nullptr) reclaimer->tick();
       }
     }
-    annotate_g_factors_impl(tree, diffusion, config.likelihood, reclaimer);
+    for (std::size_t v = 1; v < tree.size(); ++v) {  // the root keeps 1.0
+      const graph::EdgeId e = tree.parent_edge[v];
+      tree.in_g[v] = diffusion::g_factor(
+          tree.state[tree.parent[v]], diffusion.edge_sign(e), tree.state[v],
+          diffusion.edge_weight(e), config.likelihood);
+      if (reclaimer != nullptr) reclaimer->tick(2);
+    }
 
     // Side-evidence factors (see CascadeTree::side_q): every non-tree,
     // sign-consistent in-edge from an infected node contributes (1 - g).
     tree.side_q.assign(tree.size(), 1.0);
-    if (config.side_evidence) {
-      for (std::size_t v = 0; v < tree.size(); ++v) {
-        checker.tick();
-        const graph::NodeId gu = tree.global[v];
-        for (const graph::EdgeId e : diffusion.in_edge_ids(gu)) {
-          if (e == tree.parent_edge[v]) continue;
-          if (reclaimer != nullptr) reclaimer->tick(3);
-          const graph::NodeId src = diffusion.edge_src(e);
-          const graph::NodeState src_state = states[src];
-          if (!graph::is_active(src_state)) continue;
-          double g;
-          if (graph::is_opinion(src_state)) {
-            g = diffusion::g_factor(src_state, diffusion.edge_sign(e),
-                                    tree.state[v], diffusion.edge_weight(e),
-                                    config.likelihood);
-          } else {
-            // Unknown-state source: optimistic consistent interpretation.
-            const double w = diffusion.edge_weight(e);
-            g = diffusion.edge_sign(e) == graph::Sign::kPositive
-                    ? std::min(1.0, config.likelihood.alpha * w)
-                    : w;
-          }
-          tree.side_q[v] *= 1.0 - g;
+    for (std::size_t v = 0; v < tree.size(); ++v) {
+      checker.tick();
+      const graph::NodeId gu = tree.global[v];
+      for (const graph::EdgeId e : diffusion.in_edge_ids(gu)) {
+        if (e == tree.parent_edge[v]) continue;
+        if (reclaimer != nullptr) reclaimer->tick(3);
+        const graph::NodeId src = diffusion.edge_src(e);
+        const graph::NodeState src_state = states[src];
+        if (!graph::is_active(src_state)) continue;
+        double g;
+        if (graph::is_opinion(src_state)) {
+          g = diffusion::g_factor(src_state, diffusion.edge_sign(e),
+                                  tree.state[v], diffusion.edge_weight(e),
+                                  config.likelihood);
+        } else {
+          // Unknown-state source: optimistic consistent interpretation.
+          const double w = diffusion.edge_weight(e);
+          g = diffusion.edge_sign(e) == graph::Sign::kPositive
+                  ? std::min(1.0, config.likelihood.alpha * w)
+                  : w;
         }
+        tree.side_q[v] *= 1.0 - g;
       }
     }
     out_trees.push_back(std::move(tree));
@@ -290,17 +263,6 @@ void finish_component(const Handle& diffusion,
 }
 
 }  // namespace
-
-void annotate_g_factors(CascadeTree& tree, const graph::SignedGraph& diffusion,
-                        const diffusion::LikelihoodConfig& config) {
-  annotate_g_factors_impl(tree, diffusion, config);
-}
-
-void annotate_g_factors(CascadeTree& tree,
-                        const graph::ColumnarGraphView& diffusion,
-                        const diffusion::LikelihoodConfig& config) {
-  annotate_g_factors_impl(tree, diffusion, config);
-}
 
 ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes) {
   if (requested != ArcGather::kAuto) return requested;
@@ -329,9 +291,6 @@ CascadeForest extract_cascade_forest_impl(
     const Graph& diffusion, std::span<const graph::NodeState> states,
     const ExtractionConfig& config) {
   validate_snapshot(diffusion.num_nodes(), states);
-  if (config.score_floor <= 0.0 || config.score_floor >= 1.0)
-    throw std::invalid_argument(
-        "extract_cascade_forest: score_floor outside (0, 1)");
 
   util::trace::TraceSpan span("extract_forest");
   CascadeForest out;
@@ -369,7 +328,7 @@ CascadeForest extract_cascade_forest_impl(
     if (streamed) {
       diffusion.advise_sequential();
       arena = gather_arcs_streamed(diffusion, comps, to_local, groups.size(),
-                                   states, config);
+                                   config);
       // The per-component solves ahead probe arcs by global EdgeId in no
       // particular order: suppress readahead/fault-around so each probe
       // maps as few pages as possible (advise_normal() after the join).
@@ -407,27 +366,16 @@ CascadeForest extract_cascade_forest_impl(
         for (const graph::EdgeId e : diffusion.out_edge_ids(u)) {
           const graph::NodeId v = diffusion.edge_dst(e);
           if (to_local[v] == graph::kInvalidNode) continue;
-          const double score = raw_arc_score(diffusion, e, states, config);
-          copied.push_back({i, to_local[v],
-                            std::log(std::max(score, config.score_floor)), e});
+          copied.push_back(
+              {i, to_local[v], arc_log_weight(diffusion.edge_weight(e)), e});
         }
       }
       arcs = copied;
     }
     group_arcs[gi] = arcs.size();
-
-    if constexpr (is_columnar) {
-      // Solve over the component's node window — member adjacency only, no
-      // per-component graph copy.
-      const graph::PartialGraphView window =
-          diffusion.node_range(members.front(), members.back() + 1);
-      finish_component(window, members, arcs, states, config, checker,
-                       group_trees[gi],
-                       reclaimer.has_value() ? &*reclaimer : nullptr);
-    } else {
-      finish_component(diffusion, members, arcs, states, config, checker,
-                       group_trees[gi]);
-    }
+    finish_component(diffusion, members, arcs, states, config, checker,
+                     group_trees[gi],
+                     reclaimer.has_value() ? &*reclaimer : nullptr);
   };
 
   util::parallel_for_each(groups.size(), std::max<std::size_t>(1, config.num_threads),

@@ -5,10 +5,11 @@
 //  1. restrict the diffusion network to the infected nodes;
 //  2. split into weakly-connected components (Definition 6);
 //  3. per component, extract the maximum-likelihood spanning cascade forest
-//     with Chu-Liu/Edmonds over log arc scores (L(T) = prod score(u, v));
+//     with Chu-Liu/Edmonds over log arc weights (L(T) = prod w(u, v));
 //  4. each root of the resulting branching starts one CascadeTree; unknown
 //     ('?') states are imputed top-down along tree edges; each tree edge is
-//     annotated with its g-factor, which is what the DP consumes.
+//     annotated with its g-factor and each node with its side evidence,
+//     which is what the DP consumes.
 #pragma once
 
 #include <span>
@@ -55,15 +56,6 @@ struct CascadeTree {
   std::size_t size() const noexcept { return global.size(); }
 };
 
-/// How candidate activation arcs are scored during tree extraction.
-enum class ArcScore {
-  /// Raw diffusion weight w(u, v) — the paper's L(T) = prod w(u, v).
-  kRawWeight,
-  /// The MFC-aware g-factor (boosted positives, zero for inconsistent
-  /// links, clamped to a small floor so log stays finite). Extension mode.
-  kGFactor,
-};
-
 /// How candidate arcs are materialized for the per-component Edmonds solves.
 /// Arc sequences (hence forests) are bit-identical under either plan; only
 /// the paging pattern and the budget poll cadence differ.
@@ -93,17 +85,12 @@ inline constexpr std::size_t kResidentCapBytes = std::size_t{128} << 20;
 /// workers included) resolves the same plan.
 ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes);
 
+/// Candidate arcs are scored by their raw diffusion weight, the paper's
+/// L(T) = prod w(u, v), and every tree's side_q is filled (set it to 1 for
+/// the pure tree-path objective).
 struct ExtractionConfig {
-  ArcScore arc_score = ArcScore::kRawWeight;
   ArcGather arc_gather = ArcGather::kAuto;
   diffusion::LikelihoodConfig likelihood;
-  /// Fill CascadeTree::side_q from the non-tree consistent infected
-  /// in-edges (see CascadeTree::side_q). When false, side_q is all 1.0 and
-  /// the DP reduces to the pure tree-path objective.
-  bool side_evidence = true;
-  /// Floor applied before log() so zero-probability arcs stay representable
-  /// (they are only chosen when a node would otherwise be uncovered).
-  double score_floor = 1e-12;
   /// Optional armed work budget (non-owning; must outlive the call). The
   /// deadline/cancellation is polled from the arc-building, Edmonds, and
   /// side-evidence loops; overruns throw util::BudgetExceededError. Note
@@ -133,22 +120,15 @@ struct CascadeForest {
 /// content under any ArcGather. The columnar variant streams component
 /// discovery over the mmap-ed edge array in windows, gathers arcs under
 /// resolve_arc_gather(config.arc_gather, diffusion.file_bytes()), and
-/// runs tree assembly and side evidence through per-component
-/// PartialGraphView windows — no per-component graph copies. The
-/// "extract_forest" span's `gather` tag names the plan run.
+/// runs tree assembly and side evidence straight over the view — no
+/// per-component graph copies. The "extract_forest" span's `gather` tag
+/// names the plan run.
 CascadeForest extract_cascade_forest(const graph::SignedGraph& diffusion,
                                      std::span<const graph::NodeState> states,
                                      const ExtractionConfig& config);
 CascadeForest extract_cascade_forest(const graph::ColumnarGraphView& diffusion,
                                      std::span<const graph::NodeState> states,
                                      const ExtractionConfig& config);
-
-/// Recomputes in_g for a tree after state changes (used by tests).
-void annotate_g_factors(CascadeTree& tree, const graph::SignedGraph& diffusion,
-                        const diffusion::LikelihoodConfig& config);
-void annotate_g_factors(CascadeTree& tree,
-                        const graph::ColumnarGraphView& diffusion,
-                        const diffusion::LikelihoodConfig& config);
 
 /// Restricts initiator eligibility across the forest: candidates[v] must be
 /// true for diffusion-network node v to remain selectable. Throws

@@ -58,8 +58,8 @@ FailureInfo describe_failure(const std::exception_ptr& error) {
   }
 }
 
-/// Shared fault-isolation harness for the single-beta and multi-beta runs:
-/// solves every tree (optionally in parallel), hands each failed tree's
+/// Fault-isolation harness of run_rid_betas (hence of every single-beta
+/// run): solves every tree (optionally in parallel), hands each failed tree's
 /// root-only fallback to `store_fallback`, and files one diagnostics entry
 /// per tree into `diagnostics`. Every failing tree keeps its own error text
 /// — a multi-tree failure surfaces one line per tree in summary(), never
@@ -269,37 +269,6 @@ void solve_tree_guarded(const CascadeTree& cascade, double beta,
 
 }  // namespace internal
 
-DetectionResult run_rid_on_forest(const CascadeForest& forest,
-                                  const RidConfig& config) {
-  DetectionResult out;
-  out.num_components = forest.num_components;
-  out.num_trees = forest.trees.size();
-
-  trace::TraceSpan span("solve_forest");
-  span.tag("trees", static_cast<std::int64_t>(forest.trees.size()));
-  const util::BudgetScope scope(config.budget);
-  TreeDpOptions dp = config.dp;
-  if (!config.budget.unlimited()) dp.budget = &scope;
-
-  // Trees are independent; solve them (optionally) in parallel with per-tree
-  // fault isolation, then merge in deterministic tree order.
-  std::vector<TreeSolution> solutions(forest.trees.size());
-  solve_trees_isolated(
-      forest, config.num_threads,
-      [&](std::size_t i) {
-        solutions[i] = solve_tree(forest.trees[i], config.beta, dp);
-      },
-      [&](std::size_t i, TreeSolution root) { solutions[i] = std::move(root); },
-      out.diagnostics);
-
-  std::vector<const TreeSolution*> views(solutions.size());
-  for (std::size_t t = 0; t < solutions.size(); ++t) views[t] = &solutions[t];
-  internal::merge_solutions(forest, views, out);
-  out.diagnostics.total_seconds = span.seconds();
-  internal::attach_stage_totals(out.diagnostics);
-  return out;
-}
-
 std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
                                             std::span<const double> betas,
                                             const RidConfig& config) {
@@ -309,7 +278,7 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
     result.num_trees = forest.trees.size();
   }
 
-  trace::TraceSpan span("solve_forest_betas");
+  trace::TraceSpan span("solve_forest");
   span.tag("trees", static_cast<std::int64_t>(forest.trees.size()));
   span.tag("betas", static_cast<std::int64_t>(betas.size()));
   const util::BudgetScope scope(config.budget);
@@ -343,6 +312,11 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
     out[b].diagnostics = diagnostics;
   }
   return out;
+}
+
+DetectionResult run_rid_on_forest(const CascadeForest& forest,
+                                  const RidConfig& config) {
+  return std::move(run_rid_betas(forest, {&config.beta, 1}, config).front());
 }
 
 namespace {

@@ -70,7 +70,8 @@ DetectionResult run_rid(const graph::ColumnarGraphView& diffusion,
                         const RidConfig& config);
 
 /// Runs RID on an already-extracted cascade forest (lets sweeps over beta
-/// reuse one extraction — the forest does not depend on beta).
+/// reuse one extraction — the forest does not depend on beta). This is
+/// run_rid_betas with the one beta config.beta.
 DetectionResult run_rid_on_forest(const CascadeForest& forest,
                                   const RidConfig& config);
 

@@ -49,12 +49,15 @@ namespace wire = util::wire;
 /// pid); v3 added the graph data fingerprint + negotiated delivery mode
 /// (and moved version gating into the hello handshake proper); v4 dropped
 /// the DP's growth-mode, thread-count and task-grain fields and the
-/// extraction's solver switch (a worker's single-beta DP is serial).
-constexpr std::uint32_t kAssignmentVersion = 4;
+/// extraction's solver switch (a worker's single-beta DP is serial); v5
+/// dropped the first k cap, force_root and the spill threshold from the DP
+/// and the arc score, side-evidence switch and score floor from the
+/// extraction (all now constants).
+constexpr std::uint32_t kAssignmentVersion = 5;
 
 /// The conversation version advertised in the hello. Bumped together with
 /// kAssignmentVersion — any change to any frame layout is a new protocol.
-constexpr std::uint32_t kProtocolVersion = 4;
+constexpr std::uint32_t kProtocolVersion = 5;
 
 constexpr double kDispatcherPollSeconds = 0.25;
 
@@ -284,19 +287,13 @@ std::string encode_assignment(const WorkerAssignment& assignment) {
   // TreeDpOptions (num_threads stays home: a worker's single-beta solves
   // never read it; the budget pointer travels as the WorkBudget fields
   // below and is re-armed worker-side).
-  wire::put_u32(out, assignment.dp.initial_k_cap);
   wire::put_u32(out, assignment.dp.max_reach);
   wire::put_u32(out, assignment.dp.hard_k_cap);
   wire::put_u8(out, assignment.dp.greedy_stop ? 1 : 0);
   wire::put_u8(out, assignment.dp.rank_initiators ? 1 : 0);
-  wire::put_u8(out, assignment.dp.force_root ? 1 : 0);
-  wire::put_u64(out, assignment.dp.max_resident_table_entries);
   // ExtractionConfig.
-  wire::put_u8(out, static_cast<std::uint8_t>(assignment.extraction.arc_score));
   wire::put_f64(out, assignment.extraction.likelihood.alpha);
   wire::put_f64(out, assignment.extraction.likelihood.inconsistent_value);
-  wire::put_u8(out, assignment.extraction.side_evidence ? 1 : 0);
-  wire::put_f64(out, assignment.extraction.score_floor);
   wire::put_u64(out, assignment.extraction.num_threads);
   // WorkBudget (cancellation stays parent-side: the supervisor kills).
   wire::put_f64(out, assignment.budget.deadline_seconds);
@@ -324,22 +321,12 @@ WorkerAssignment decode_assignment(std::string_view body) {
   a.graph_fingerprint = in.u64();
   a.delivery = in.u8();
   a.beta = in.f64();
-  a.dp.initial_k_cap = in.u32();
   a.dp.max_reach = in.u32();
   a.dp.hard_k_cap = in.u32();
   a.dp.greedy_stop = in.u8() != 0;
   a.dp.rank_initiators = in.u8() != 0;
-  a.dp.force_root = in.u8() != 0;
-  a.dp.max_resident_table_entries = static_cast<std::size_t>(in.u64());
-  const std::uint8_t arc_score = in.u8();
-  if (arc_score > static_cast<std::uint8_t>(ArcScore::kGFactor))
-    throw util::InputError("worker assignment: invalid arc score byte " +
-                           std::to_string(arc_score));
-  a.extraction.arc_score = static_cast<ArcScore>(arc_score);
   a.extraction.likelihood.alpha = in.f64();
   a.extraction.likelihood.inconsistent_value = in.f64();
-  a.extraction.side_evidence = in.u8() != 0;
-  a.extraction.score_floor = in.f64();
   a.extraction.num_threads = static_cast<std::size_t>(in.u64());
   a.budget.deadline_seconds = in.f64();
   a.budget.max_tree_nodes = in.u32();

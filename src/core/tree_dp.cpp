@@ -39,6 +39,9 @@ DpMetrics& dp_metrics() {
 
 constexpr std::uint32_t kRowZ = 0xffffffffu;  // symbolic "zero coverage" j
 
+/// solve_tree's first k cap; doubled while the optimum keeps hitting it.
+constexpr std::uint32_t kInitialKCap = 8;
+
 /// Default per-arena resident threshold (entries; values 8 bytes, choices
 /// 4). Arenas larger than this spill to unlinked temp-file mappings instead
 /// of being rejected — this used to be a hard cap.
@@ -524,13 +527,12 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
   check_tree_budget(options.budget, tree.size());
   const std::uint32_t hard_k_cap =
       effective_k_cap(options.budget, options.hard_k_cap);
-  BinarizedTreeDp dp(tree, options.max_reach,
-                     options.max_resident_table_entries);
+  BinarizedTreeDp dp(tree, options.max_reach);
   const std::size_t dp_threads =
       options.num_threads == 0 ? 1 : options.num_threads;
   const std::uint32_t n_real = dp.num_real();
   std::uint32_t cap = std::max<std::uint32_t>(
-      1, std::min({options.initial_k_cap, hard_k_cap, n_real}));
+      1, std::min({kInitialKCap, hard_k_cap, n_real}));
 
   const auto objective = [](const std::vector<double>& opt, std::uint32_t k,
                             double beta) {
@@ -555,7 +557,7 @@ std::vector<TreeSolution> solve_tree_betas(const CascadeTree& tree,
   // Grow the shared cap until no beta's optimum is clipped by it.
   while (true) {
     const std::vector<double>& opt =
-        dp.compute(cap, options.force_root, options.budget);
+        dp.compute(cap, /*force_root=*/true, options.budget);
     bool clipped = false;
     for (const double beta : betas) {
       if (pick_k(opt, beta) == cap &&

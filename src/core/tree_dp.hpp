@@ -25,7 +25,8 @@
 //
 // Dummy (binarization) nodes contribute nothing, cannot be initiators, and
 // carry pass-through edges with g = 1 — the equivalence with the direct
-// general-tree DP (general_tree_dp.hpp) is property-tested.
+// general-tree DP (the tests/oracles/general_tree_dp.hpp oracle) is
+// property-tested.
 //
 // Storage (see DESIGN.md §10). Value and choice tables live in two flat
 // arenas indexed through NodeLayout::offset, where each node's rows are
@@ -52,9 +53,10 @@ namespace rid::core {
 
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+/// solve_tree's options. The adaptive k cap starts at 8 and doubles while
+/// the optimum keeps hitting it, and the tree root is always an initiator
+/// (the paper counts "(k-1) extra initiators besides the original root").
 struct TreeDpOptions {
-  /// Initial cap on k; doubled adaptively while the optimum keeps hitting it.
-  std::uint32_t initial_k_cap = 8;
   /// Cap on the per-node distance rows. Distances beyond the cap reuse the
   /// capped row's path product (exact for saturated g = 1 chains, a tight
   /// overestimate for decayed ones) unless a zero-g edge intervenes, which
@@ -69,11 +71,6 @@ struct TreeDpOptions {
   /// Fill TreeSolution::entry_k (see rank_initiators); costs one extra
   /// extraction pass per budget up to the selected k.
   bool rank_initiators = false;
-  /// Always include the tree root in the initiator set (the paper counts
-  /// "(k-1) extra initiators besides the original root", implying the root
-  /// is one). When false the DP may leave the root uncovered if an interior
-  /// initiator explains the tree better.
-  bool force_root = true;
   /// Optional armed work budget (non-owning; must outlive the solve). The
   /// solve checks it on entry and from the DP's per-node loop, throwing
   /// util::BudgetExceededError on deadline/cancellation and when the tree
@@ -86,13 +83,6 @@ struct TreeDpOptions {
   /// substitutes this tree's share of RidConfig::num_threads; direct callers
   /// get serial. Results are bit-identical for any value.
   std::size_t num_threads = 0;
-  /// Entry threshold (per arena) above which the value/choice tables move
-  /// from the heap into mappings of unlinked temp files
-  /// (util::SpillableBuffer), letting deep ~100k-node trees exceed what RAM
-  /// alone would allow; each spill bumps the `dp.arena_spills` counter.
-  /// 0 = default (120M entries — the former hard cap). Spilling never
-  /// changes results, only where the bytes live.
-  std::size_t max_resident_table_entries = 0;
 };
 
 /// Solution for one cascade tree.
@@ -111,7 +101,12 @@ struct TreeSolution {
 };
 
 /// Exact DP over the binarized tree: opt[k] for k = 1..k_max (index 0
-/// unused, set to -inf). Values are exact-k.
+/// unused, set to -inf). Values are exact-k. Value/choice arenas of more
+/// than `max_resident_entries` entries each (0 = 120M, the former hard cap)
+/// move from the heap into mappings of unlinked temp files
+/// (util::SpillableBuffer), letting deep ~100k-node trees exceed what RAM
+/// alone would allow; each spill bumps the `dp.arena_spills` counter.
+/// Spilling never changes results, only where the bytes live.
 class BinarizedTreeDp {
  public:
   explicit BinarizedTreeDp(const CascadeTree& tree,
@@ -123,14 +118,14 @@ class BinarizedTreeDp {
 
   /// Computes the table for budgets up to k_max (clamped to num_real()).
   /// Returns opt indexed by k (size >= k_max+1, [0] = -inf). With
-  /// `force_root` the root is required to be an initiator. A non-null
+  /// `force_root` (what solve_tree passes) the root is required to be an
+  /// initiator; without it the DP may leave the root uncovered if an
+  /// interior initiator explains the tree better. A non-null
   /// `budget` is polled every 64 DP nodes; overruns throw
   /// util::BudgetExceededError mid-computation and advertise no new column.
   /// A second call with a larger k_max extends the existing tables (columns
   /// <= the old cap are moved into the wider layout, not recomputed), with
-  /// results bit-identical to one call at the larger k_max. Tables larger
-  /// than the resident-entry threshold live in spilled (temp-file backed)
-  /// arenas.
+  /// results bit-identical to one call at the larger k_max.
   const std::vector<double>& compute(std::uint32_t k_max,
                                      bool force_root = true,
                                      const util::BudgetScope* budget = nullptr);

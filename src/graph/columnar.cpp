@@ -260,14 +260,6 @@ void ColumnarGraphView::drop_all_edge_pages() const noexcept {
   file_.advise_dontneed(off, num_edges_ * sizeof(EdgeId));
 }
 
-PartialGraphView ColumnarGraphView::node_range(NodeId first,
-                                               NodeId last) const {
-  if (first > last || last > num_nodes_)
-    throw util::InputError("ridg: node_range [" + std::to_string(first) +
-                           ", " + std::to_string(last) + ") out of bounds");
-  return PartialGraphView(*this, first, last);
-}
-
 EdgeWindow ColumnarGraphView::edge_range(EdgeId first, EdgeId last) const {
   if (first > last || last > num_edges_)
     throw util::InputError("ridg: edge_range [" + std::to_string(first) +

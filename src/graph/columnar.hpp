@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <span>
 #include <string>
 
@@ -94,59 +93,6 @@ void write_columnar_file(const SignedGraph& graph,
 /// CLI format dispatch; does not validate the rest of the header).
 bool is_ridg_file(const std::string& path);
 
-/// Lazily-materialized range of consecutive EdgeIds [first, last).
-/// Out-edges of a CSR node are exactly the contiguous ids
-/// [out_offsets[u], out_offsets[u+1]), so the columnar view can hand out
-/// edge-id ranges without storing the identity permutation SignedGraph keeps.
-class EdgeIdRange {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::random_access_iterator_tag;
-    using value_type = EdgeId;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const EdgeId*;
-    using reference = EdgeId;
-
-    iterator() = default;
-    explicit iterator(EdgeId id) : id_(id) {}
-    EdgeId operator*() const noexcept { return id_; }
-    iterator& operator++() noexcept {
-      ++id_;
-      return *this;
-    }
-    iterator operator++(int) noexcept {
-      iterator old = *this;
-      ++id_;
-      return old;
-    }
-    bool operator==(const iterator&) const = default;
-    difference_type operator-(const iterator& o) const noexcept {
-      return static_cast<difference_type>(id_) -
-             static_cast<difference_type>(o.id_);
-    }
-
-   private:
-    EdgeId id_ = 0;
-  };
-
-  EdgeIdRange() = default;
-  EdgeIdRange(EdgeId first, EdgeId last) : first_(first), last_(last) {}
-
-  iterator begin() const noexcept { return iterator(first_); }
-  iterator end() const noexcept { return iterator(last_); }
-  std::size_t size() const noexcept { return last_ - first_; }
-  bool empty() const noexcept { return first_ == last_; }
-  EdgeId operator[](std::size_t i) const noexcept {
-    return first_ + static_cast<EdgeId>(i);
-  }
-  EdgeId front() const noexcept { return first_; }
-
- private:
-  EdgeId first_ = 0;
-  EdgeId last_ = 0;
-};
-
 /// A window [first, first + srcs.size()) of consecutive edges; spans alias
 /// the mapped file. Used to stream the edge array in blocks under a
 /// WorkBudget instead of touching all m edges' pages at once.
@@ -159,8 +105,6 @@ struct EdgeWindow {
 
   std::size_t size() const noexcept { return srcs.size(); }
 };
-
-class PartialGraphView;
 
 /// Read-only zero-copy view over a mmap-ed .ridg file. Mirrors the
 /// SignedGraph accessor surface; spans and EdgeIdRanges alias the mapping
@@ -236,10 +180,6 @@ class ColumnarGraphView {
   }
   std::span<const EdgeId> csr_in_edges() const noexcept { return in_edge_; }
 
-  // --- partial views ------------------------------------------------------
-  /// Restriction to nodes [first, last); adjacency of nodes outside the
-  /// window is not accessible through it.
-  PartialGraphView node_range(NodeId first, NodeId last) const;
   /// Window of consecutive edges [first, last) for streaming scans.
   EdgeWindow edge_range(EdgeId first, EdgeId last) const;
 
@@ -287,48 +227,6 @@ class ColumnarGraphView {
   std::span<const std::uint64_t> in_offsets_;   // n+1
   std::span<const EdgeId> in_edge_;             // m
   std::span<const NodeState> state_;            // n
-};
-
-/// Node-window restriction of a ColumnarGraphView: same accessors, but only
-/// nodes in [node_begin, node_end) may be queried. Edge ids remain global,
-/// so results compose with whole-graph structures (union-find, component
-/// labels). The parent view must outlive the partial view.
-class PartialGraphView {
- public:
-  PartialGraphView(const ColumnarGraphView& parent, NodeId first, NodeId last)
-      : parent_(&parent), first_(first), last_(last) {}
-
-  NodeId node_begin() const noexcept { return first_; }
-  NodeId node_end() const noexcept { return last_; }
-  std::size_t num_window_nodes() const noexcept { return last_ - first_; }
-
-  EdgeIdRange out_edge_ids(NodeId u) const noexcept {
-    return parent_->out_edge_ids(u);
-  }
-  std::span<const NodeId> out_neighbors(NodeId u) const noexcept {
-    return parent_->out_neighbors(u);
-  }
-  std::span<const EdgeId> in_edge_ids(NodeId v) const noexcept {
-    return parent_->in_edge_ids(v);
-  }
-  std::size_t out_degree(NodeId u) const noexcept {
-    return parent_->out_degree(u);
-  }
-  std::size_t in_degree(NodeId v) const noexcept {
-    return parent_->in_degree(v);
-  }
-  NodeId edge_src(EdgeId e) const noexcept { return parent_->edge_src(e); }
-  NodeId edge_dst(EdgeId e) const noexcept { return parent_->edge_dst(e); }
-  Sign edge_sign(EdgeId e) const noexcept { return parent_->edge_sign(e); }
-  double edge_weight(EdgeId e) const noexcept {
-    return parent_->edge_weight(e);
-  }
-  bool contains(NodeId u) const noexcept { return u >= first_ && u < last_; }
-
- private:
-  const ColumnarGraphView* parent_;
-  NodeId first_;
-  NodeId last_;
 };
 
 /// Materializes the view back into an in-RAM SignedGraph (parse-free: a

@@ -1,7 +1,6 @@
 #include "graph/signed_graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace rid::graph {
@@ -111,8 +110,6 @@ SignedGraph SignedGraphBuilder::build(const BuildOptions& options) {
   weights_ = {};
 
   const auto m = static_cast<EdgeId>(g.dst_.size());
-  g.edge_id_identity_.resize(m);
-  std::iota(g.edge_id_identity_.begin(), g.edge_id_identity_.end(), EdgeId{0});
 
   // In-adjacency via counting sort on destination.
   g.in_offsets_.assign(std::size_t{num_nodes_} + 1, 0);
@@ -170,7 +167,6 @@ SignedGraph SignedGraph::reversed() const {
       r.in_edge_[e] = k;
     }
   }
-  r.edge_id_identity_ = edge_id_identity_;
   return r;
 }
 
@@ -180,8 +176,7 @@ std::size_t SignedGraph::memory_bytes() const noexcept {
          sign_.capacity() * sizeof(Sign) +
          weight_.capacity() * sizeof(double) +
          in_offsets_.capacity() * sizeof(EdgeId) +
-         in_edge_.capacity() * sizeof(EdgeId) +
-         edge_id_identity_.capacity() * sizeof(EdgeId);
+         in_edge_.capacity() * sizeof(EdgeId);
 }
 
 }  // namespace rid::graph

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,6 +61,59 @@ class SignedGraphBuilder {
   std::vector<double> weights_;
 };
 
+/// Lazily-materialized range of consecutive EdgeIds [first, last).
+/// Out-edges of a CSR node are exactly the contiguous ids
+/// [out_offsets[u], out_offsets[u+1]), so both storage backends hand out
+/// edge-id ranges without storing an identity permutation.
+class EdgeIdRange {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = EdgeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const EdgeId*;
+    using reference = EdgeId;
+
+    iterator() = default;
+    explicit iterator(EdgeId id) : id_(id) {}
+    EdgeId operator*() const noexcept { return id_; }
+    iterator& operator++() noexcept {
+      ++id_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++id_;
+      return old;
+    }
+    bool operator==(const iterator&) const = default;
+    difference_type operator-(const iterator& o) const noexcept {
+      return static_cast<difference_type>(id_) -
+             static_cast<difference_type>(o.id_);
+    }
+
+   private:
+    EdgeId id_ = 0;
+  };
+
+  EdgeIdRange() = default;
+  EdgeIdRange(EdgeId first, EdgeId last) : first_(first), last_(last) {}
+
+  iterator begin() const noexcept { return iterator(first_); }
+  iterator end() const noexcept { return iterator(last_); }
+  std::size_t size() const noexcept { return last_ - first_; }
+  bool empty() const noexcept { return first_ == last_; }
+  EdgeId operator[](std::size_t i) const noexcept {
+    return first_ + static_cast<EdgeId>(i);
+  }
+  EdgeId front() const noexcept { return first_; }
+
+ private:
+  EdgeId first_ = 0;
+  EdgeId last_ = 0;
+};
+
 /// Immutable-topology signed directed graph.
 ///
 /// Edges are identified by EdgeId in [0, num_edges()), ordered by source node
@@ -86,9 +140,8 @@ class SignedGraph {
 
   // --- adjacency ----------------------------------------------------------
   /// EdgeIds of edges leaving `u`, sorted by destination id.
-  std::span<const EdgeId> out_edge_ids(NodeId u) const noexcept {
-    return {edge_id_identity_.data() + out_offsets_[u],
-            out_offsets_[u + 1] - out_offsets_[u]};
+  EdgeIdRange out_edge_ids(NodeId u) const noexcept {
+    return {out_offsets_[u], out_offsets_[u + 1]};
   }
   /// EdgeIds of edges entering `v`, sorted by source id.
   std::span<const EdgeId> in_edge_ids(NodeId v) const noexcept {
@@ -152,9 +205,6 @@ class SignedGraph {
   // In-adjacency: for each node, the EdgeIds of incoming edges.
   std::vector<EdgeId> in_offsets_;  // size n+1
   std::vector<EdgeId> in_edge_;     // size m
-
-  // Identity permutation so out_edge_ids can return a span.
-  std::vector<EdgeId> edge_id_identity_;  // size m
 };
 
 }  // namespace rid::graph

@@ -197,16 +197,6 @@ TEST(CascadeExtraction, EveryInfectedNodeAppearsExactlyOnce) {
   for (const NodeId v : infected) EXPECT_EQ(seen.count(v), 1u);
 }
 
-TEST(CascadeExtraction, ScoreFloorValidation) {
-  SignedGraphBuilder builder(1);
-  const SignedGraph g = builder.build();
-  const std::vector<NodeState> states{NodeState::kPositive};
-  ExtractionConfig config;
-  config.score_floor = 0.0;
-  EXPECT_THROW(extract_cascade_forest(g, states, config),
-               std::invalid_argument);
-}
-
 TEST(CascadeExtraction, MfcGroundTruthMostlyRecoverable) {
   // Simulate MFC (no flipping) and check the extraction covers all infected
   // nodes and that tree roots are a subset of... the seeds, when every

@@ -347,11 +347,6 @@ TEST(ColumnarView, MaterializeRoundTrips) {
 TEST(ColumnarView, PartialViewsAndEdgeWindows) {
   const fs::path dir = test_dir("partial");
   const auto view = ColumnarGraphView::open(write_scenario(dir).string());
-  const NodeId n = view.num_nodes();
-  const PartialGraphView half = view.node_range(0, n / 2);
-  EXPECT_EQ(half.num_window_nodes(), n / 2);
-  EXPECT_TRUE(half.contains(0));
-  EXPECT_FALSE(half.contains(n / 2));
   // Windowed edge scan covers every edge exactly once with global ids.
   std::size_t seen = 0;
   const EdgeId m = static_cast<EdgeId>(view.num_edges());
@@ -368,7 +363,6 @@ TEST(ColumnarView, PartialViewsAndEdgeWindows) {
     }
   }
   EXPECT_EQ(seen, view.num_edges());
-  EXPECT_THROW(view.node_range(5, 3), util::InputError);
   EXPECT_THROW(view.edge_range(0, m + 1), util::InputError);
 }
 

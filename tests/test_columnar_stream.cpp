@@ -310,13 +310,13 @@ TEST(ColumnarStream, ConvertsUnderAddressSpaceCapWhereInRamCannot) {
 
   const fs::path dir = test_dir("rlimit");
   const fs::path text = dir / "big.txt";
-  // ~1M rows (~25 MB of text): the in-RAM path needs the parsed edge list,
-  // the built CSR *and* its diffusion reversal resident at once; the
+  // ~1.5M rows (~37 MB of text): the in-RAM path needs the parsed edge
+  // list, the built CSR *and* its diffusion reversal resident at once; the
   // streaming path holds O(nodes + chunk).
   {
     util::Rng rng(47);
     std::ofstream out(text);
-    for (std::size_t i = 0; i < 1000000; ++i) {
+    for (std::size_t i = 0; i < 1500000; ++i) {
       out << rng.next_below(50000) << ' ' << rng.next_below(50000) << ' '
           << (rng.bernoulli(0.8) ? 1 : -1) << " 0.5\n";
     }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracles/branching.hpp"
 #include "util/rng.hpp"
 
 namespace rid::algo {

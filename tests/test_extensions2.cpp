@@ -11,6 +11,7 @@
 #include "gen/sign_assigner.hpp"
 #include "gen/topologies.hpp"
 #include "graph/dot_export.hpp"
+#include "oracles/branching.hpp"
 #include "util/rng.hpp"
 
 namespace rid {

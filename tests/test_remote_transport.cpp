@@ -242,21 +242,14 @@ void expect_round_trip(const WorkerAssignment& want) {
   EXPECT_EQ(got.graph_fingerprint, want.graph_fingerprint);
   EXPECT_EQ(got.delivery, want.delivery);
   EXPECT_EQ(got.beta, want.beta);
-  EXPECT_EQ(got.dp.initial_k_cap, want.dp.initial_k_cap);
   EXPECT_EQ(got.dp.max_reach, want.dp.max_reach);
   EXPECT_EQ(got.dp.hard_k_cap, want.dp.hard_k_cap);
   EXPECT_EQ(got.dp.greedy_stop, want.dp.greedy_stop);
   EXPECT_EQ(got.dp.rank_initiators, want.dp.rank_initiators);
-  EXPECT_EQ(got.dp.force_root, want.dp.force_root);
-  EXPECT_EQ(got.dp.max_resident_table_entries,
-            want.dp.max_resident_table_entries);
   EXPECT_EQ(got.dp.num_threads, 0u);
-  EXPECT_EQ(got.extraction.arc_score, want.extraction.arc_score);
   EXPECT_EQ(got.extraction.likelihood.alpha, want.extraction.likelihood.alpha);
   EXPECT_EQ(got.extraction.likelihood.inconsistent_value,
             want.extraction.likelihood.inconsistent_value);
-  EXPECT_EQ(got.extraction.side_evidence, want.extraction.side_evidence);
-  EXPECT_EQ(got.extraction.score_floor, want.extraction.score_floor);
   EXPECT_EQ(got.extraction.num_threads, want.extraction.num_threads);
   EXPECT_EQ(got.budget.deadline_seconds, want.budget.deadline_seconds);
   EXPECT_EQ(got.budget.max_tree_nodes, want.budget.max_tree_nodes);
@@ -275,30 +268,23 @@ TEST_F(RemoteTransportTest, AssignmentRoundTripsEveryCarriedField) {
   a.graph_fingerprint = 0x0f1e2d3c4b5a6978ull;
   a.delivery = kDeliveryStream;
   a.beta = 0.375;
-  a.dp.initial_k_cap = 3;
   a.dp.max_reach = 5;
   a.dp.hard_k_cap = 7;
   a.dp.greedy_stop = false;
   a.dp.rank_initiators = true;
-  a.dp.force_root = false;
   a.dp.num_threads = 6;  // not carried
-  a.dp.max_resident_table_entries = 123456789;
-  a.extraction.arc_score = ArcScore::kGFactor;
   a.extraction.likelihood.alpha = 2.5;
   a.extraction.likelihood.inconsistent_value = 0.125;
-  a.extraction.side_evidence = false;
-  a.extraction.score_floor = 1e-9;
   a.extraction.num_threads = 9;
   a.budget.deadline_seconds = 42.5;
   a.budget.max_tree_nodes = 11;
   a.budget.max_k = 13;
   a.items = {5, 0, 17};
   expect_round_trip(a);
-  // The DP's three flags are adjacent bytes: flip each alone from the
-  // defaults, so a swap between two of them cannot hide behind equal values.
+  // The DP's two flags are adjacent bytes: flip each alone from the
+  // defaults, so a swap between them cannot hide behind equal values.
   for (bool TreeDpOptions::*flag :
-       {&TreeDpOptions::greedy_stop, &TreeDpOptions::rank_initiators,
-        &TreeDpOptions::force_root}) {
+       {&TreeDpOptions::greedy_stop, &TreeDpOptions::rank_initiators}) {
     WorkerAssignment one;
     one.dp.*flag = !(one.dp.*flag);
     expect_round_trip(one);
@@ -307,16 +293,16 @@ TEST_F(RemoteTransportTest, AssignmentRoundTripsEveryCarriedField) {
 
 TEST_F(RemoteTransportTest, AssignmentDecodeRejectsAnotherVersion) {
   std::string body = encode_assignment(WorkerAssignment{});
-  std::string v3;
-  wire::put_u32(v3, 3);
-  body.replace(0, v3.size(), v3);
+  std::string v4;
+  wire::put_u32(v4, 4);
+  body.replace(0, v4.size(), v4);
   try {
     decode_assignment(body);
-    FAIL() << "a version-3 assignment decoded";
+    FAIL() << "a version-4 assignment decoded";
   } catch (const util::InputError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("speaks 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("speaks 5"), std::string::npos) << what;
   }
 }
 

@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <cstring>
 
-#include "core/general_tree_dp.hpp"
+#include "oracles/general_tree_dp.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -311,9 +311,7 @@ TEST(TreeDp, AdaptiveKCapGrowth) {
   std::vector<double> in_g(40, 0.01);
   in_g[0] = 1.0;
   const CascadeTree tree = make_tree(std::move(parent), std::move(in_g));
-  TreeDpOptions options;
-  options.initial_k_cap = 8;
-  const TreeSolution s = solve_tree(tree, /*beta=*/0.05, options);
+  const TreeSolution s = solve_tree(tree, /*beta=*/0.05, TreeDpOptions{});
   EXPECT_EQ(s.k, 40u);  // every node worth 0.99 gain > 0.05 penalty
 }
 
@@ -452,40 +450,52 @@ std::uint64_t dp_double_bits(double v) {
 TEST(TreeDpSpill, SpilledArenasAreBitIdentical) {
   util::Rng rng(77);
   const CascadeTree tree = random_tree(rng, 500, 0.1);
-  TreeDpOptions plain;
-  plain.rank_initiators = true;
-  const TreeSolution want = solve_tree(tree, 0.05, plain);
+  constexpr std::uint32_t kCap = 64;
+  BinarizedTreeDp heap(tree, /*max_reach=*/48);
+  const std::vector<double> want = heap.compute(kCap);
 
   util::metrics::Counter& spills =
       util::metrics::global().counter("dp.arena_spills");
   const std::uint64_t before = spills.value();
-  TreeDpOptions tiny = plain;
-  tiny.max_resident_table_entries = 1;  // every arena exceeds this
-  const TreeSolution got = solve_tree(tree, 0.05, tiny);
-  // The threshold crossing is observable (heap fallback still counts the
-  // attempt only when the temp-file mapping succeeded, which it does on any
+  BinarizedTreeDp spilled(tree, /*max_reach=*/48, /*max_resident_entries=*/1);
+  const std::vector<double>& got = spilled.compute(kCap);
+  // Every arena exceeds one entry. The crossing is observable (the counter
+  // only moves when the temp-file mapping succeeded, which it does on any
   // platform this test runs on with a writable tmp dir).
   EXPECT_GT(spills.value(), before);
-  EXPECT_EQ(got.k, want.k);
-  EXPECT_EQ(got.initiators, want.initiators);
-  EXPECT_EQ(got.states, want.states);
-  EXPECT_EQ(got.entry_k, want.entry_k);
-  EXPECT_EQ(dp_double_bits(got.opt), dp_double_bits(want.opt));
-  EXPECT_EQ(dp_double_bits(got.objective), dp_double_bits(want.objective));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::uint32_t k = 1; k <= kCap; ++k) {
+    ASSERT_EQ(dp_double_bits(got[k]), dp_double_bits(want[k])) << "k = " << k;
+    ASSERT_EQ(spilled.extract(k), heap.extract(k)) << "k = " << k;
+  }
+
+  // Entry budgets walk the spilled choice arena the same way.
+  TreeSolution from_heap;
+  from_heap.k = kCap;
+  from_heap.initiators = heap.extract(kCap);
+  TreeSolution from_spill = from_heap;
+  rank_initiators(heap, from_heap);
+  rank_initiators(spilled, from_spill);
+  EXPECT_EQ(from_spill.entry_k, from_heap.entry_k);
 }
 
 TEST(TreeDpSpill, IncrementalGrowthAcrossSpilledArenas) {
-  // Force cap doublings (weak star keeps growing k) with a spilling arena:
-  // the widen-and-move growth path must also be bit-identical.
+  // solve_tree's cap doublings on a weak star, with spilling arenas: the
+  // widen-and-move growth path must match one heap-backed compute at the
+  // final cap after every step.
   const CascadeTree tree = make_weak_star(40);
-  TreeDpOptions plain;
-  const TreeSolution want = solve_tree(tree, 0.0005, plain);
-  TreeDpOptions tiny = plain;
-  tiny.max_resident_table_entries = 1;
-  const TreeSolution got = solve_tree(tree, 0.0005, tiny);
-  EXPECT_EQ(got.k, want.k);
-  EXPECT_EQ(got.initiators, want.initiators);
-  EXPECT_EQ(dp_double_bits(got.opt), dp_double_bits(want.opt));
+  BinarizedTreeDp heap(tree, /*max_reach=*/48);
+  const std::vector<double> want = heap.compute(40);
+  BinarizedTreeDp grown(tree, /*max_reach=*/48, /*max_resident_entries=*/1);
+  for (const std::uint32_t cap : {8u, 16u, 32u, 40u}) {
+    const std::vector<double>& got = grown.compute(cap);
+    for (std::uint32_t k = 1; k <= cap; ++k) {
+      ASSERT_EQ(dp_double_bits(got[k]), dp_double_bits(want[k]))
+          << "cap = " << cap << ", k = " << k;
+      ASSERT_EQ(grown.extract(k), heap.extract(k))
+          << "cap = " << cap << ", k = " << k;
+    }
+  }
 }
 
 TEST(TreeDpBetaSweep, PoolExtractionThreadInvariant) {
