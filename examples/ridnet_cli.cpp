@@ -20,8 +20,7 @@
 //   ridnet_cli stats     --connect=ridnet-serve/serve.sock [--events]
 //                        [--metrics-format=json|prom]
 //   ridnet_cli worker    --connect=ENDPOINT --shard=N --attempt=N
-//                        [--graph-cache-dir=DIR]   ($RID_AUTH_TOKEN,
-//                        $RID_GRAPH_DELIVERY=auto|shared|stream)
+//                        ($RID_AUTH_TOKEN)
 //
 // Graph files are the library's weighted signed edge-list format
 // ("src dst sign weight"; see graph/graph_io.hpp) holding the *social*
@@ -87,8 +86,8 @@
 //                         contain perfectly healthy trees.
 //   --transport=MODE      fork (default) or socket: fork+exec
 //                         "<worker-command> worker" per shard and dispatch
-//                         assignments over a local socket (.ridg input
-//                         required; see DESIGN.md §13)
+//                         assignments, trees included, over a socket (any
+//                         input; see DESIGN.md §13)
 //   --worker-command=BIN  binary exec'd per socket worker (default: this
 //                         ridnet_cli binary itself)
 //   --worker-endpoint=EP  dispatcher endpoint (default: a unix socket in
@@ -99,11 +98,6 @@
 //                         via ps; workers always receive the secret through
 //                         the environment, never argv. Empty = workers are
 //                         not challenged.
-//   --graph-cache-dir=DIR content-addressed worker-side graph cache:
-//                         enables the streamed graph-delivery mode, so a
-//                         worker without the .ridg on a shared filesystem
-//                         fetches it over the wire once and re-verifies it
-//                         by fingerprint on every reuse
 //   --remote-grace=S      fall back to the fork transport when no socket
 //                         worker completes a handshake (and nothing turns
 //                         durable) within S seconds; the result stays
@@ -144,9 +138,9 @@
 //      retry-after hint; query/--wait on a still-pending job)
 //   7  handshake rejected (worker subcommand only): the dispatcher refused
 //      this worker with a typed reject frame — protocol version skew,
-//      binary fingerprint skew, failed auth challenge, or no common graph
-//      delivery mode. Deliberate and terminal: retrying the same binary
-//      with the same credentials cannot succeed
+//      binary fingerprint skew, or a failed auth challenge. Deliberate and
+//      terminal: retrying the same binary with the same credentials cannot
+//      succeed
 //
 // Service mode (DESIGN.md §13): `serve` runs the long-lived daemon —
 // submissions land in a crash-safe journal under --run-dir, run as sharded
@@ -356,8 +350,7 @@ core::RidConfig rid_config_from_flags(const util::Flags& flags) {
 }
 
 core::ShardedConfig sharded_config_from_flags(const util::Flags& flags,
-                                              std::size_t shards,
-                                              const std::string& graph_path) {
+                                              std::size_t shards) {
   core::ShardedConfig sharded;
   sharded.num_shards = shards;
   sharded.run_dir = flags.get_string("run-dir", "ridnet-run");
@@ -389,12 +382,7 @@ core::ShardedConfig sharded_config_from_flags(const util::Flags& flags,
     const char* env_token = std::getenv("RID_AUTH_TOKEN");
     sharded.auth_token =
         flags.get_string("auth-token", env_token ? env_token : "");
-    sharded.graph_cache_dir = flags.get_string("graph-cache-dir", "");
     sharded.remote_grace_seconds = flags.get_double("remote-grace", 0.0);
-    // Empty for text-graph inputs; the core rejects that combination with
-    // an explanation (socket workers re-map the .ridg, there is no file to
-    // point them at otherwise).
-    sharded.graph_path = graph_path;
   } else if (transport != "fork") {
     throw std::invalid_argument("unknown transport: " + transport +
                                 " (fork|socket)");
@@ -419,9 +407,8 @@ core::DetectionResult detect_on(const graph::SignedGraph& diffusion,
     // --shards=N: crash-isolated multi-process execution with checkpoints.
     const std::size_t shards = flags.get_count<std::size_t>("shards", 0);
     if (shards > 0)
-      return core::run_rid_sharded(
-          diffusion, snapshot, config,
-          sharded_config_from_flags(flags, shards, ""));
+      return core::run_rid_sharded(diffusion, snapshot, config,
+                                   sharded_config_from_flags(flags, shards));
     return core::run_rid(diffusion, snapshot, config);
   }
   core::BaselineConfig base;
@@ -444,8 +431,7 @@ core::DetectionResult detect_on(const graph::SignedGraph& diffusion,
 /// input instead of silently materializing one.
 core::DetectionResult detect_on(const graph::ColumnarGraphView& diffusion,
                                 std::span<const graph::NodeState> snapshot,
-                                const util::Flags& flags,
-                                const std::string& graph_path) {
+                                const util::Flags& flags) {
   const std::string method = flags.get_string("method", "rid");
   if (method != "rid")
     throw util::InputError("method '" + method +
@@ -458,9 +444,8 @@ core::DetectionResult detect_on(const graph::ColumnarGraphView& diffusion,
   const core::RidConfig config = rid_config_from_flags(flags);
   const std::size_t shards = flags.get_count<std::size_t>("shards", 0);
   if (shards > 0)
-    return core::run_rid_sharded(
-        diffusion, snapshot, config,
-        sharded_config_from_flags(flags, shards, graph_path));
+    return core::run_rid_sharded(diffusion, snapshot, config,
+                                 sharded_config_from_flags(flags, shards));
   return core::run_rid(diffusion, snapshot, config);
 }
 
@@ -500,8 +485,7 @@ int cmd_detect(const util::Flags& flags) {
       snapshot = core::load_snapshot_file(
           flags.get_string("snapshot", "snap.txt"), view.num_nodes());
     }
-    const core::DetectionResult result =
-        detect_on(view, snapshot, flags, graph_path);
+    const core::DetectionResult result = detect_on(view, snapshot, flags);
     return write_detection(result, view.num_nodes(), flags);
   }
   const auto loaded = graph::load_weighted_file(graph_path);
@@ -700,18 +684,14 @@ int cmd_checkpoints(const util::Flags& flags) {
 // returns the process exit code (its failures must look like worker
 // crashes to the supervisor, never like CLI usage errors).
 int cmd_worker(const util::Flags& flags) {
-  core::WorkerOptions options;
   // The shared secret only ever arrives via the environment (the launcher
   // exports RID_AUTH_TOKEN between fork and exec) — a --auth-token flag
   // here would leak it through /proc/<pid>/cmdline. run_socket_worker
-  // reads the variable itself when this stays empty.
-  options.graph_cache_dir = flags.get_string("graph-cache-dir", "");
-  if (const char* delivery = std::getenv("RID_GRAPH_DELIVERY"))
-    options.delivery = delivery;
+  // reads the variable itself.
   return core::run_socket_worker(
       flags.get_string("connect", ""),
       flags.get_count<std::size_t>("shard", 0),
-      flags.get_count<std::uint32_t>("attempt", 1), options);
+      flags.get_count<std::uint32_t>("attempt", 1));
 }
 
 int cmd_serve(const util::Flags& flags) {
@@ -726,12 +706,11 @@ int cmd_serve(const util::Flags& flags) {
       flags.get_count<std::size_t>("max-concurrent", 2);
   options.worker_slots = flags.get_count<std::size_t>("worker-slots", 0);
   options.base_config = rid_config_from_flags(flags);
-  const core::ShardedConfig sharded = sharded_config_from_flags(flags, 0, "");
+  const core::ShardedConfig sharded = sharded_config_from_flags(flags, 0);
   options.supervisor = sharded.supervisor;
   options.transport = sharded.transport;
   options.worker_command = sharded.worker_command;
   options.auth_token = sharded.auth_token;
-  options.graph_cache_dir = sharded.graph_cache_dir;
   options.remote_grace_seconds = sharded.remote_grace_seconds;
   options.cancel = cli_cancel_token();
   options.on_listening = [](const std::string& endpoint) {

@@ -86,14 +86,13 @@ std::vector<DetectionResult> run_rid_betas(const CascadeForest& forest,
 enum class ShardTransport {
   /// fork() a copy of this process per shard attempt over a socketpair;
   /// the forest is inherited copy-on-write and results stream back in the
-  /// same frames as kSocket. The default, and the only option without a
-  /// .ridg file.
+  /// same frames as kSocket. The default.
   kFork,
   /// fork+exec `<worker_command> worker` per shard and dispatch the
-  /// assignment over a Unix/TCP socket (core/shard_transport.hpp). Workers
-  /// re-map `graph_path`, re-extract the forest, and verify its
-  /// fingerprint, so execution no longer shares an address space with the
-  /// dispatcher. Results stay bit-identical for any transport.
+  /// assignment, the attempt's trees included, over a Unix/TCP socket
+  /// (core/shard_transport.hpp), so execution no longer shares an address
+  /// space — or a filesystem — with the dispatcher. Results stay
+  /// bit-identical for any transport.
   kSocket,
 };
 
@@ -115,17 +114,11 @@ struct ShardedConfig {
   /// Worker lifecycle policy: parallelism, retry/backoff, heartbeat and
   /// deadline kills, poison threshold, resource caps, cancellation.
   util::SupervisorOptions supervisor;
-  /// Worker transport. kSocket additionally requires `worker_command` and
-  /// `graph_path`, and rejects RidConfig::candidates and
-  /// RepairPolicy::kRepair: the forest fingerprint does not cover the
-  /// candidate mask or repaired states, so an exec'd worker re-extracting
-  /// from the raw snapshot could silently diverge — refused instead.
+  /// Worker transport. kSocket additionally requires `worker_command`.
   ShardTransport transport = ShardTransport::kFork;
   /// kSocket: the binary exec'd as `<worker_command> worker ...` (normally
   /// the running ridnet_cli's own path).
   std::string worker_command;
-  /// kSocket: .ridg snapshot (with embedded states) workers re-map.
-  std::string graph_path;
   /// kSocket: dispatcher endpoint in util::net::Endpoint::parse syntax.
   /// Empty = a Unix socket inside run_dir.
   std::string worker_endpoint;
@@ -139,10 +132,6 @@ struct ShardedConfig {
   /// Reaches fork+exec'd workers through the RID_AUTH_TOKEN environment
   /// variable, never argv.
   std::string auth_token;
-  /// kSocket: content-addressed graph cache directory handed to launched
-  /// workers (`--graph-cache-dir`), enabling the streamed graph delivery
-  /// mode. Empty = workers only offer the shared-filesystem mode.
-  std::string graph_cache_dir;
   /// kSocket: grace budget (seconds) before the runner concludes the
   /// socket transport is unreachable — no completed handshake and no
   /// durable progress by then — cancels it, and re-runs the remaining

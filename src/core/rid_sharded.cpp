@@ -109,56 +109,32 @@ void ensure_run_dir(const std::string& run_dir, bool resume,
   }
 }
 
-/// Refuses configurations a transport cannot reproduce bit-identically.
-void validate_transport(const RidConfig& config, const ShardedConfig& sharded) {
+void validate_transport(const ShardedConfig& sharded) {
   if (sharded.run_dir.empty()) {
     throw util::InputError(
         "sharded RID run requires a run directory (ShardedConfig::run_dir)");
   }
-  if (sharded.transport != ShardTransport::kSocket) return;
-  if (sharded.worker_command.empty())
+  if (sharded.transport == ShardTransport::kSocket &&
+      sharded.worker_command.empty())
     throw util::InputError(
         "socket transport requires ShardedConfig::worker_command (the "
         "binary exec'd as `<cmd> worker`)");
-  if (sharded.graph_path.empty())
-    throw util::InputError(
-        "socket transport requires ShardedConfig::graph_path (a .ridg "
-        "snapshot with embedded states for workers to re-map)");
-  // The forest fingerprint covers tree shapes and states but NOT the
-  // candidate mask or repaired states — an exec'd worker re-extracting from
-  // the raw snapshot would silently compute against a different
-  // eligibility set. Refuse instead of diverging.
-  if (!config.candidates.empty())
-    throw util::InputError(
-        "socket transport does not support RidConfig::candidates (the "
-        "mask is not covered by the forest fingerprint)");
-  if (config.repair_policy == RepairPolicy::kRepair)
-    throw util::InputError(
-        "socket transport does not support RepairPolicy::kRepair "
-        "(repaired states are not covered by the forest fingerprint)");
 }
 
-/// The fully resolved solve configuration both launchers hand their
-/// workers (the extraction thread count substituted: a worker must not
-/// re-derive anything from its own environment). Cancellation stays
-/// parent-side — the supervisor kills.
+/// The solve configuration both launchers hand their workers. The trees
+/// themselves carry everything extraction decided (candidate mask and
+/// repaired states included). Cancellation stays parent-side — the
+/// supervisor kills.
 WorkerAssignment resolve_assignment(const RidConfig& config,
-                                    const ShardedConfig& sharded,
-                                    std::uint64_t fingerprint) {
+                                    const ShardedConfig& sharded) {
   WorkerAssignment assignment;
-  assignment.fingerprint = fingerprint;
   assignment.trace_id = sharded.trace_id;
   // Workers record spans only when the parent is tracing; the telemetry
   // frame itself always flows (the metrics half is always compiled).
   assignment.collect_trace = trace::enabled();
-  assignment.graph_path = sharded.graph_path;
   assignment.beta = config.beta;
   assignment.dp = config.dp;
   assignment.dp.budget = nullptr;
-  assignment.extraction = config.extraction;
-  assignment.extraction.budget = nullptr;
-  if (assignment.extraction.num_threads == 0)
-    assignment.extraction.num_threads = config.num_threads;
   assignment.budget = config.budget;
   assignment.budget.cancel = {};
   return assignment;
@@ -284,9 +260,10 @@ class ShardedRun {
           }
         });
       }
-      report = run_phase(pending,
-                         dispatcher.launcher(sharded_.worker_command, options),
-                         options);
+      report = run_phase(
+          pending,
+          dispatcher.launcher(forest_, sharded_.worker_command, options),
+          options);
     }  // the watchdog stops and joins here, on every path
     if (sharded_.remote_grace_seconds > 0 &&
         !sharded_.supervisor.cancel.cancel_requested() &&
@@ -423,7 +400,7 @@ std::vector<util::ShardWork> plan_shards(const CascadeForest& forest,
 DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
                                           const RidConfig& config,
                                           const ShardedConfig& sharded) {
-  validate_transport(config, sharded);
+  validate_transport(sharded);
   const bool socket_transport = sharded.transport == ShardTransport::kSocket;
   if (!util::process_isolation_supported() ||
       (socket_transport && !util::net::supported())) {
@@ -452,23 +429,21 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   const std::vector<std::size_t> pending = run.missing();
   diagnostics.shard_count = std::min(sharded.num_shards, pending.size());
 
-  WorkerAssignment assignment =
-      resolve_assignment(config, sharded, run.fingerprint());
+  WorkerAssignment assignment = resolve_assignment(config, sharded);
   util::SupervisorReport report;
   if (socket_transport) {
-    DispatcherOptions dispatcher_options;
-    dispatcher_options.auth_token = sharded.auth_token;
-    dispatcher_options.graph_cache_dir = sharded.graph_cache_dir;
     SocketDispatcher dispatcher(
         sharded.worker_endpoint.empty()
             ? util::net::Endpoint::unix_path(sharded.run_dir + "/workers.sock")
             : util::net::Endpoint::parse(sharded.worker_endpoint),
-        sharded.run_dir, std::move(assignment), dispatcher_options);
+        sharded.run_dir, run.fingerprint(), std::move(assignment),
+        sharded.auth_token);
     report = run.run_socket(dispatcher, pending);
     for (std::string& event : dispatcher.take_events())
       diagnostics.shard_events.push_back(std::move(event));
   } else {
-    SocketDispatcher dispatcher(sharded.run_dir, std::move(assignment));
+    SocketDispatcher dispatcher(sharded.run_dir, run.fingerprint(),
+                                std::move(assignment));
     report = run.run_phase(
         pending, dispatcher.fork_launcher(forest, sharded.supervisor),
         sharded.supervisor);
@@ -503,7 +478,8 @@ DetectionResult run_rid_sharded_impl(const Graph& diffusion,
                                      const ShardedConfig& sharded) {
   trace::TraceSpan span("run_rid_sharded");
   // Same front half as run_rid (extraction in the parent, once — forked
-  // workers inherit the forest copy-on-write).
+  // workers inherit the forest copy-on-write, exec'd ones receive their
+  // trees in the assignment).
   internal::PreparedForest prepared =
       internal::prepare_forest(diffusion, states, config);
 

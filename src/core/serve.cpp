@@ -355,9 +355,7 @@ JobOutcome execute_job(Daemon& d, const Job& job) {
   sharded.transport = d.options.transport;
   sharded.worker_command = d.options.worker_command;
   sharded.auth_token = d.options.auth_token;
-  sharded.graph_cache_dir = d.options.graph_cache_dir;
   sharded.remote_grace_seconds = d.options.remote_grace_seconds;
-  sharded.graph_path = job.spec.graph_path;
   // Stamp the job id into worker assignments: their telemetry echoes it
   // back, so merged traces and late reports attribute to the right job.
   sharded.trace_id = job.id;
@@ -661,12 +659,6 @@ std::string stats_json(Daemon& d, bool prometheus_metrics) {
   out += ", \"handshakes\": " + std::to_string(wire_counter("net.handshakes"));
   out += ", \"handshakes_rejected\": " +
          std::to_string(wire_counter("net.handshakes_rejected"));
-  out += ", \"graph_ship_requests\": " +
-         std::to_string(wire_counter("net.graph_ship_requests"));
-  out += ", \"graph_bytes_shipped\": " +
-         std::to_string(wire_counter("net.graph_bytes_shipped"));
-  out += ", \"graph_cache_hits\": " +
-         std::to_string(wire_counter("net.graph_cache_hits"));
   out += ", \"transport_fallbacks\": " +
          std::to_string(wire_counter("net.transport_fallbacks"));
   out += '}';

@@ -86,10 +86,6 @@ struct ServeOptions {
   /// (ShardedConfig::auth_token — reaches workers via RID_AUTH_TOKEN,
   /// never argv). Empty = workers are not challenged.
   std::string auth_token;
-  /// kSocket: content-addressed graph cache directory for streamed graph
-  /// delivery (ShardedConfig::graph_cache_dir). Empty = shared-filesystem
-  /// delivery only.
-  std::string graph_cache_dir;
   /// kSocket: per-job grace budget before falling back to the fork
   /// transport (ShardedConfig::remote_grace_seconds). 0 = never.
   double remote_grace_seconds = 0.0;

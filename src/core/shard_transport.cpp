@@ -7,8 +7,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -18,7 +16,6 @@
 
 #include "core/checkpoint.hpp"
 #include "core/rid_internal.hpp"
-#include "graph/columnar.hpp"
 #include "util/errors.hpp"
 #include "util/failpoint.hpp"
 #include "util/flight_recorder.hpp"
@@ -52,23 +49,24 @@ namespace wire = util::wire;
 /// extraction's solver switch (a worker's single-beta DP is serial); v5
 /// dropped the first k cap, force_root and the spill threshold from the DP
 /// and the arc score, side-evidence switch and score floor from the
-/// extraction (all now constants).
-constexpr std::uint32_t kAssignmentVersion = 5;
+/// extraction (all now constants); v6 ships the attempt's trees and drops
+/// the forest fingerprint, the graph path, its data fingerprint, the
+/// delivery mode and the extraction config (workers no longer extract).
+constexpr std::uint32_t kAssignmentVersion = 6;
 
 /// The conversation version advertised in the hello. Bumped together with
 /// kAssignmentVersion — any change to any frame layout is a new protocol.
-constexpr std::uint32_t kProtocolVersion = 5;
+constexpr std::uint32_t kProtocolVersion = 6;
+
+/// Bytes per tree node in an assignment: global, parent and parent_edge
+/// (u32 each), in_g (f64), state (i8) and side_q (f64).
+constexpr std::size_t kTreeNodeBytes = 4 + 4 + 4 + 8 + 1 + 8;
 
 constexpr double kDispatcherPollSeconds = 0.25;
 
 /// Exit code of a forked worker whose per-tree loop let an exception escape
 /// (a "soft" failure, still a worker loss to the supervisor).
 constexpr int kWorkerExceptionExit = 99;
-
-/// Streamed graph shipping window. Each chunk is one checksummed frame, so
-/// damage granularity (and re-ship cost on a dropped connection) is one
-/// window, never the whole file.
-constexpr std::size_t kGraphChunkBytes = std::size_t(1) << 20;  // 1 MiB
 
 /// Environment override for a timing knob (seconds); tests shrink the
 /// handshake deadlines so injected stalls resolve in milliseconds.
@@ -81,9 +79,10 @@ double env_seconds(const char* name, double fallback) {
   return value;
 }
 
-/// Dispatcher-side deadline for each handshake frame (hello, auth). A
-/// connection that stalls inside the handshake is dropped, not parked.
-double dispatcher_handshake_seconds() {
+/// Deadline for each handshake frame, on both sides (hello and auth at the
+/// dispatcher; challenge, reject or kAssign at the worker). A connection
+/// that stalls inside the handshake is dropped, not parked.
+double handshake_seconds() {
   return env_seconds("RID_HANDSHAKE_TIMEOUT", 30.0);
 }
 
@@ -108,14 +107,6 @@ struct TransportMetrics {
       util::metrics::global().counter("net.connections_dropped");
   util::metrics::Counter& connect_retries =
       util::metrics::global().counter("net.connect_retries");
-  util::metrics::Counter& graph_ship_requests =
-      util::metrics::global().counter("net.graph_ship_requests");
-  util::metrics::Counter& graph_chunks_sent =
-      util::metrics::global().counter("net.graph_chunks_sent");
-  util::metrics::Counter& graph_bytes_shipped =
-      util::metrics::global().counter("net.graph_bytes_shipped");
-  util::metrics::Counter& graph_cache_hits =
-      util::metrics::global().counter("net.graph_cache_hits");
 };
 
 TransportMetrics& transport_metrics() {
@@ -146,66 +137,43 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
   return out;
 }
 
-/// Data fingerprint of a `.ridg` on disk: FNV-1a64 over the payload bytes
-/// [kRidgHeaderSize, size) — the same hash the writer embeds at offset 32.
-/// Streams in windows so verifying a shipped multi-GiB graph never buffers
-/// it. Throws util::InputError on I/O failure.
-std::uint64_t file_data_fingerprint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw util::InputError(path + ": cannot open for fingerprint");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < static_cast<std::streamoff>(graph::kRidgHeaderSize))
-    throw util::InputError(path + ": shorter than a .ridg header");
-  in.seekg(static_cast<std::streamoff>(graph::kRidgHeaderSize));
-  std::uint64_t hash = util::kFnv64Basis;
-  std::vector<char> window(1 << 20);
-  std::streamoff remaining =
-      size - static_cast<std::streamoff>(graph::kRidgHeaderSize);
-  while (remaining > 0) {
-    const std::streamsize take = static_cast<std::streamsize>(
-        std::min<std::streamoff>(remaining,
-                                 static_cast<std::streamoff>(window.size())));
-    in.read(window.data(), take);
-    if (in.gcount() != take)
-      throw util::InputError(path + ": short read during fingerprint");
-    hash = util::fnv1a64(window.data(), static_cast<std::size_t>(take), hash);
-    remaining -= take;
-  }
-  return hash;
-}
-
-/// The worker's half of handshake v2 — everything the dispatcher needs to
-/// decide compatible/authorized/deliverable before any work flows.
+/// The worker's half of the handshake — everything the dispatcher needs to
+/// decide compatible/authorized before any work flows.
 struct HelloV2 {
   std::uint32_t protocol_min = kProtocolVersion;
   std::uint32_t protocol_max = kProtocolVersion;
   std::uint64_t binary_fingerprint = 0;
-  std::uint8_t delivery_modes = kDeliveryShared;
   std::uint32_t shard_id = 0;
   std::uint32_t attempt = 0;
   std::uint64_t worker_pid = 0;
 };
+
+bool speaks_this_protocol(const HelloV2& hello) {
+  return hello.protocol_min <= kProtocolVersion &&
+         kProtocolVersion <= hello.protocol_max;
+}
 
 std::string encode_hello(const HelloV2& hello) {
   std::string out;
   wire::put_u32(out, hello.protocol_min);
   wire::put_u32(out, hello.protocol_max);
   wire::put_u64(out, hello.binary_fingerprint);
-  wire::put_u8(out, hello.delivery_modes);
   wire::put_u32(out, hello.shard_id);
   wire::put_u32(out, hello.attempt);
   wire::put_u64(out, hello.worker_pid);
   return out;
 }
 
+/// Stops after the version range when it excludes this build: the rest of
+/// another protocol's hello need not decode here, and the version gate must
+/// still answer it with a typed reject.
 HelloV2 decode_hello(std::string_view body) {
   wire::Reader in(body, "hello");
   HelloV2 hello;
   hello.protocol_min = in.u32();
   hello.protocol_max = in.u32();
+  if (!speaks_this_protocol(hello)) return hello;
   hello.binary_fingerprint = in.u64();
-  hello.delivery_modes = in.u8();
   hello.shard_id = in.u32();
   hello.attempt = in.u32();
   hello.worker_pid = in.u64();
@@ -254,8 +222,6 @@ const char* to_string(RejectCode code) noexcept {
       return "authentication failed";
     case RejectCode::kUnknownShard:
       return "unknown shard";
-    case RejectCode::kNoDelivery:
-      return "no graph delivery mode in common";
   }
   return "?";
 }
@@ -269,20 +235,85 @@ std::uint64_t protocol_binary_fingerprint() {
   hash = util::fnv1a64_step(hash, kProtocolVersion);
   hash = util::fnv1a64_step(hash, kAssignmentVersion);
   hash = util::fnv1a64_step(hash,
-                            static_cast<std::uint64_t>(WireMessage::kGraphChunk));
-  hash = util::fnv1a64_step(hash, kGraphChunkBytes);
+                            static_cast<std::uint64_t>(WireMessage::kReject));
+  hash = util::fnv1a64_step(hash, kTreeNodeBytes);
   return hash;
 }
+
+namespace {
+
+void encode_tree(std::string& out, const CascadeTree& tree) {
+  wire::put_u64(out, tree.size());
+  for (std::size_t v = 0; v < tree.size(); ++v) {
+    wire::put_u32(out, tree.global[v]);
+    wire::put_u32(out, tree.parent[v]);
+    wire::put_u32(out, tree.parent_edge[v]);
+    wire::put_f64(out, tree.in_g[v]);
+    wire::put_u8(out, static_cast<std::uint8_t>(tree.state[v]));
+    wire::put_f64(out, tree.side_q[v]);
+  }
+  wire::put_u8(out, tree.can_initiate.empty() ? 0 : 1);
+  for (const bool can : tree.can_initiate) wire::put_u8(out, can ? 1 : 0);
+}
+
+/// Decodes one tree and refuses any the solver could not trust: no nodes,
+/// a root with a parent, a parent that does not precede its child, an
+/// unimputed state, a factor outside [0, 1] (NaN included), a mask byte
+/// other than 0 or 1.
+CascadeTree decode_tree(wire::Reader& in, std::size_t index) {
+  const auto fail = [index](const std::string& what) {
+    throw util::InputError("worker assignment: tree " +
+                           std::to_string(index) + ": " + what);
+  };
+  const auto unit = [&fail](double value, const char* name, std::size_t v) {
+    if (!(value >= 0.0 && value <= 1.0))
+      fail("node " + std::to_string(v) + " " + name + " outside [0, 1]");
+    return value;
+  };
+  const std::size_t n = in.count(in.u64(), kTreeNodeBytes);
+  if (n == 0) fail("no nodes");
+  CascadeTree tree;
+  tree.global.resize(n);
+  tree.parent.resize(n);
+  tree.parent_edge.resize(n);
+  tree.in_g.resize(n);
+  tree.state.resize(n);
+  tree.side_q.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    tree.global[v] = in.u32();
+    tree.parent[v] = in.u32();
+    if (v == 0 ? tree.parent[v] != graph::kInvalidNode : tree.parent[v] >= v)
+      fail("node " + std::to_string(v) + " has parent " +
+           std::to_string(tree.parent[v]));
+    tree.parent_edge[v] = in.u32();
+    tree.in_g[v] = unit(in.f64(), "in_g", v);
+    tree.state[v] = static_cast<graph::NodeState>(
+        static_cast<std::int8_t>(in.u8()));
+    if (!graph::is_opinion(tree.state[v]))
+      fail("node " + std::to_string(v) + " state is not +1/-1");
+    tree.side_q[v] = unit(in.f64(), "side_q", v);
+  }
+  const std::uint8_t masked = in.u8();
+  if (masked > 1) fail("mask flag " + std::to_string(masked));
+  if (masked == 1) {
+    in.count(n, 1);
+    tree.can_initiate.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::uint8_t can = in.u8();
+      if (can > 1) fail("mask byte " + std::to_string(can));
+      tree.can_initiate[v] = can == 1;
+    }
+  }
+  return tree;
+}
+
+}  // namespace
 
 std::string encode_assignment(const WorkerAssignment& assignment) {
   std::string out;
   wire::put_u32(out, kAssignmentVersion);
-  wire::put_u64(out, assignment.fingerprint);
   wire::put_u64(out, assignment.trace_id);
   wire::put_u8(out, assignment.collect_trace ? 1 : 0);
-  wire::put_bytes(out, assignment.graph_path);
-  wire::put_u64(out, assignment.graph_fingerprint);
-  wire::put_u8(out, assignment.delivery);
   wire::put_f64(out, assignment.beta);
   // TreeDpOptions (num_threads stays home: a worker's single-beta solves
   // never read it; the budget pointer travels as the WorkBudget fields
@@ -291,18 +322,15 @@ std::string encode_assignment(const WorkerAssignment& assignment) {
   wire::put_u32(out, assignment.dp.hard_k_cap);
   wire::put_u8(out, assignment.dp.greedy_stop ? 1 : 0);
   wire::put_u8(out, assignment.dp.rank_initiators ? 1 : 0);
-  // ExtractionConfig.
-  wire::put_f64(out, assignment.extraction.likelihood.alpha);
-  wire::put_f64(out, assignment.extraction.likelihood.inconsistent_value);
-  wire::put_u64(out, assignment.extraction.num_threads);
   // WorkBudget (cancellation stays parent-side: the supervisor kills).
   wire::put_f64(out, assignment.budget.deadline_seconds);
   wire::put_u32(out, assignment.budget.max_tree_nodes);
   wire::put_u32(out, assignment.budget.max_k);
-  // Items.
   wire::put_u64(out, assignment.items.size());
   for (const std::size_t item : assignment.items)
     wire::put_u64(out, static_cast<std::uint64_t>(item));
+  wire::put_u64(out, assignment.trees.size());
+  for (const CascadeTree& tree : assignment.trees) encode_tree(out, tree);
   return out;
 }
 
@@ -314,20 +342,13 @@ WorkerAssignment decode_assignment(std::string_view body) {
                            std::to_string(version) + " (this build speaks " +
                            std::to_string(kAssignmentVersion) + ")");
   WorkerAssignment a;
-  a.fingerprint = in.u64();
   a.trace_id = in.u64();
   a.collect_trace = in.u8() != 0;
-  a.graph_path = in.str();
-  a.graph_fingerprint = in.u64();
-  a.delivery = in.u8();
   a.beta = in.f64();
   a.dp.max_reach = in.u32();
   a.dp.hard_k_cap = in.u32();
   a.dp.greedy_stop = in.u8() != 0;
   a.dp.rank_initiators = in.u8() != 0;
-  a.extraction.likelihood.alpha = in.f64();
-  a.extraction.likelihood.inconsistent_value = in.f64();
-  a.extraction.num_threads = static_cast<std::size_t>(in.u64());
   a.budget.deadline_seconds = in.f64();
   a.budget.max_tree_nodes = in.u32();
   a.budget.max_k = in.u32();
@@ -335,6 +356,15 @@ WorkerAssignment decode_assignment(std::string_view body) {
   a.items.reserve(num_items);
   for (std::size_t i = 0; i < num_items; ++i)
     a.items.push_back(static_cast<std::size_t>(in.u64()));
+  // Each tree takes at least its node count, one node and the mask flag.
+  const std::size_t num_trees = in.count(in.u64(), 8 + kTreeNodeBytes + 1);
+  if (num_trees != num_items)
+    throw util::InputError("worker assignment: " + std::to_string(num_trees) +
+                           " trees for " + std::to_string(num_items) +
+                           " items");
+  a.trees.reserve(num_trees);
+  for (std::size_t t = 0; t < num_trees; ++t)
+    a.trees.push_back(decode_tree(in, t));
   in.expect_done();
   return a;
 }
@@ -399,13 +429,15 @@ int worker_fail(net::Socket& socket, const std::string& message, int code) {
   return code;
 }
 
-/// The per-tree loop every worker runs once it holds its forest, forked or
-/// exec'd: solve the assigned trees serially in shard order (the
-/// supervisor's poison suspect, "first incomplete item", depends on it)
-/// with run_rid_on_forest's per-tree isolation ladder, send one kRecord
-/// frame per tree as soon as it is solved (a crash loses at most the tree
-/// in flight), then kTelemetry and kDone. Returns the exit code.
-int stream_trees(net::Socket& socket, const CascadeForest& forest,
+/// The per-tree loop every worker runs once it holds its trees (`trees[i]`
+/// is forest tree `assignment.items[i]`), forked or exec'd: solve them
+/// serially in shard order (the supervisor's poison suspect, "first
+/// incomplete item", depends on it) with run_rid_on_forest's per-tree
+/// isolation ladder, send one kRecord frame per tree as soon as it is
+/// solved (a crash loses at most the tree in flight), then kTelemetry and
+/// kDone. Returns the exit code.
+int stream_trees(net::Socket& socket,
+                 const std::vector<const CascadeTree*>& trees,
                  const WorkerAssignment& assignment, std::size_t shard_id,
                  std::uint32_t attempt, std::uint64_t worker_start_ns) {
   const util::BudgetScope scope(assignment.budget);
@@ -413,17 +445,15 @@ int stream_trees(net::Socket& socket, const CascadeForest& forest,
   if (!assignment.budget.unlimited()) dp.budget = &scope;
 
   std::uint64_t streamed = 0;
-  for (const std::size_t item : assignment.items) {
+  for (std::size_t i = 0; i < assignment.items.size(); ++i) {
     RID_FAILPOINT("shard.worker_tree");
-    if (item >= forest.trees.size())
-      return worker_fail(
-          socket, "assigned tree " + std::to_string(item) + " out of range",
-          3);
+    const std::size_t item = assignment.items[i];
+    const CascadeTree& cascade = *trees[i];
     TreeCheckpointRecord record;
     record.tree_index = item;
     TreeDiagnostics tree;
     const std::uint64_t start_ns = util::trace::now_ns();
-    internal::solve_tree_guarded(forest.trees[item], assignment.beta, dp,
+    internal::solve_tree_guarded(cascade, assignment.beta, dp,
                                  record.solution, tree);
     const std::uint64_t end_ns = util::trace::now_ns();
     record.seconds = static_cast<double>(end_ns - start_ns) * 1e-9;
@@ -436,8 +466,7 @@ int stream_trees(net::Socket& socket, const CascadeForest& forest,
       // read uniformly.
       const util::trace::TagValue tags[] = {
           {"tree_index", nullptr, static_cast<std::int64_t>(item)},
-          {"nodes", nullptr,
-           static_cast<std::int64_t>(forest.trees[item].size())},
+          {"nodes", nullptr, static_cast<std::int64_t>(cascade.size())},
           {"status", status_name(tree.status), 0},
       };
       util::trace::emit_span("solve_tree", start_ns, end_ns,
@@ -480,8 +509,8 @@ int stream_trees(net::Socket& socket, const CascadeForest& forest,
 }
 
 /// Body of a forked worker: it inherits the forest and the resolved
-/// assignment, so it skips the `.ridg`, the re-extraction and the
-/// handshake, and runs the per-tree loop straight into its stream end.
+/// assignment, so it skips the handshake and the tree decode, and runs the
+/// per-tree loop straight into its stream end.
 /// Leaves only through _exit: no atexit handlers, no flushing of stdio
 /// buffers duplicated from the parent.
 [[noreturn]] void run_fork_worker(net::Socket& socket,
@@ -501,7 +530,11 @@ int stream_trees(net::Socket& socket, const CascadeForest& forest,
     util::metrics::global().reset();
     if (assignment.collect_trace && util::trace::compiled())
       util::trace::start();
-    code = stream_trees(socket, forest, assignment, shard_id, attempt,
+    std::vector<const CascadeTree*> trees;
+    trees.reserve(assignment.items.size());
+    for (const std::size_t item : assignment.items)
+      trees.push_back(&forest.trees[item]);
+    code = stream_trees(socket, trees, assignment, shard_id, attempt,
                         util::trace::now_ns());
   } catch (...) {
   }
@@ -518,9 +551,11 @@ struct SocketDispatcher::Impl {
   };
 
   std::string run_dir;
+  std::uint64_t fingerprint = 0;  // stamped into every checkpoint file
   WorkerAssignment assignment_template;
-  DispatcherOptions options;
+  std::string auth_token;
   net::Listener listener;  // bound only for the exec launcher
+  const CascadeForest* forest = nullptr;  // the exec launcher's trees
 
   std::mutex mutex;
   // shard_id -> items of the currently-launching attempt. A worker from a
@@ -577,50 +612,8 @@ struct SocketDispatcher::Impl {
               std::string(to_string(code)) + "): " + detail);
   }
 
-  /// Streams the `.ridg` to a worker that asked for it, one checksummed
-  /// kGraphChunk window at a time. Returns false when the connection died
-  /// mid-ship (the attempt ends; the supervisor requeues).
-  bool ship_graph(net::Socket& socket, std::size_t shard_id) {
-    TransportMetrics& tm = transport_metrics();
-    tm.graph_ship_requests.add(1);
-    std::ifstream in(assignment_template.graph_path, std::ios::binary);
-    if (!in) {
-      log_event("dispatcher: cannot open " + assignment_template.graph_path +
-                " to ship to shard " + std::to_string(shard_id));
-      return false;
-    }
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    in.seekg(0);
-    std::vector<char> window(kGraphChunkBytes);
-    std::streamoff offset = 0;
-    while (offset < size) {
-      const std::streamsize take = static_cast<std::streamsize>(
-          std::min<std::streamoff>(size - offset,
-                                   static_cast<std::streamoff>(window.size())));
-      in.read(window.data(), take);
-      if (in.gcount() != take) {
-        log_event("dispatcher: short read shipping " +
-                  assignment_template.graph_path);
-        return false;
-      }
-      const bool last = offset + take >= size;
-      std::string body;
-      wire::put_u8(body, last ? 1 : 0);
-      wire::put_u64(body, static_cast<std::uint64_t>(offset));
-      body.append(window.data(), static_cast<std::size_t>(take));
-      if (!socket.write_frame(
-              message_frame(WireMessage::kGraphChunk, body)))
-        return false;
-      tm.graph_chunks_sent.add(1);
-      tm.graph_bytes_shipped.add(static_cast<std::uint64_t>(take));
-      offset += take;
-    }
-    return true;
-  }
-
   void accept_loop() {
-    while (!stop.load(std::memory_order_relaxed)) {
+    while (!stop.load()) {
       net::Socket socket;
       try {
         socket = listener.accept(kDispatcherPollSeconds);
@@ -632,7 +625,9 @@ struct SocketDispatcher::Impl {
         log_event(std::string("dispatcher: accept failed: ") + e.what());
         continue;
       }
-      if (!socket.valid()) continue;
+      // A connection that lands after stop (the destructor's wake-up among
+      // them) is dropped unread.
+      if (!socket.valid() || stop.load()) continue;
       std::lock_guard<std::mutex> lock(mutex);
       handlers.emplace_back(&Impl::handle_connection, this,
                             std::move(socket));
@@ -653,7 +648,7 @@ struct SocketDispatcher::Impl {
       // accepts and then stalls before speaking — the worker's handshake
       // deadline must convert the stall into a clean retry/requeue.
       RID_FAILPOINT("net.half_open");
-      const double handshake_timeout = dispatcher_handshake_seconds();
+      const double handshake_timeout = handshake_seconds();
       // Handshake: one Hello frame names the (shard, attempt) this
       // connection carries and advertises the worker's capabilities.
       const net::FrameStatus status =
@@ -674,8 +669,7 @@ struct SocketDispatcher::Impl {
       // Capability gates, most specific verdict first. Version and binary
       // skew are configuration errors the supervisor cannot retry away, so
       // they fail closed with a typed reject.
-      if (hello.protocol_min > kProtocolVersion ||
-          hello.protocol_max < kProtocolVersion) {
+      if (!speaks_this_protocol(hello)) {
         reject(socket, RejectCode::kVersionSkew,
                "worker speaks protocol [" +
                    std::to_string(hello.protocol_min) + ", " +
@@ -696,7 +690,7 @@ struct SocketDispatcher::Impl {
       // Challenge/response when a shared secret is configured: the worker
       // proves possession of the token by MACing nonce || hello (binding
       // the hello stops a relay from swapping capabilities mid-handshake).
-      if (!options.auth_token.empty()) {
+      if (!auth_token.empty()) {
         std::string nonce = make_nonce();
         if (!socket.write_frame(
                 message_frame(WireMessage::kChallenge, nonce))) {
@@ -714,7 +708,7 @@ struct SocketDispatcher::Impl {
           return;
         }
         const auto expected =
-            util::hmac_sha256(options.auth_token, nonce + hello_body);
+            util::hmac_sha256(auth_token, nonce + hello_body);
         const std::string_view got = std::string_view(payload).substr(1);
         if (!util::constant_time_equal(
                 got, std::string_view(
@@ -727,28 +721,13 @@ struct SocketDispatcher::Impl {
         }
       }
 
-      // Delivery negotiation: prefer the shared filesystem (zero copies);
-      // fall back to shipping when that is all the worker offers.
-      std::uint8_t delivery = 0;
-      if (hello.delivery_modes & kDeliveryShared)
-        delivery = kDeliveryShared;
-      else if (hello.delivery_modes & kDeliveryStream)
-        delivery = kDeliveryStream;
-      if (delivery == 0) {
-        reject(socket, RejectCode::kNoDelivery,
-               "worker advertised delivery modes " +
-                   std::to_string(int(hello.delivery_modes)));
-        return;
-      }
-
-      WorkerAssignment assignment;
+      WorkerAssignment assignment = assignment_template;
       bool shard_known = false;
       {
         std::lock_guard<std::mutex> lock(mutex);
         const auto it = assignments.find(shard_id);
         if (it != assignments.end()) {
           shard_known = true;
-          assignment = assignment_template;
           assignment.items = it->second;
         }
       }
@@ -759,7 +738,9 @@ struct SocketDispatcher::Impl {
                "hello for unknown shard " + std::to_string(shard_id));
         return;
       }
-      assignment.delivery = delivery;
+      assignment.trees.reserve(assignment.items.size());
+      for (const std::size_t item : assignment.items)
+        assignment.trees.push_back(forest->trees[item]);
       tm.handshakes.add(1);
       handshakes_completed.fetch_add(1, std::memory_order_relaxed);
       assign_frame =
@@ -818,8 +799,7 @@ struct SocketDispatcher::Impl {
     // checkpoint file immediately, so the supervisor's durable() probe and
     // heartbeat see progress with per-tree granularity.
     CheckpointWriter writer(
-        attempt_file(run_dir, shard_id, worker_pid, attempt),
-        assignment_template.fingerprint);
+        attempt_file(run_dir, shard_id, worker_pid, attempt), fingerprint);
     std::string payload;
     while (true) {
       const net::FrameStatus frame =
@@ -839,14 +819,6 @@ struct SocketDispatcher::Impl {
       if (payload.empty()) continue;
       const auto type = static_cast<WireMessage>(payload[0]);
       const std::string_view body = std::string_view(payload).substr(1);
-      if (type == WireMessage::kGraphRequest) {
-        // The worker's cache missed: stream the `.ridg` before any
-        // records flow. A connection lost mid-ship ends the attempt
-        // exactly like one lost mid-stream.
-        if (!ship_graph(socket, shard_id))
-          return drop("graph ship failed - dropping connection");
-        continue;
-      }
       if (type == WireMessage::kRecord) {
         // Decode before append: a structurally-broken record must not
         // reach the durable store (the frame checksum only covers
@@ -894,34 +866,37 @@ struct SocketDispatcher::Impl {
 };
 
 SocketDispatcher::SocketDispatcher(std::string run_dir,
+                                   std::uint64_t fingerprint,
                                    WorkerAssignment assignment_template)
     : impl_(std::make_unique<Impl>()) {
   impl_->run_dir = std::move(run_dir);
+  impl_->fingerprint = fingerprint;
   impl_->assignment_template = std::move(assignment_template);
 }
 
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint& endpoint,
                                    std::string run_dir,
+                                   std::uint64_t fingerprint,
                                    WorkerAssignment assignment_template,
-                                   DispatcherOptions options)
-    : SocketDispatcher(std::move(run_dir), std::move(assignment_template)) {
-  impl_->options = std::move(options);
-  if (impl_->assignment_template.graph_fingerprint == 0 &&
-      !impl_->assignment_template.graph_path.empty()) {
-    // Resolve the data fingerprint workers will verify against. The header
-    // copy is authoritative for a well-formed file; open() has already
-    // checksummed the header whenever the caller mapped the graph.
-    impl_->assignment_template.graph_fingerprint =
-        graph::ColumnarGraphView::open(impl_->assignment_template.graph_path)
-            .fingerprint();
-  }
+                                   std::string auth_token)
+    : SocketDispatcher(std::move(run_dir), fingerprint,
+                       std::move(assignment_template)) {
+  impl_->auth_token = std::move(auth_token);
   impl_->listener = net::Listener::listen(endpoint);
   impl_->acceptor = std::thread(&Impl::accept_loop, impl_.get());
 }
 
 SocketDispatcher::~SocketDispatcher() {
-  impl_->stop.store(true, std::memory_order_relaxed);
-  if (impl_->acceptor.joinable()) impl_->acceptor.join();
+  impl_->stop.store(true);
+  if (impl_->acceptor.joinable()) {
+    // Wake the acceptor out of its accept poll with a connection of our own,
+    // which it drops; should the connect fail, the poll ends on its own.
+    try {
+      net::connect(impl_->listener.endpoint(), kDispatcherPollSeconds);
+    } catch (const std::exception&) {
+    }
+    impl_->acceptor.join();
+  }
   std::vector<std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -940,8 +915,10 @@ std::uint64_t SocketDispatcher::handshakes_completed() const {
 }
 
 util::ShardLauncher SocketDispatcher::launcher(
-    std::string worker_command, const util::SupervisorOptions& options) {
+    const CascadeForest& forest, std::string worker_command,
+    const util::SupervisorOptions& options) {
   Impl* impl = impl_.get();
+  impl->forest = &forest;
   const std::string endpoint_text = impl->listener.endpoint().to_string();
   util::ShardLauncher launcher;
   launcher.launch = [impl, options,
@@ -957,16 +934,12 @@ util::ShardLauncher SocketDispatcher::launcher(
       }
       const std::string shard_text = std::to_string(shard_id);
       const std::string attempt_text = std::to_string(attempt);
-      const std::string cache_flag =
-          impl->options.graph_cache_dir.empty()
-              ? std::string()
-              : "--graph-cache-dir=" + impl->options.graph_cache_dir;
       // The shared secret travels by environment, never argv: worker
       // command lines are world-readable through ps/procfs. The child's
       // environment is built here, before fork: the child of a multithreaded
       // parent may only make async-signal-safe calls, and setenv takes
       // glibc's environment lock and may allocate.
-      const std::string& token = impl->options.auth_token;
+      const std::string& token = impl->auth_token;
       std::string token_entry = "RID_AUTH_TOKEN=" + token;
       std::vector<char*> envp;
       for (char** entry = environ; *entry != nullptr; ++entry)
@@ -986,7 +959,6 @@ util::ShardLauncher SocketDispatcher::launcher(
                               shard_text.c_str(),
                               "--attempt",
                               attempt_text.c_str(),
-                              cache_flag.empty() ? nullptr : cache_flag.c_str(),
                               nullptr};
         ::execve(worker_command.c_str(), const_cast<char* const*>(argv),
                  envp.data());
@@ -1056,27 +1028,27 @@ std::vector<std::string> SocketDispatcher::take_events() {
 namespace {
 
 /// Connect with capped exponential backoff + deterministic jitter under
-/// the connect deadline. Jitter derives from (shard, attempt, try) so a
-/// replayed chaos schedule sleeps identically; determinism of the *result*
-/// never depends on it. Invalid socket = deadline exhausted (`*error`
-/// holds the last failure).
+/// `deadline_seconds`, each try bounded by `timeout_seconds`. Jitter
+/// derives from (shard, attempt, try) so a replayed chaos schedule sleeps
+/// identically; determinism of the *result* never depends on it. Invalid
+/// socket = deadline exhausted (`*error` holds the last failure).
 net::Socket connect_with_retry(const net::Endpoint& endpoint,
                                std::size_t shard_id, std::uint32_t attempt,
-                               const WorkerOptions& options,
+                               double deadline_seconds, double timeout_seconds,
                                std::string* error) {
   const auto start = std::chrono::steady_clock::now();
   double backoff_ms = 50.0;
   std::uint64_t tries = 0;
   while (true) {
     try {
-      return net::connect(endpoint, options.handshake_timeout_seconds);
+      return net::connect(endpoint, timeout_seconds);
     } catch (const std::exception& e) {
       ++tries;
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      if (elapsed >= options.connect_deadline_seconds) {
+      if (elapsed >= deadline_seconds) {
         *error = e.what();
         return net::Socket();
       }
@@ -1085,8 +1057,7 @@ net::Socket connect_with_retry(const net::Endpoint& endpoint,
       mix = util::fnv1a64_step(mix, attempt);
       mix = util::fnv1a64_step(mix, tries);
       const double jitter_ms = backoff_ms * 0.25 * double(mix % 1024) / 1024.0;
-      const double remaining_ms =
-          (options.connect_deadline_seconds - elapsed) * 1000.0;
+      const double remaining_ms = (deadline_seconds - elapsed) * 1000.0;
       const double sleep_ms =
           std::min(backoff_ms + jitter_ms, std::max(remaining_ms, 1.0));
       std::this_thread::sleep_for(
@@ -1096,151 +1067,30 @@ net::Socket connect_with_retry(const net::Endpoint& endpoint,
   }
 }
 
-/// Resolves the graph file this worker will map, per the negotiated
-/// delivery mode. Streamed mode lands the `.ridg` in the content-addressed
-/// cache (file name = data fingerprint hex) via atomic tmp+rename, pulling
-/// it over kGraphRequest/kGraphChunk on a cache miss or a corrupt entry.
-/// Returns "" on failure with `*code`/`*error` set. The caller still
-/// verifies the mapped view's fingerprint — this function only produces a
-/// candidate file.
-std::string acquire_streamed_graph(net::Socket& socket,
-                                   const WorkerAssignment& assignment,
-                                   const WorkerOptions& options,
-                                   std::string* error, int* code) {
-  namespace fs = std::filesystem;
-  TransportMetrics& tm = transport_metrics();
-  *code = 1;
-  if (options.graph_cache_dir.empty()) {
-    *error = "streamed delivery negotiated but no --graph-cache-dir";
-    *code = 3;
-    return "";
-  }
-  std::error_code ec;
-  fs::create_directories(options.graph_cache_dir, ec);
-  const std::string cached =
-      options.graph_cache_dir + "/" +
-      fingerprint_hex(assignment.graph_fingerprint) + ".ridg";
-  if (fs::exists(cached, ec)) {
-    try {
-      if (file_data_fingerprint(cached) == assignment.graph_fingerprint) {
-        tm.graph_cache_hits.add(1);
-        return cached;
-      }
-    } catch (const std::exception&) {
-    }
-    // A corrupt or truncated cache entry: discard and re-ship. The cache
-    // key is the content hash, so "wrong content under this name" can only
-    // mean damage, never a legitimate different graph.
-    util::log_warn("socket worker: cache entry ", cached,
-                   " failed verification; re-shipping");
-    fs::remove(cached, ec);
-  }
-  if (!socket.write_frame(
-          message_frame(WireMessage::kGraphRequest, std::string_view()))) {
-    *error = "graph request write failed";
-    return "";
-  }
-  const std::string tmp = cached + ".tmp-p" + std::to_string(util::own_pid());
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    *error = tmp + ": cannot create graph cache tmp file";
-    *code = 3;
-    return "";
-  }
-  std::string payload;
-  std::uint64_t expected_offset = 0;
-  while (true) {
-    const net::FrameStatus status =
-        socket.read_frame(payload, options.handshake_timeout_seconds);
-    if (status != net::FrameStatus::kOk || payload.empty() ||
-        static_cast<WireMessage>(payload[0]) != WireMessage::kGraphChunk) {
-      *error = std::string("graph ship interrupted (") +
-               net::to_string(status) + ")";
-      fs::remove(tmp, ec);
-      return "";
-    }
-    const std::string_view body = std::string_view(payload).substr(1);
-    if (body.size() < 9) {
-      *error = "graph chunk too short";
-      fs::remove(tmp, ec);
-      return "";
-    }
-    wire::Reader head(body.substr(0, 9), "graph chunk");
-    const bool last = head.u8() != 0;
-    const std::uint64_t offset = head.u64();
-    const std::string_view data = body.substr(9);
-    if (offset != expected_offset) {
-      // A dropped/duplicated chunk frame: the stream is no longer the
-      // file. Fail the attempt; the supervisor's requeue re-ships.
-      *error = "graph chunk at offset " + std::to_string(offset) +
-               ", expected " + std::to_string(expected_offset);
-      fs::remove(tmp, ec);
-      return "";
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out) {
-      *error = tmp + ": write failed during graph ship";
-      fs::remove(tmp, ec);
-      return "";
-    }
-    expected_offset += data.size();
-    if (last) break;
-  }
-  out.close();
-  try {
-    if (file_data_fingerprint(tmp) != assignment.graph_fingerprint) {
-      *error = "shipped graph failed fingerprint verification";
-      fs::remove(tmp, ec);
-      return "";
-    }
-  } catch (const std::exception& e) {
-    *error = e.what();
-    fs::remove(tmp, ec);
-    return "";
-  }
-  fs::rename(tmp, cached, ec);
-  if (ec) {
-    // A concurrent worker may have won the rename race with an identical
-    // (content-addressed) file; only fail when the target is not usable.
-    if (!fs::exists(cached)) {
-      *error = cached + ": rename failed: " + ec.message();
-      fs::remove(tmp, ec);
-      return "";
-    }
-    fs::remove(tmp, ec);
-  }
-  return cached;
-}
-
 }  // namespace
 
 int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
-                      std::uint32_t attempt, const WorkerOptions& options_in) {
+                      std::uint32_t attempt) {
   try {
     // Per-phase deadlines are env-tunable so chaos tests (and operators
     // debugging a slow link) can shrink or stretch them without new flags.
-    WorkerOptions options = options_in;
-    options.connect_deadline_seconds = env_seconds(
-        "RID_CONNECT_DEADLINE", options.connect_deadline_seconds);
-    options.handshake_timeout_seconds = env_seconds(
-        "RID_HANDSHAKE_TIMEOUT", options.handshake_timeout_seconds);
-    if (options.auth_token.empty()) {
-      if (const char* token = std::getenv("RID_AUTH_TOKEN"))
-        options.auth_token = token;
-    }
+    const double connect_deadline = env_seconds("RID_CONNECT_DEADLINE", 15.0);
+    const double handshake_timeout = handshake_seconds();
+    const char* token_env = std::getenv("RID_AUTH_TOKEN");
+    const std::string auth_token = token_env != nullptr ? token_env : "";
 
     const net::Endpoint endpoint = net::Endpoint::parse(endpoint_text);
     std::string connect_error;
     net::Socket socket =
-        connect_with_retry(endpoint, shard_id, attempt, options,
-                           &connect_error);
+        connect_with_retry(endpoint, shard_id, attempt, connect_deadline,
+                           handshake_timeout, &connect_error);
     if (!socket.valid()) {
       util::log_warn("socket worker: connect deadline exhausted: ",
                      connect_error);
       return 1;
     }
 
-    // Handshake v2. The RID_WORKER_* overrides exist for skew drills: they
+    // Handshake. The RID_WORKER_* overrides exist for skew drills: they
     // force this side's advertisement only, so tests can manufacture a
     // worker "built from a different commit" out of the same binary.
     HelloV2 hello;
@@ -1258,21 +1108,6 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
                                      std::strtoul(end + 1, nullptr, 10))
                                : hello.protocol_min;
     }
-    if (options.delivery == "stream") {
-      hello.delivery_modes = kDeliveryStream;
-    } else if (options.delivery == "shared") {
-      hello.delivery_modes = kDeliveryShared;
-    } else {
-      hello.delivery_modes = kDeliveryShared;
-      if (!options.graph_cache_dir.empty())
-        hello.delivery_modes |= kDeliveryStream;
-    }
-    if ((hello.delivery_modes & kDeliveryStream) != 0 &&
-        options.graph_cache_dir.empty()) {
-      util::log_warn(
-          "socket worker: --delivery=stream needs --graph-cache-dir");
-      return 3;
-    }
     hello.shard_id = static_cast<std::uint32_t>(shard_id);
     hello.attempt = attempt;
     hello.worker_pid = util::own_pid();
@@ -1286,7 +1121,7 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
     WorkerAssignment assignment;
     while (true) {
       const net::FrameStatus status =
-          socket.read_frame(payload, options.handshake_timeout_seconds);
+          socket.read_frame(payload, handshake_timeout);
       if (status != net::FrameStatus::kOk || payload.empty()) {
         util::log_warn("socket worker: no assignment (",
                        net::to_string(status), ")");
@@ -1295,14 +1130,14 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
       const auto type = static_cast<WireMessage>(payload[0]);
       const std::string_view body = std::string_view(payload).substr(1);
       if (type == WireMessage::kChallenge) {
-        if (options.auth_token.empty()) {
+        if (auth_token.empty()) {
           util::log_warn(
               "socket worker: dispatcher demands authentication but no "
-              "--auth-token/RID_AUTH_TOKEN is set");
+              "RID_AUTH_TOKEN is set");
           return kExitHandshakeRejected;
         }
-        const auto mac = util::hmac_sha256(options.auth_token,
-                                           std::string(body) + hello_body);
+        const auto mac =
+            util::hmac_sha256(auth_token, std::string(body) + hello_body);
         if (!socket.write_frame(message_frame(
                 WireMessage::kAuth,
                 std::string_view(reinterpret_cast<const char*>(mac.data()),
@@ -1323,7 +1158,11 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
                                                  : kExitHandshakeRejected;
       }
       if (type == WireMessage::kAssign) {
-        assignment = decode_assignment(body);
+        try {
+          assignment = decode_assignment(body);
+        } catch (const util::InputError& e) {
+          return worker_fail(socket, e.what(), 3);
+        }
         break;
       }
       util::log_warn("socket worker: unexpected handshake frame type ",
@@ -1331,55 +1170,16 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
       return 1;
     }
 
-    // The worker's own observability: span recording starts here (before
-    // extraction, so extract_forest lands in the trace too) and drains back
-    // to the dispatcher as one kTelemetry frame before kDone. A
+    // The worker's own observability: span recording starts here and
+    // drains back to the dispatcher as one kTelemetry frame before kDone. A
     // RID_TRACING=OFF worker records nothing; the metrics half still flows.
     if (assignment.collect_trace && util::trace::compiled())
       util::trace::start();
-    const std::uint64_t worker_start_ns = util::trace::now_ns();
-
-    // Acquire the graph per the negotiated delivery mode, then refuse to
-    // compute against anything whose data fingerprint differs from the
-    // assignment: the fingerprint is the contract that this worker's
-    // answers merge bit-identically.
-    std::string graph_file = assignment.graph_path;
-    if (assignment.delivery == kDeliveryStream) {
-      std::string ship_error;
-      int ship_code = 1;
-      graph_file = acquire_streamed_graph(socket, assignment, options,
-                                          &ship_error, &ship_code);
-      if (graph_file.empty())
-        return worker_fail(socket, "graph ship: " + ship_error, ship_code);
-    }
-    const graph::ColumnarGraphView view =
-        graph::ColumnarGraphView::open(graph_file);
-    if (assignment.graph_fingerprint != 0 &&
-        view.fingerprint() != assignment.graph_fingerprint)
-      return worker_fail(
-          socket,
-          graph_file + ": data fingerprint " +
-              fingerprint_hex(view.fingerprint()) +
-              " does not match the dispatcher's graph " +
-              fingerprint_hex(assignment.graph_fingerprint),
-          3);
-    if (!view.has_states())
-      return worker_fail(socket,
-                         graph_file +
-                             ": no embedded state snapshot; socket workers "
-                             "need states in the .ridg",
-                         3);
-    const CascadeForest forest =
-        extract_cascade_forest(view, view.states(), assignment.extraction);
-    if (forest_fingerprint(forest) != assignment.fingerprint)
-      return worker_fail(
-          socket,
-          "forest fingerprint mismatch: snapshot at " + graph_file +
-              " does not reproduce the dispatcher's forest",
-          3);
-    view.advise_dontneed();  // solves only need the forest
-    return stream_trees(socket, forest, assignment, shard_id, attempt,
-                        worker_start_ns);
+    std::vector<const CascadeTree*> trees;
+    trees.reserve(assignment.trees.size());
+    for (const CascadeTree& tree : assignment.trees) trees.push_back(&tree);
+    return stream_trees(socket, trees, assignment, shard_id, attempt,
+                        util::trace::now_ns());
   } catch (const std::exception& e) {
     util::log_warn("socket worker: ", e.what());
     return 1;
@@ -1392,11 +1192,13 @@ int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
 
 struct SocketDispatcher::Impl {};
 
-SocketDispatcher::SocketDispatcher(std::string, WorkerAssignment) {
+SocketDispatcher::SocketDispatcher(std::string, std::uint64_t,
+                                   WorkerAssignment) {
   throw util::InputError("process isolation unsupported on this platform");
 }
 SocketDispatcher::SocketDispatcher(const util::net::Endpoint&, std::string,
-                                   WorkerAssignment, DispatcherOptions) {
+                                   std::uint64_t, WorkerAssignment,
+                                   std::string) {
   throw util::InputError("socket transport unsupported on this platform");
 }
 SocketDispatcher::~SocketDispatcher() = default;
@@ -1404,7 +1206,8 @@ const util::net::Endpoint& SocketDispatcher::endpoint() const {
   static util::net::Endpoint endpoint;
   return endpoint;
 }
-util::ShardLauncher SocketDispatcher::launcher(std::string,
+util::ShardLauncher SocketDispatcher::launcher(const CascadeForest&,
+                                               std::string,
                                                const util::SupervisorOptions&) {
   return {};
 }
@@ -1415,8 +1218,7 @@ util::ShardLauncher SocketDispatcher::fork_launcher(
 std::vector<std::string> SocketDispatcher::take_events() { return {}; }
 std::uint64_t SocketDispatcher::handshakes_completed() const { return 0; }
 
-int run_socket_worker(const std::string&, std::size_t, std::uint32_t,
-                      const WorkerOptions&) {
+int run_socket_worker(const std::string&, std::size_t, std::uint32_t) {
   return 1;
 }
 

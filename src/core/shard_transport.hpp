@@ -6,13 +6,12 @@
 // so the supervisor's durability probe, heartbeat, resume, and bit-identity
 // contract see one mechanism. Two launchers feed it:
 //  * fork: the worker is a fork() over a socketpair(2) and inherits the
-//    extracted forest — no `.ridg`, no re-extraction, no handshake;
+//    extracted forest — nothing is encoded, no handshake;
 //  * exec: the worker is a separate *program*, `ridnet_cli worker`, that
 //    connects to a bound listener and receives everything over the wire —
-//    the forest fingerprint, the `.ridg` to re-map, the resolved solve
-//    configuration, and its tree list. It re-extracts the forest and
-//    *verifies the fingerprint* (refusing instead of silently diverging)
-//    before it joins the stream phase.
+//    the resolved solve configuration and the trees of its attempt, as the
+//    parent extracted them (masked and repaired). It needs no graph file
+//    and extracts nothing.
 // Either way the worker solves its trees serially in shard order and sends
 // each one as a kRecord frame whose payload is byte-for-byte a checkpoint
 // record, then kTelemetry and kDone. The supervisor drains a reaped
@@ -23,10 +22,9 @@
 //
 //   type               direction            body
 //   ----               ---------            ----
-//   kHello       = 1   worker -> dispatcher handshake v2: u32 protocol_min,
+//   kHello       = 1   worker -> dispatcher handshake: u32 protocol_min,
 //                                           u32 protocol_max,
 //                                           u64 binary_fingerprint,
-//                                           u8 delivery_modes bitmask,
 //                                           u32 shard_id, u32 attempt,
 //                                           u64 worker_pid
 //   kAssign      = 2   dispatcher -> worker WorkerAssignment (see encode_*)
@@ -42,28 +40,17 @@
 //                                           nonce || hello body)
 //   kReject      = 9   dispatcher -> worker u8 RejectCode, message — the
 //                                           typed fail-closed verdict
-//   kGraphRequest= 10  worker -> dispatcher (empty) "ship me the graph"
-//   kGraphChunk  = 11  dispatcher -> worker u8 last, u64 offset, raw bytes
 //
-// Handshake v2 (DESIGN.md §16): the hello advertises the protocol version
-// range this worker speaks, a fingerprint of its wire-protocol constants
-// (so two binaries that would disagree about bytes refuse each other), and
-// the graph-delivery modes it supports. A skewed or unauthorized worker is
-// answered with one kReject frame and never sees a kAssign; the worker
-// maps kReject to a distinct exit code (kExitHandshakeRejected) so the
-// supervisor can tell "misconfigured fleet" from "worker crashed". When
-// the dispatcher has a shared-secret token (--auth-token/RID_AUTH_TOKEN)
-// it interposes a challenge: the worker must return HMAC-SHA256 over
-// nonce || hello before any assignment flows (util/hmac.hpp).
-//
-// Graph delivery: a worker that shares a filesystem with the dispatcher
-// opens WorkerAssignment::graph_path directly (mode kDeliveryShared); a
-// remote worker negotiates kDeliveryStream and pulls the `.ridg` through
-// kGraphRequest/kGraphChunk into a content-addressed cache directory
-// (file name = data fingerprint hex, atomic tmp+rename). Either way the
-// worker verifies the mapped file's data fingerprint against the
-// assignment before computing — a stale cache entry or divergent shared
-// path fails closed, never silently.
+// Handshake (DESIGN.md §16): the hello advertises the protocol version
+// range this worker speaks and a fingerprint of its wire-protocol
+// constants (so two binaries that would disagree about bytes refuse each
+// other). A skewed or unauthorized worker is answered with one kReject
+// frame and never sees a kAssign; the worker maps kReject to a distinct
+// exit code (kExitHandshakeRejected) so the supervisor can tell
+// "misconfigured fleet" from "worker crashed". When the dispatcher has a
+// shared-secret token (--auth-token/RID_AUTH_TOKEN) it interposes a
+// challenge: the worker must return HMAC-SHA256 over nonce || hello before
+// any assignment flows (util/hmac.hpp).
 //
 // Fault semantics: any damaged, torn, or missing frame ends the attempt —
 // the dispatcher drops the connection, the worker exits nonzero (or is
@@ -102,8 +89,6 @@ enum class WireMessage : std::uint8_t {
   kChallenge = 7,
   kAuth = 8,
   kReject = 9,
-  kGraphRequest = 10,
-  kGraphChunk = 11,
 };
 
 /// Why a handshake was refused (the byte inside a kReject frame).
@@ -112,7 +97,6 @@ enum class RejectCode : std::uint8_t {
   kBinarySkew = 2,    // wire-constant fingerprints disagree
   kAuthFailed = 3,    // challenge unanswered or MAC mismatch
   kUnknownShard = 4,  // hello for a shard this dispatcher never launched
-  kNoDelivery = 5,    // no graph-delivery mode in common
 };
 
 const char* to_string(RejectCode code) noexcept;
@@ -123,10 +107,6 @@ const char* to_string(RejectCode code) noexcept;
 /// Mirrored in the ridnet_cli exit-code table.
 constexpr int kExitHandshakeRejected = 7;
 
-/// Graph-delivery capability bits advertised in the hello.
-constexpr std::uint8_t kDeliveryShared = 1;  // worker can open graph_path
-constexpr std::uint8_t kDeliveryStream = 2;  // worker wants kGraphChunk s
-
 /// Fingerprint of this build's wire-protocol constants. Two binaries whose
 /// fingerprints differ would disagree about bytes on the wire, so the
 /// handshake refuses the pairing. The RID_WORKER_BINARY_FINGERPRINT /
@@ -135,12 +115,9 @@ constexpr std::uint8_t kDeliveryStream = 2;  // worker wants kGraphChunk s
 std::uint64_t protocol_binary_fingerprint();
 
 /// Everything a socket worker needs to reproduce the parent's solve
-/// bit-identically: the snapshot to re-map, the forest identity to verify,
-/// and the fully *resolved* solve configuration (thread counts already
-/// substituted — a worker must not re-derive anything from its own
-/// environment).
+/// bit-identically: the fully *resolved* solve configuration (a worker must
+/// not re-derive anything from its own environment) and the trees to solve.
 struct WorkerAssignment {
-  std::uint64_t fingerprint = 0;
   /// Job/trace id stamped by the dispatcher and echoed back in the worker's
   /// kTelemetry frame (a stale worker's telemetry must not pollute another
   /// job's trace). 0 = untagged batch run.
@@ -149,37 +126,21 @@ struct WorkerAssignment {
   /// the parent itself is tracing; always safe to leave on — a
   /// RID_TRACING=OFF worker just reports metrics only).
   bool collect_trace = false;
-  std::string graph_path;  // .ridg with an embedded state snapshot
-  /// Data fingerprint of the `.ridg` (FNV-1a64 over its payload bytes;
-  /// graph/columnar.hpp). The worker verifies whatever file it maps —
-  /// shared path or shipped cache entry — against this before computing.
-  std::uint64_t graph_fingerprint = 0;
-  /// Negotiated delivery mode for this connection: kDeliveryShared or
-  /// kDeliveryStream (exactly one bit).
-  std::uint8_t delivery = kDeliveryShared;
   double beta = 0.1;
-  TreeDpOptions dp;              // budget pointer not serialized
-  ExtractionConfig extraction;   // budget pointer not serialized
-  util::WorkBudget budget;       // cancel token not serialized
+  TreeDpOptions dp;         // budget pointer and num_threads not serialized
+  util::WorkBudget budget;  // cancel token not serialized
+  /// Forest indices of the attempt's trees, in the order they are solved.
   std::vector<std::size_t> items;
+  /// The trees themselves, trees[i] being forest tree items[i]. Empty in
+  /// the dispatcher's template; the exec launcher fills them per attempt.
+  std::vector<CascadeTree> trees;
 };
 
 /// Assignment body (en/de)coding — the bytes after the kAssign type byte.
-/// decode throws util::InputError on truncation or version skew.
+/// decode throws util::InputError on truncation, version skew, or a tree
+/// the solver could not trust (see DESIGN.md §16 for the checks).
 std::string encode_assignment(const WorkerAssignment& assignment);
 WorkerAssignment decode_assignment(std::string_view body);
-
-/// Dispatcher-side security/shipping knobs for exec'd workers (everything
-/// that must NOT ride inside the serialized assignment).
-struct DispatcherOptions {
-  /// Shared secret for the HMAC challenge; empty = no challenge is sent
-  /// (trusted single-host deployments). Exported to fork+exec'd workers via
-  /// the RID_AUTH_TOKEN environment variable, never argv.
-  std::string auth_token;
-  /// When non-empty, fork+exec'd workers get `--graph-cache-dir=DIR` so a
-  /// streamed delivery negotiation has somewhere to land the graph.
-  std::string graph_cache_dir;
-};
 
 /// Dispatcher side of the shard transport, owned by the sharded runner for
 /// the duration of its supervise_shards() calls. Runs one stream phase per
@@ -194,16 +155,21 @@ struct DispatcherOptions {
 /// `net.frame_read`, `net.frame_write`, `net.torn_frame` fire in util/net.
 class SocketDispatcher {
  public:
-  /// A dispatcher for the fork launcher only: binds nothing.
-  /// `assignment_template` carries everything but the per-shard item list.
-  SocketDispatcher(std::string run_dir, WorkerAssignment assignment_template);
+  /// A dispatcher for the fork launcher only: binds nothing. Checkpoint
+  /// files carry `fingerprint` (the forest's, core/checkpoint.hpp);
+  /// `assignment_template` carries everything but the per-attempt items
+  /// and trees.
+  SocketDispatcher(std::string run_dir, std::uint64_t fingerprint,
+                   WorkerAssignment assignment_template);
   /// A dispatcher that also serves exec'd workers: binds `endpoint`
   /// immediately (throws util::InputError when it cannot be bound) and
-  /// accepts their connections on a background thread. The template's
-  /// graph fingerprint is resolved from graph_path here when left 0.
+  /// accepts their connections on a background thread. A non-empty
+  /// `auth_token` is the shared secret of the HMAC challenge; it is
+  /// exported to fork+exec'd workers via RID_AUTH_TOKEN, never argv.
   SocketDispatcher(const util::net::Endpoint& endpoint, std::string run_dir,
+                   std::uint64_t fingerprint,
                    WorkerAssignment assignment_template,
-                   DispatcherOptions options = {});
+                   std::string auth_token = {});
   ~SocketDispatcher();
   SocketDispatcher(const SocketDispatcher&) = delete;
   SocketDispatcher& operator=(const SocketDispatcher&) = delete;
@@ -213,12 +179,14 @@ class SocketDispatcher {
 
   /// Exec launcher (needs the binding constructor): registers the
   /// attempt's items, then fork+execs `worker_command worker --connect
-  /// <endpoint> --shard <id> --attempt <n>`, which handshakes and then
-  /// joins the stream phase. Returns -1 (launch failure) when the fork
-  /// fails or the `net.worker_exec` failpoint throws; exec failure inside
-  /// the child exits 127 (a crash to the supervisor). The returned launcher
-  /// borrows this dispatcher — it must not outlive it.
-  util::ShardLauncher launcher(std::string worker_command,
+  /// <endpoint> --shard <id> --attempt <n>`, which handshakes, receives
+  /// those items' trees from `forest` in its kAssign, and then joins the
+  /// stream phase. Returns -1 (launch failure) when the fork fails or the
+  /// `net.worker_exec` failpoint throws; exec failure inside the child
+  /// exits 127 (a crash to the supervisor). The returned launcher borrows
+  /// this dispatcher and `forest` — it must outlive neither.
+  util::ShardLauncher launcher(const CascadeForest& forest,
+                               std::string worker_command,
                                const util::SupervisorOptions& options);
 
   /// Fork launcher: forks a worker over a socketpair(2) and starts the
@@ -245,32 +213,18 @@ class SocketDispatcher {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Worker-side knobs for `ridnet_cli worker` (flags + environment; see the
-/// CLI header comment for the mapping).
-struct WorkerOptions {
-  std::string auth_token;       // empty = cannot answer a challenge
-  std::string graph_cache_dir;  // empty = streamed delivery unavailable
-  /// Delivery policy: "auto" (advertise everything possible), "shared"
-  /// (graph_path only), "stream" (force shipping even on one host — what
-  /// the CI drill uses to exercise the cache on localhost).
-  std::string delivery = "auto";
-  /// Total budget for connect retries (capped exponential backoff with
-  /// deterministic jitter inside it) before the worker gives up.
-  double connect_deadline_seconds = 15.0;
-  /// Per-phase deadline for handshake and graph-chunk frames.
-  double handshake_timeout_seconds = 30.0;
-};
-
 /// Worker side, implementing `ridnet_cli worker`: connect to the
 /// dispatcher (with retry/backoff under the connect deadline), handshake
-/// v2 (+ HMAC challenge when the dispatcher demands it), acquire the graph
-/// (shared path or shipped cache), re-extract + verify the forest, then run
-/// the same per-tree loop a forked worker runs. Returns the process exit
-/// code: 0 = every assigned tree was streamed; kExitHandshakeRejected =
-/// typed kReject (do not retry the same pairing); anything else is a
-/// worker loss the supervisor requeues. Never throws.
+/// (+ HMAC challenge when the dispatcher demands it), decode the assigned
+/// trees, then run the same per-tree loop a forked worker runs. The shared
+/// secret comes from RID_AUTH_TOKEN (unset = cannot answer a challenge),
+/// the connect deadline (15 s) from RID_CONNECT_DEADLINE and the per-frame
+/// handshake deadline (30 s, the kAssign included) from
+/// RID_HANDSHAKE_TIMEOUT. Returns the process exit code: 0 = every assigned
+/// tree was streamed; kExitHandshakeRejected = typed kReject (do not retry
+/// the same pairing); 3 = an assignment that does not decode; anything else
+/// is a worker loss the supervisor requeues. Never throws.
 int run_socket_worker(const std::string& endpoint_text, std::size_t shard_id,
-                      std::uint32_t attempt,
-                      const WorkerOptions& options = {});
+                      std::uint32_t attempt);
 
 }  // namespace rid::core

@@ -1,8 +1,9 @@
 // Remote-worker robustness (DESIGN.md §16): handshake v2 with typed
 // rejects, HMAC challenge/response (verified against the RFC 4231 vectors),
-// content-addressed graph shipping, network chaos shapes
-// (partition/delay/drop/half-open), the degraded-transport fork fallback,
-// and the serve client's bounded connect retry. Workers really fork+exec
+// the assignment codec that ships each worker its trees (and its decoder
+// under damage), network chaos shapes (partition/delay/drop/half-open), the
+// degraded-transport fork fallback, dispatcher teardown, and the serve
+// client's bounded connect retry. Workers really fork+exec
 // the built ridnet_cli here; raw-socket tests speak the wire grammar by
 // hand so a skewed or unauthorized peer is proven to be refused *on the
 // wire*, not just in-process.
@@ -12,7 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,7 +164,6 @@ class RemoteTransportTest : public ::testing::Test {
     config.resume = false;
     config.transport = ShardTransport::kSocket;
     config.worker_command = RIDNET_CLI_PATH;
-    config.graph_path = ridg();
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
     config.supervisor.poll_interval_ms = 2.0;
@@ -214,72 +215,110 @@ TEST_F(RemoteTransportTest, ConstantTimeEqualComparesContentNotIdentity) {
 
 // --- assignment codec -------------------------------------------------------
 
+/// An `n`-node tree in parent-first order with distinct per-node values
+/// (`salt` keeps two trees apart), masked when `masked`.
+CascadeTree test_tree(std::size_t n, bool masked, std::uint32_t salt) {
+  CascadeTree tree;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto id = static_cast<std::uint32_t>(v);
+    tree.global.push_back(salt * 100 + id);
+    tree.parent.push_back(v == 0 ? graph::kInvalidNode : (id - 1) / 2);
+    tree.parent_edge.push_back(v == 0 ? graph::kInvalidEdge
+                                      : salt * 1000 + id);
+    tree.in_g.push_back(v == 0 ? 1.0 : 1.0 / static_cast<double>(v + salt));
+    tree.state.push_back(v % 3 == 0 ? NodeState::kPositive
+                                    : NodeState::kNegative);
+    tree.side_q.push_back(0.5 + 0.25 / static_cast<double>(v + salt));
+    if (masked) tree.can_initiate.push_back(v % 2 == 0);
+  }
+  return tree;
+}
+
+void expect_same_tree(const CascadeTree& got, const CascadeTree& want) {
+  EXPECT_EQ(got.global, want.global);
+  EXPECT_EQ(got.parent, want.parent);
+  EXPECT_EQ(got.parent_edge, want.parent_edge);
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.can_initiate, want.can_initiate);
+  EXPECT_EQ(got.root, want.root);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    EXPECT_EQ(double_bits(got.in_g[v]), double_bits(want.in_g[v])) << v;
+    EXPECT_EQ(double_bits(got.side_q[v]), double_bits(want.side_q[v])) << v;
+  }
+}
+
+/// Offset of the item count: the fixed fields are everything of an empty
+/// assignment but its two trailing counts (items, trees).
+std::size_t item_count_offset() {
+  return encode_assignment(WorkerAssignment{}).size() - 16;
+}
+
 TEST_F(RemoteTransportTest, AssignmentDecodeRejectsCountsBeyondThePayload) {
   WorkerAssignment assignment;
   assignment.items = {3, 1, 4};
+  assignment.trees = {test_tree(1, false, 1), test_tree(1, false, 2),
+                      test_tree(2, false, 3)};
   const std::string body = encode_assignment(assignment);
   EXPECT_EQ(decode_assignment(body).items, assignment.items);
-  // The item count is the payload's last u64 before the items: claim 2^62
-  // items with 24 bytes left. Damage, never a reserve() of the claim.
-  std::string huge = body.substr(0, body.size() - 3 * 8 - 8);
-  wire::put_u64(huge, std::uint64_t{1} << 62);
-  for (const std::size_t item : assignment.items) wire::put_u64(huge, item);
-  EXPECT_THROW(decode_assignment(huge), util::InputError);
+  // Each count claims 2^62 elements with far fewer bytes left: damage,
+  // never a reserve() of the claim.
+  const auto claim = [&body](std::size_t at) {
+    std::string huge = body;
+    std::string count;
+    wire::put_u64(count, std::uint64_t{1} << 62);
+    huge.replace(at, count.size(), count);
+    return huge;
+  };
+  const std::size_t items_at = item_count_offset();
+  const std::size_t trees_at = items_at + 8 + 3 * 8;
+  const std::size_t last_nodes_at = body.size() - (8 + 2 * 29 + 1);
+  EXPECT_THROW(decode_assignment(claim(items_at)), util::InputError);
+  EXPECT_THROW(decode_assignment(claim(trees_at)), util::InputError);
+  EXPECT_THROW(decode_assignment(claim(last_nodes_at)), util::InputError);
 }
 
-/// Checks that every field the assignment codec carries decodes equal. Not
-/// carried: the budget pointers and the cancel token (re-armed or kept
-/// parent-side), ExtractionConfig::arc_gather (a worker extracts under
-/// kAuto and resolves the same plan from the same file; either plan gives
-/// the same forest), and TreeDpOptions::num_threads (a worker's single-beta
-/// solves never read it).
+/// Checks that every field the assignment codec carries decodes equal, the
+/// trees bit for bit. Not carried: the budget pointer and the cancel token
+/// (re-armed or kept parent-side) and TreeDpOptions::num_threads (a
+/// worker's single-beta solves never read it).
 void expect_round_trip(const WorkerAssignment& want) {
   const WorkerAssignment got = decode_assignment(encode_assignment(want));
-  EXPECT_EQ(got.fingerprint, want.fingerprint);
   EXPECT_EQ(got.trace_id, want.trace_id);
   EXPECT_EQ(got.collect_trace, want.collect_trace);
-  EXPECT_EQ(got.graph_path, want.graph_path);
-  EXPECT_EQ(got.graph_fingerprint, want.graph_fingerprint);
-  EXPECT_EQ(got.delivery, want.delivery);
   EXPECT_EQ(got.beta, want.beta);
   EXPECT_EQ(got.dp.max_reach, want.dp.max_reach);
   EXPECT_EQ(got.dp.hard_k_cap, want.dp.hard_k_cap);
   EXPECT_EQ(got.dp.greedy_stop, want.dp.greedy_stop);
   EXPECT_EQ(got.dp.rank_initiators, want.dp.rank_initiators);
   EXPECT_EQ(got.dp.num_threads, 0u);
-  EXPECT_EQ(got.extraction.likelihood.alpha, want.extraction.likelihood.alpha);
-  EXPECT_EQ(got.extraction.likelihood.inconsistent_value,
-            want.extraction.likelihood.inconsistent_value);
-  EXPECT_EQ(got.extraction.num_threads, want.extraction.num_threads);
   EXPECT_EQ(got.budget.deadline_seconds, want.budget.deadline_seconds);
   EXPECT_EQ(got.budget.max_tree_nodes, want.budget.max_tree_nodes);
   EXPECT_EQ(got.budget.max_k, want.budget.max_k);
   EXPECT_EQ(got.items, want.items);
+  ASSERT_EQ(got.trees.size(), want.trees.size());
+  for (std::size_t t = 0; t < want.trees.size(); ++t)
+    expect_same_tree(got.trees[t], want.trees[t]);
 }
 
 TEST_F(RemoteTransportTest, AssignmentRoundTripsEveryCarriedField) {
   // Distinct non-default values, so two same-typed fields that trade places
   // in the codec decode unequal.
   WorkerAssignment a;
-  a.fingerprint = 0x1122334455667788ull;
   a.trace_id = 0x99aabbccddeeff01ull;
   a.collect_trace = true;
-  a.graph_path = "graphs/g.ridg";
-  a.graph_fingerprint = 0x0f1e2d3c4b5a6978ull;
-  a.delivery = kDeliveryStream;
   a.beta = 0.375;
   a.dp.max_reach = 5;
   a.dp.hard_k_cap = 7;
   a.dp.greedy_stop = false;
   a.dp.rank_initiators = true;
   a.dp.num_threads = 6;  // not carried
-  a.extraction.likelihood.alpha = 2.5;
-  a.extraction.likelihood.inconsistent_value = 0.125;
-  a.extraction.num_threads = 9;
   a.budget.deadline_seconds = 42.5;
   a.budget.max_tree_nodes = 11;
   a.budget.max_k = 13;
   a.items = {5, 0, 17};
+  a.trees = {test_tree(6, false, 1), test_tree(1, true, 2),
+             test_tree(9, true, 3)};
   expect_round_trip(a);
   // The DP's two flags are adjacent bytes: flip each alone from the
   // defaults, so a swap between them cannot hide behind equal values.
@@ -293,17 +332,98 @@ TEST_F(RemoteTransportTest, AssignmentRoundTripsEveryCarriedField) {
 
 TEST_F(RemoteTransportTest, AssignmentDecodeRejectsAnotherVersion) {
   std::string body = encode_assignment(WorkerAssignment{});
-  std::string v4;
-  wire::put_u32(v4, 4);
-  body.replace(0, v4.size(), v4);
+  std::string v5;
+  wire::put_u32(v5, 5);
+  body.replace(0, v5.size(), v5);
   try {
     decode_assignment(body);
-    FAIL() << "a version-4 assignment decoded";
+    FAIL() << "a version-5 assignment decoded";
   } catch (const util::InputError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("speaks 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 5"), std::string::npos) << what;
+    EXPECT_NE(what.find("speaks 6"), std::string::npos) << what;
   }
+}
+
+TEST_F(RemoteTransportTest, AssignmentDecodeRejectsMalformedTrees) {
+  struct Case {
+    const char* name;
+    void (*damage)(WorkerAssignment&);
+  };
+  const Case cases[] = {
+      {"no nodes", [](WorkerAssignment& a) { a.trees[0] = CascadeTree{}; }},
+      {"root with a parent",
+       [](WorkerAssignment& a) { a.trees[0].parent[0] = 1; }},
+      {"own parent", [](WorkerAssignment& a) { a.trees[0].parent[2] = 2; }},
+      {"parent after its child",
+       [](WorkerAssignment& a) { a.trees[0].parent[1] = 3; }},
+      {"unknown state",
+       [](WorkerAssignment& a) {
+         a.trees[0].state[1] = NodeState::kUnknown;
+       }},
+      {"NaN in_g",
+       [](WorkerAssignment& a) {
+         a.trees[0].in_g[2] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"side_q above 1",
+       [](WorkerAssignment& a) { a.trees[0].side_q[3] = 1.5; }},
+      {"tree count != item count",
+       [](WorkerAssignment& a) { a.items.push_back(7); }},
+  };
+  const auto good = [] {
+    WorkerAssignment a;
+    a.items = {2};
+    a.trees = {test_tree(4, false, 1)};
+    return a;
+  };
+  EXPECT_NO_THROW(decode_assignment(encode_assignment(good())));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    WorkerAssignment a = good();
+    c.damage(a);
+    EXPECT_THROW(decode_assignment(encode_assignment(a)), util::InputError);
+  }
+  // A mask byte other than 0 or 1 (the body's last byte is the last node's).
+  WorkerAssignment masked = good();
+  masked.trees[0] = test_tree(4, true, 1);
+  std::string body = encode_assignment(masked);
+  EXPECT_NO_THROW(decode_assignment(body));
+  body.back() = 2;
+  EXPECT_THROW(decode_assignment(body), util::InputError);
+}
+
+TEST_F(RemoteTransportTest, DamagedAssignmentsDecodeOrThrowInputError) {
+  WorkerAssignment a;
+  a.trace_id = 77;
+  a.beta = 2.0;
+  a.items = {4, 9};
+  a.trees = {test_tree(5, false, 1), test_tree(3, true, 2)};
+  const std::string body = encode_assignment(a);
+  for (std::size_t cut = 0; cut < body.size(); ++cut)
+    EXPECT_THROW(decode_assignment(std::string_view(body).substr(0, cut)),
+                 util::InputError)
+        << "prefix of " << cut << " bytes";
+  // Seeded bit flips: any outcome but a decode or an InputError (a crash,
+  // another exception type, an unbounded allocation) fails the test.
+  util::Rng rng(20261017);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string damaged = body;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.next_below(damaged.size() * 8);
+      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    }
+    try {
+      decode_assignment(damaged);
+      ++decoded;
+    } catch (const util::InputError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- failpoint chaos shapes -----------------------------------------------
@@ -358,7 +478,6 @@ std::string good_hello(std::size_t shard_id) {
   wire::put_u32(body, 1);    // protocol_min
   wire::put_u32(body, 999);  // protocol_max
   wire::put_u64(body, protocol_binary_fingerprint());
-  wire::put_u8(body, kDeliveryShared);
   wire::put_u32(body, static_cast<std::uint32_t>(shard_id));
   wire::put_u32(body, 1);  // attempt
   wire::put_u64(body, 4242);  // pid (cosmetic)
@@ -390,10 +509,8 @@ RejectReply read_reject(net::Socket& socket) {
 TEST_F(RemoteTransportTest, RawSocketSkewAndAuthGatesRejectTyped) {
   const std::string dir = run_dir("raw_gates");
   fs::create_directories(dir);
-  DispatcherOptions options;
-  options.auth_token = "sesame";
   SocketDispatcher dispatcher(net::Endpoint::unix_path(dir + "/d.sock"), dir,
-                              WorkerAssignment{}, options);
+                              0, WorkerAssignment{}, "sesame");
   const std::uint64_t rejected_before = counter_value("net.handshakes_rejected");
 
   // Protocol version skew: the range [99, 99] excludes this build.
@@ -403,7 +520,25 @@ TEST_F(RemoteTransportTest, RawSocketSkewAndAuthGatesRejectTyped) {
     wire::put_u32(body, 99);
     wire::put_u32(body, 99);
     wire::put_u64(body, protocol_binary_fingerprint());
-    wire::put_u8(body, kDeliveryShared);
+    wire::put_u32(body, 0);
+    wire::put_u32(body, 1);
+    wire::put_u64(body, 1);
+    ASSERT_TRUE(socket.write_frame(frame(WireMessage::kHello, body)));
+    const RejectReply reply = read_reject(socket);
+    ASSERT_TRUE(reply.got_reject);
+    EXPECT_EQ(reply.code, RejectCode::kVersionSkew) << reply.detail;
+  }
+
+  // A protocol-5 worker: its hello still carries the delivery byte, so
+  // the body does not decode in this build's layout. The range alone must
+  // turn it away with the typed verdict.
+  {
+    net::Socket socket = net::connect(dispatcher.endpoint(), 5.0);
+    std::string body;
+    wire::put_u32(body, 5);
+    wire::put_u32(body, 5);
+    wire::put_u64(body, protocol_binary_fingerprint());
+    wire::put_u8(body, 1);  // delivery modes: shared
     wire::put_u32(body, 0);
     wire::put_u32(body, 1);
     wire::put_u64(body, 1);
@@ -420,7 +555,6 @@ TEST_F(RemoteTransportTest, RawSocketSkewAndAuthGatesRejectTyped) {
     wire::put_u32(body, 1);
     wire::put_u32(body, 999);
     wire::put_u64(body, protocol_binary_fingerprint() ^ 0xdeadbeefull);
-    wire::put_u8(body, kDeliveryShared);
     wire::put_u32(body, 0);
     wire::put_u32(body, 1);
     wire::put_u64(body, 1);
@@ -471,7 +605,7 @@ TEST_F(RemoteTransportTest, RawSocketSkewAndAuthGatesRejectTyped) {
     EXPECT_EQ(reply.code, RejectCode::kUnknownShard) << reply.detail;
   }
 
-  EXPECT_GE(counter_value("net.handshakes_rejected"), rejected_before + 4);
+  EXPECT_GE(counter_value("net.handshakes_rejected"), rejected_before + 5);
   EXPECT_EQ(dispatcher.handshakes_completed(), 0u);
 }
 
@@ -507,7 +641,7 @@ TEST_F(RemoteTransportTest, SkewedWorkersExitWithHandshakeRejectedCode) {
   const std::string dir = run_dir("exec_skew");
   fs::create_directories(dir);
   SocketDispatcher dispatcher(net::Endpoint::unix_path(dir + "/d.sock"), dir,
-                              WorkerAssignment{}, DispatcherOptions{});
+                              0, WorkerAssignment{});
   const std::string endpoint = dispatcher.endpoint().to_string();
 
   // A worker "built from a different commit": forced fingerprint mismatch.
@@ -529,10 +663,8 @@ TEST_F(RemoteTransportTest, WrongTokenWorkerExitsRejectedDispatcherSurvives) {
   require_cli();
   const std::string dir = run_dir("exec_auth");
   fs::create_directories(dir);
-  DispatcherOptions options;
-  options.auth_token = "right-token";
   SocketDispatcher dispatcher(net::Endpoint::unix_path(dir + "/d.sock"), dir,
-                              WorkerAssignment{}, options);
+                              0, WorkerAssignment{}, "right-token");
   const std::string endpoint = dispatcher.endpoint().to_string();
 
   EXPECT_EQ(spawn_worker(endpoint, {{"RID_AUTH_TOKEN", "wrong-token"}}),
@@ -550,88 +682,39 @@ TEST_F(RemoteTransportTest, WrongTokenWorkerExitsRejectedDispatcherSurvives) {
   EXPECT_EQ(static_cast<WireMessage>(payload[0]), WireMessage::kChallenge);
 }
 
-// --- end-to-end: auth + streamed graph delivery ---------------------------
+// --- end-to-end: authenticated workers, no graph file ---------------------
 
-TEST_F(RemoteTransportTest, AuthStreamedDeliveryBitIdenticalAndCached) {
+TEST_F(RemoteTransportTest, AuthenticatedWorkersSolveTreesWithoutAGraphFile) {
   require_cli();
   const Scenario& s = scenario();
-  const auto view = graph::ColumnarGraphView::open(ridg());
-  const DetectionResult want = run_rid(view, view.states(), s.config);
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
 
-  const std::string cache =
-      (fs::path(::testing::TempDir()) / "remote_graph_cache").string();
-  fs::remove_all(cache);
-
-  // Workers advertise streamed delivery only, so the dispatcher must ship.
-  ScopedEnv delivery("RID_GRAPH_DELIVERY", "stream");
-  ShardedConfig config = socket_config(2, run_dir("stream1"));
+  // An in-RAM graph leaves no file a worker could open: every tree it
+  // solves arrives in its assignment.
+  ShardedConfig config = socket_config(2, run_dir("in_ram"));
   config.auth_token = "open-sesame";
-  config.graph_cache_dir = cache;
-  const std::uint64_t ships_before = counter_value("net.graph_ship_requests");
-  const std::uint64_t hits_before = counter_value("net.graph_cache_hits");
+  const std::uint64_t handshakes_before = counter_value("net.handshakes");
   const DetectionResult got =
-      run_rid_sharded(view, view.states(), s.config, config);
+      run_rid_sharded(s.graph, s.states, s.config, config);
   expect_identical(got, want);
   EXPECT_TRUE(got.diagnostics.all_ok());
-
-  // The graph landed in the content-addressed cache under its fingerprint.
-  bool cache_entry = false;
-  for (const fs::directory_entry& entry : fs::directory_iterator(cache))
-    if (entry.path().extension() == ".ridg") cache_entry = true;
-  EXPECT_TRUE(cache_entry) << "no cached .ridg after streamed delivery";
-
-  // Second run: same fingerprint, so workers reuse the cache (no re-ship
-  // needed for every worker — at least one cache hit must land).
-  ShardedConfig again = socket_config(2, run_dir("stream2"));
-  again.auth_token = "open-sesame";
-  again.graph_cache_dir = cache;
-  const DetectionResult got2 =
-      run_rid_sharded(view, view.states(), s.config, again);
-  expect_identical(got2, want);
-  EXPECT_GT(counter_value("net.graph_ship_requests"), ships_before);
-  EXPECT_GT(counter_value("net.graph_cache_hits"), hits_before);
+  EXPECT_EQ(got.diagnostics.shard_crashes, 0u);
+  EXPECT_GE(counter_value("net.handshakes"), handshakes_before + 2);
 }
 
-TEST_F(RemoteTransportTest, CorruptedCacheEntryIsReVerifiedAndReShipped) {
-  require_cli();
-  const Scenario& s = scenario();
-  const auto view = graph::ColumnarGraphView::open(ridg());
-  const DetectionResult want = run_rid(view, view.states(), s.config);
+// --- dispatcher teardown --------------------------------------------------
 
-  const std::string cache =
-      (fs::path(::testing::TempDir()) / "remote_bad_cache").string();
-  fs::remove_all(cache);
-  ScopedEnv delivery("RID_GRAPH_DELIVERY", "stream");
-
-  ShardedConfig config = socket_config(1, run_dir("cache_seed"));
-  config.graph_cache_dir = cache;
-  expect_identical(run_rid_sharded(view, view.states(), s.config, config),
-                   want);
-
-  // Flip one payload byte in the cached entry: the fingerprint check must
-  // treat it as a miss and re-ship instead of computing on damaged data.
-  std::string cached;
-  for (const fs::directory_entry& entry : fs::directory_iterator(cache))
-    if (entry.path().extension() == ".ridg") cached = entry.path().string();
-  ASSERT_FALSE(cached.empty());
-  {
-    std::fstream f(cached, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(100);
-    char byte = 0;
-    f.seekg(100);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5a);
-    f.seekp(100);
-    f.write(&byte, 1);
-  }
-
-  const std::uint64_t ships_before = counter_value("net.graph_ship_requests");
-  ShardedConfig again = socket_config(1, run_dir("cache_repair"));
-  again.graph_cache_dir = cache;
-  expect_identical(run_rid_sharded(view, view.states(), s.config, again),
-                   want);
-  EXPECT_GT(counter_value("net.graph_ship_requests"), ships_before)
-      << "damaged cache entry was trusted instead of re-shipped";
+TEST_F(RemoteTransportTest, DispatcherTeardownDoesNotWaitOutTheAcceptPoll) {
+  const std::string dir = run_dir("teardown");
+  fs::create_directories(dir);
+  auto dispatcher = std::make_unique<SocketDispatcher>(
+      net::Endpoint::unix_path(dir + "/d.sock"), dir, 0, WorkerAssignment{});
+  // Let the acceptor settle into its accept poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  dispatcher.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
 }
 
 // --- chaos soak -----------------------------------------------------------

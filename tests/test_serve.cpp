@@ -142,7 +142,6 @@ class ServeTest : public ::testing::Test {
     config.resume = false;
     config.transport = ShardTransport::kSocket;
     config.worker_command = RIDNET_CLI_PATH;
-    config.graph_path = scenario().ridg_path;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
     config.supervisor.poll_interval_ms = 2.0;
@@ -166,33 +165,49 @@ TEST_F(ServeTest, SocketTransportBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST_F(ServeTest, SocketTransportRejectsConfigsItCannotReproduce) {
+TEST_F(ServeTest, SocketTransportRunsEveryConfigTheForkTransportRuns) {
   const Scenario& s = scenario();
   const auto view = graph::ColumnarGraphView::open(s.ridg_path);
 
-  // No worker command / no graph path: nothing to exec / nothing to re-map.
+  // No worker command: nothing to exec.
   ShardedConfig no_cmd = socket_sharded(2, run_dir("nocmd"));
   no_cmd.worker_command.clear();
   EXPECT_THROW(run_rid_sharded(view, view.states(), s.config, no_cmd),
                util::InputError);
-  ShardedConfig no_graph = socket_sharded(2, run_dir("nograph"));
-  no_graph.graph_path.clear();
-  EXPECT_THROW(run_rid_sharded(view, view.states(), s.config, no_graph),
-               util::InputError);
 
-  // The forest fingerprint covers neither the candidate mask nor repaired
-  // states, so a worker re-extracting from the raw .ridg could silently
-  // diverge — both are refused, not risked.
+  // Workers solve the trees the parent built, so a candidate mask and
+  // repaired states reach them as the parent applied them. Both inputs
+  // change the answer, so a worker that dropped either would diverge.
+  const DetectionResult plain = run_rid(view, view.states(), s.config);
   RidConfig with_candidates = s.config;
-  with_candidates.candidates.assign(view.num_nodes(), true);
-  EXPECT_THROW(run_rid_sharded(view, view.states(), with_candidates,
-                               socket_sharded(2, run_dir("cand"))),
-               util::InputError);
+  with_candidates.candidates.assign(view.num_nodes(), false);
+  for (NodeId v = 0; v < view.num_nodes(); v += 3)
+    with_candidates.candidates[v] = true;
+  const DetectionResult masked =
+      run_rid(view, view.states(), with_candidates);
+  EXPECT_NE(masked.initiators, plain.initiators);
+  expect_identical(run_rid_sharded(view, view.states(), with_candidates,
+                                   socket_sharded(2, run_dir("cand"))),
+                   masked);
+
+  // Invalid state bytes on a few infected nodes: kRepair resets them to
+  // inactive, which reshapes the forest the workers get.
+  std::vector<NodeState> damaged(view.states().begin(), view.states().end());
+  std::size_t hits = 0;
+  for (NodeId v = 0; v < damaged.size() && hits < 4; ++v)
+    if (graph::is_active(damaged[v])) {
+      damaged[v] = static_cast<NodeState>(7);
+      ++hits;
+    }
   RidConfig with_repair = s.config;
   with_repair.repair_policy = RepairPolicy::kRepair;
-  EXPECT_THROW(run_rid_sharded(view, view.states(), with_repair,
-                               socket_sharded(2, run_dir("repair"))),
-               util::InputError);
+  const DetectionResult repaired = run_rid(view, damaged, with_repair);
+  EXPECT_FALSE(repaired.diagnostics.repairs.empty());
+  EXPECT_NE(double_bits(repaired.total_opt), double_bits(plain.total_opt));
+  const DetectionResult got = run_rid_sharded(
+      view, damaged, with_repair, socket_sharded(2, run_dir("repair")));
+  expect_identical(got, repaired);
+  EXPECT_TRUE(got.diagnostics.all_ok());
 }
 
 TEST_F(ServeTest, SocketCrashSchedulesMergeBitIdentical) {

@@ -466,7 +466,6 @@ TEST_F(ShardedRidTest, StarvedMemLimitKillsWorkersAndDegrades) {
   ShardedConfig config = sharded(2, run_dir("memlimit"));
   config.transport = ShardTransport::kSocket;
   config.worker_command = RIDNET_CLI_PATH;
-  config.graph_path = ridg;
   config.supervisor.mem_limit_bytes = 1ull << 20;
   config.supervisor.max_shard_attempts = 2;
   const auto view = graph::ColumnarGraphView::open(ridg);
@@ -555,7 +554,6 @@ TEST_F(ShardedRidTest, SocketWorkerFramesAreDrainedBeforeDurability) {
   ShardedConfig config = sharded(2, dir);
   config.transport = ShardTransport::kSocket;
   config.worker_command = RIDNET_CLI_PATH;
-  config.graph_path = ridg;
   // Armed in this process only: exec'd workers read $RID_FAILPOINTS.
   util::failpoint::arm("checkpoint.append=sleep(100)");
   const DetectionResult got =

@@ -413,7 +413,6 @@ class TelemetryE2ETest : public ::testing::Test {
     config.resume = false;
     config.transport = transport;
     config.worker_command = RIDNET_CLI_PATH;
-    config.graph_path = scenario().ridg_path;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
     config.supervisor.poll_interval_ms = 2.0;
