@@ -12,10 +12,12 @@
 //   2. Byte-identity: the streamed file is cmp-identical (and fingerprint-
 //      identical) to the in-RAM writer's output for the same edge stream —
 //      checked on the smallest row, where materializing is still possible.
-//   3. Detection stays out-of-core: run_rid over the mmap-ed view (WCC and
-//      candidate-arc sweeps drop pages behind their cursors) keeps peak RSS
-//      under the same ceiling, and the ArcGather::kStreamed result is
-//      bit-identical to the ArcGather::kCopy oracle.
+//   3. Detection stays out-of-core: run_rid over the mmap-ed view reads
+//      only the infected nodes' out-edges and drops the edge pages it maps
+//      on a file above core::kResidentCapBytes, so peak RSS stays under
+//      the same ceiling — for the sparse embedded snapshot and for a dense
+//      in-memory one infecting 5% of the nodes — and on the smallest row
+//      its result is bit-identical to run_rid over the in-RAM graph.
 //
 // Every heavy stage runs in a forked child; the parent reads a POD result
 // through a pipe and the child's peak RSS from wait4's rusage, so each
@@ -32,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -163,12 +166,9 @@ class SyntheticEdgeSource final : public graph::EdgeSource {
   std::uint64_t produced_ = 0;
 };
 
-/// Sparse embedded snapshot: ~2000 alternating +/- observations. Detection
-/// cost is then dominated by the streamed whole-graph sweeps (WCC, arc
-/// gather), which is the out-of-core path under test, not by giant DPs.
-std::vector<graph::NodeState> make_snapshot(NodeId nodes) {
+/// Alternating +/- observations on every `stride`-th node.
+std::vector<graph::NodeState> snapshot_every(NodeId nodes, NodeId stride) {
   std::vector<graph::NodeState> states(nodes, graph::NodeState::kInactive);
-  const NodeId stride = std::max<NodeId>(1, nodes / 2000);
   bool positive = true;
   for (NodeId v = 0; v < nodes; v += stride) {
     states[v] = positive ? graph::NodeState::kPositive
@@ -178,18 +178,22 @@ std::vector<graph::NodeState> make_snapshot(NodeId nodes) {
   return states;
 }
 
+/// Sparse embedded snapshot: ~2000 observations, so detection cost is the
+/// out-of-core reading of the file, not giant DPs.
+std::vector<graph::NodeState> make_snapshot(NodeId nodes) {
+  return snapshot_every(nodes, std::max<NodeId>(1, nodes / 2000));
+}
+
+/// The dense probe's in-memory snapshot observes every 20th node (5%), so
+/// the RSS cap is also tested where the infected neighbourhood is large.
+constexpr NodeId kDenseStride = 20;
+
 graph::StreamConvertOptions convert_options() {
   graph::StreamConvertOptions options;
   options.social = false;
   options.flags = graph::kRidgFlagDiffusion;
   options.make_states = make_snapshot;
   return options;
-}
-
-core::RidConfig rid_config(core::ArcGather gather) {
-  core::RidConfig config;
-  config.extraction.arc_gather = gather;
-  return config;
 }
 
 struct ConvertProbe {
@@ -223,17 +227,28 @@ ConvertProbe run_convert(NodeId nodes, std::uint64_t edges,
 struct DetectProbe {
   bool ok = false;
   std::uint64_t digest = 0;
+  std::size_t infected = 0;
   double seconds = 0.0;
 };
 
-DetectProbe run_detect(const std::string& ridg_path, core::ArcGather gather) {
+/// run_rid over the mapped file, on its embedded snapshot or (dense) on
+/// snapshot_every(nodes, kDenseStride).
+DetectProbe run_detect(const std::string& ridg_path, bool dense) {
   DetectProbe probe;
   try {
     const graph::ColumnarGraphView view =
         graph::ColumnarGraphView::open(ridg_path);
+    std::vector<graph::NodeState> dense_states;
+    std::span<const graph::NodeState> states = view.states();
+    if (dense) {
+      dense_states = snapshot_every(view.num_nodes(), kDenseStride);
+      states = dense_states;
+    }
+    probe.infected = static_cast<std::size_t>(
+        std::count_if(states.begin(), states.end(), graph::is_active));
     util::Timer timer;
     const core::DetectionResult result =
-        core::run_rid(view, view.states(), rid_config(gather));
+        core::run_rid(view, states, core::RidConfig{});
     probe.seconds = timer.seconds();
     probe.digest = result_digest(result);
     probe.ok = true;
@@ -247,12 +262,14 @@ struct OracleProbe {
   bool ok = false;
   bool bytes_match = false;
   bool fingerprint_match = false;
+  std::uint64_t digest = 0;  // run_rid over the in-RAM diffusion graph
 };
 
 /// Materializes the same edge stream with graph_io semantics, writes it
-/// with the in-RAM writer, and cmp's the two files. Only run on the
-/// smallest row — this is the path whose memory the streaming converter
-/// exists to avoid.
+/// with the in-RAM writer, cmp's the two files, and runs run_rid on the
+/// in-RAM graph for the backend-identity check. Only run on the smallest
+/// row — this is the path whose memory the streaming converter exists to
+/// avoid.
 OracleProbe run_oracle(NodeId nodes, std::uint64_t edges,
                        const std::string& streamed_path,
                        const std::string& oracle_path) {
@@ -262,8 +279,12 @@ OracleProbe run_oracle(NodeId nodes, std::uint64_t edges,
     graph::LoadedGraph loaded = graph::load_edge_source(source);
     const graph::SignedGraph diffusion =
         graph::make_diffusion_network(loaded.graph);
-    graph::write_columnar_file(diffusion, make_snapshot(diffusion.num_nodes()),
-                               oracle_path, graph::kRidgFlagDiffusion);
+    const std::vector<graph::NodeState> states =
+        make_snapshot(diffusion.num_nodes());
+    graph::write_columnar_file(diffusion, states, oracle_path,
+                               graph::kRidgFlagDiffusion);
+    probe.digest =
+        result_digest(core::run_rid(diffusion, states, core::RidConfig{}));
 
     probe.fingerprint_match =
         graph::ColumnarGraphView::open(streamed_path).fingerprint() ==
@@ -302,9 +323,12 @@ struct Row {
   double convert_rss_kb = 0.0;
   double detect_s = 0.0;
   double detect_rss_kb = 0.0;
-  bool measured = false;     // fork/wait4 RSS available
-  bool oracle = false;       // in-RAM byte-identity checked on this row
-  bool gather_match = false; // kStreamed digest == kCopy digest on this row
+  std::size_t dense_infected = 0;
+  double dense_detect_s = 0.0;
+  double dense_detect_rss_kb = 0.0;
+  bool measured = false;       // fork/wait4 RSS available
+  bool oracle = false;         // in-RAM byte-identity checked on this row
+  bool backend_match = false;  // view digest == in-RAM graph digest
 };
 
 }  // namespace
@@ -333,7 +357,7 @@ int main(int argc, char** argv) {
 
   util::AsciiTable table({"nodes", "edges", "ridg MiB", "convert s",
                           "Medges/s", "conv RSS MiB", "detect s",
-                          "det RSS MiB"});
+                          "det RSS MiB", "dense s", "dense RSS MiB"});
   table.set_title("streaming convert + out-of-core detect; RSS cap " +
                   std::to_string(static_cast<int>(kRssCapKb / 1024)) + " MiB");
 
@@ -361,17 +385,19 @@ int main(int argc, char** argv) {
     row.measured = row.convert_rss_kb > 0.0;
 
     const DetectProbe detect = run_probe<DetectProbe>(
-        [&] { return run_detect(ridg_path, core::ArcGather::kStreamed); },
-        row.detect_rss_kb);
-    if (!detect.ok) {
+        [&] { return run_detect(ridg_path, false); }, row.detect_rss_kb);
+    const DetectProbe dense = run_probe<DetectProbe>(
+        [&] { return run_detect(ridg_path, true); }, row.dense_detect_rss_kb);
+    if (!detect.ok || !dense.ok) {
       std::cerr << "FATAL: detection over " << ridg_path << " failed\n";
       return 1;
     }
     row.detect_s = detect.seconds;
+    row.dense_infected = dense.infected;
+    row.dense_detect_s = dense.seconds;
 
     // Identity checks on the smallest row only: the oracle materializes the
-    // whole graph, and the kCopy gather walks per-component adjacency — the
-    // exact costs the streamed paths avoid at scale.
+    // whole graph, the exact cost the out-of-core paths avoid at scale.
     if (si == 0) {
       const std::string oracle_path = (dir / "oracle.ridg").string();
       double ignored = 0.0;
@@ -387,16 +413,12 @@ int main(int argc, char** argv) {
       }
       row.oracle = true;
       fs::remove(oracle_path);
-
-      const DetectProbe copy = run_probe<DetectProbe>(
-          [&] { return run_detect(ridg_path, core::ArcGather::kCopy); },
-          ignored);
-      if (!copy.ok || copy.digest != detect.digest) {
-        std::cerr << "FATAL: ArcGather::kStreamed diverged from the "
-                  << "ArcGather::kCopy oracle\n";
+      if (oracle.digest != detect.digest) {
+        std::cerr << "FATAL: run_rid over the .ridg view diverged from "
+                  << "run_rid over the in-RAM graph\n";
         return 1;
       }
-      row.gather_match = true;
+      row.backend_match = true;
     }
 
     rows.push_back(row);
@@ -404,7 +426,8 @@ int main(int argc, char** argv) {
               static_cast<double>(row.ridg_bytes) / (1024.0 * 1024.0),
               row.convert_s, row.edges_per_s / 1e6,
               row.convert_rss_kb / 1024.0, row.detect_s,
-              row.detect_rss_kb / 1024.0);
+              row.detect_rss_kb / 1024.0, row.dense_detect_s,
+              row.dense_detect_rss_kb / 1024.0);
   }
   table.render(std::cout);
   fs::remove_all(dir);
@@ -417,19 +440,22 @@ int main(int argc, char** argv) {
       << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    char buf[512];
+    char buf[640];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nodes\": %zu, \"edges_in\": %llu, \"edges\": %llu, "
         "\"ridg_bytes\": %llu, \"convert_s\": %.3f, \"edges_per_s\": %.0f, "
         "\"convert_rss_kb\": %.0f, \"detect_s\": %.3f, \"detect_rss_kb\": "
-        "%.0f, \"measured\": %s, \"oracle\": %s, \"gather_match\": %s}%s\n",
+        "%.0f, \"dense_infected\": %zu, \"dense_detect_s\": %.3f, "
+        "\"dense_detect_rss_kb\": %.0f, \"measured\": %s, \"oracle\": %s, "
+        "\"backend_match\": %s}%s\n",
         r.nodes, static_cast<unsigned long long>(r.edges_in),
         static_cast<unsigned long long>(r.edges),
         static_cast<unsigned long long>(r.ridg_bytes), r.convert_s,
         r.edges_per_s, r.convert_rss_kb, r.detect_s, r.detect_rss_kb,
+        r.dense_infected, r.dense_detect_s, r.dense_detect_rss_kb,
         r.measured ? "true" : "false", r.oracle ? "true" : "false",
-        r.gather_match ? "true" : "false", i + 1 < rows.size() ? "," : "");
+        r.backend_match ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";

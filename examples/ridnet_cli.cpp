@@ -42,11 +42,9 @@
 // (for scripted reproducibility gates). `detect` auto-detects .ridg inputs
 // by magic and mmaps them zero-copy (method=rid only; baselines and --early
 // need the in-RAM graph); `--snapshot` then overrides any embedded state
-// column. `--arc-gather=auto|copy|streamed` (detect/pipeline, method=rid)
-// picks how per-component candidate arcs are materialized — `auto` copies
-// unless the input is a .ridg larger than the streamed path's 128 MiB
-// resident cap, where it streams edge windows; results are bit-identical
-// either way.
+// column. Extraction reads only the infected nodes' out-edges, and on a
+// .ridg larger than 128 MiB it drops the edge pages it maps as it goes;
+// results are bit-identical to the text path either way.
 //
 // `checkpoints` inspects a --run-dir of sharded-run checkpoint files (path,
 // version, forest fingerprint, valid record prefix, damage); `--verify`
@@ -337,15 +335,6 @@ core::RidConfig rid_config_from_flags(const util::Flags& flags) {
   config.budget.cancel = cli_cancel_token();
   if (flags.get_bool("repair", false))
     config.repair_policy = core::RepairPolicy::kRepair;
-  const std::string gather = flags.get_string("arc-gather", "auto");
-  if (gather == "copy") {
-    config.extraction.arc_gather = core::ArcGather::kCopy;
-  } else if (gather == "streamed") {
-    config.extraction.arc_gather = core::ArcGather::kStreamed;
-  } else if (gather != "auto") {
-    throw std::invalid_argument("unknown arc-gather: " + gather +
-                                " (auto|copy|streamed)");
-  }
   return config;
 }
 

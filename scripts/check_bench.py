@@ -16,13 +16,16 @@ Dispatches on the report's "benchmark" tag:
                    additionally show >= 10x load speedup on every row, a
                    >= 1M-edge row, and sharded worker peak RSS on .ridg
                    below the in-RAM baseline.
-  oocore         — streaming convert + out-of-core detect: every measured
-                   row's convert/detect peak RSS must sit under the report's
-                   rss_cap_kb ceiling, one row must prove byte-identity to
-                   the in-RAM writer and ArcGather bit-identity; full
-                   reports must additionally grow the .ridg >= 10x across
-                   rows with a flat (<= 1.5x spread) converter RSS, and the
-                   largest file must be >= 4x the RSS ceiling.
+  oocore         — streaming convert + out-of-core detect: every row must
+                   run a dense detect probe infecting >= 5% of its nodes,
+                   every measured row's convert, detect and dense-detect
+                   peak RSS must sit under the report's rss_cap_kb ceiling,
+                   and one row must prove byte-identity to the in-RAM writer
+                   and run_rid bit-identity between the .ridg view and the
+                   in-RAM graph; full reports must additionally grow the
+                   .ridg >= 10x across rows with a flat (<= 1.5x spread)
+                   converter RSS, and the largest file must be >= 4x the
+                   RSS ceiling.
 
 Exits non-zero with a message on the first failure. Stdlib only — no
 third-party imports.
@@ -141,10 +144,12 @@ def check_columnar_load(path: str, doc: dict) -> None:
 
 OOCORE_KEYS = (
     "nodes", "edges_in", "edges", "ridg_bytes", "convert_s", "edges_per_s",
-    "convert_rss_kb", "detect_s", "detect_rss_kb", "measured", "oracle",
-    "gather_match",
+    "convert_rss_kb", "detect_s", "detect_rss_kb", "dense_infected",
+    "dense_detect_s", "dense_detect_rss_kb", "measured", "oracle",
+    "backend_match",
 )
 
+OOCORE_MIN_DENSE_SHARE = 0.05  # dense probe's infected share of the nodes
 OOCORE_MIN_GROWTH = 10.0       # largest/smallest ridg_bytes, full mode
 OOCORE_MIN_CAP_RATIO = 4.0     # largest ridg_bytes vs the RSS ceiling
 OOCORE_MAX_RSS_SPREAD = 1.5    # converter RSS flatness across rows
@@ -161,8 +166,13 @@ def check_oocore(path: str, doc: dict) -> None:
         for key in OOCORE_KEYS:
             if key not in row:
                 fail(f"{path}: results[{i}] missing '{key}': {row}")
-        if row["convert_s"] <= 0 or row["detect_s"] <= 0:
+        if (row["convert_s"] <= 0 or row["detect_s"] <= 0
+                or row["dense_detect_s"] <= 0):
             fail(f"{path}: results[{i}]: non-positive timing: {row}")
+        if row["dense_infected"] < OOCORE_MIN_DENSE_SHARE * row["nodes"]:
+            fail(f"{path}: results[{i}]: dense probe infected "
+                 f"{row['dense_infected']} of {row['nodes']} nodes, below "
+                 f"the {OOCORE_MIN_DENSE_SHARE:.0%} bar")
         ratio = row["edges_in"] / row["convert_s"]
         if abs(ratio - row["edges_per_s"]) > 0.05 * ratio + 1.0:
             fail(f"{path}: results[{i}]: edges_per_s {row['edges_per_s']} "
@@ -171,7 +181,8 @@ def check_oocore(path: str, doc: dict) -> None:
             fail(f"{path}: results[{i}]: kept edges {row['edges']} outside "
                  f"(0, edges_in={row['edges_in']}]")
         if row["measured"]:
-            for key in ("convert_rss_kb", "detect_rss_kb"):
+            for key in ("convert_rss_kb", "detect_rss_kb",
+                        "dense_detect_rss_kb"):
                 if row[key] <= 0:
                     fail(f"{path}: results[{i}]: measured but {key} not "
                          f"positive: {row}")
@@ -186,9 +197,9 @@ def check_oocore(path: str, doc: dict) -> None:
     if not any(r["oracle"] for r in rows):
         fail(f"{path}: no row checked byte-identity against the in-RAM "
              f"writer")
-    if not any(r["gather_match"] for r in rows):
-        fail(f"{path}: no row checked ArcGather streamed-vs-copy "
-             f"bit-identity")
+    if not any(r["backend_match"] for r in rows):
+        fail(f"{path}: no row checked run_rid bit-identity between the "
+             f".ridg view and the in-RAM graph")
 
     if full:
         smallest = min(r["ridg_bytes"] for r in rows)

@@ -1,26 +1,7 @@
 #include "algo/components.hpp"
 
-#include <algorithm>
-
-#include "algo/union_find.hpp"
-
 namespace rid::algo {
 
-namespace {
-
-/// Edges per streamed window: large enough that the per-block budget check
-/// is noise, small enough that only a sliver of the edge columns has to be
-/// resident at once (64Ki edges = 512 KiB of src+dst).
-constexpr graph::EdgeId kEdgeBlock = 1u << 16;
-
-/// How far the streamed sweeps run ahead before dropping the edge-column
-/// pages behind the cursor (4Mi edges ≈ 68 MiB across the four columns).
-/// Keeps resident set O(stride) on multi-GB files; page-cache re-faults are
-/// cheap if a later phase re-reads the range.
-constexpr graph::EdgeId kDropStride = 1u << 22;
-
-/// Assigns component labels by ascending node scan (the label order both
-/// backends must share for bit-identity).
 Components label_components(UnionFind& uf, graph::NodeId num_nodes,
                             const std::vector<bool>* selected) {
   Components out;
@@ -34,8 +15,6 @@ Components label_components(UnionFind& uf, graph::NodeId num_nodes,
   }
   return out;
 }
-
-}  // namespace
 
 std::vector<std::vector<graph::NodeId>> Components::groups() const {
   std::vector<std::vector<graph::NodeId>> out(count);
@@ -63,53 +42,6 @@ Components weakly_connected_components(
     for (const graph::EdgeId e : graph.out_edge_ids(u)) {
       const graph::NodeId v = graph.edge_dst(e);
       if (selected[v]) uf.unite(u, v);
-    }
-  }
-  return label_components(uf, graph.num_nodes(), &selected);
-}
-
-Components weakly_connected_components(const graph::ColumnarGraphView& graph,
-                                       const util::BudgetScope* budget) {
-  UnionFind uf(graph.num_nodes());
-  const auto num_edges = static_cast<graph::EdgeId>(graph.num_edges());
-  graph::EdgeId drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kEdgeBlock) {
-    const graph::EdgeId hi = std::min<graph::EdgeId>(num_edges, lo + kEdgeBlock);
-    const graph::EdgeWindow w = graph.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) uf.unite(w.srcs[i], w.dsts[i]);
-    if (budget != nullptr) budget->check();
-    if (hi - drop_from >= kDropStride) {
-      graph.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
-    }
-  }
-  return label_components(uf, graph.num_nodes(), nullptr);
-}
-
-Components weakly_connected_components(
-    const graph::ColumnarGraphView& graph,
-    std::span<const graph::NodeId> restrict_to,
-    const util::BudgetScope* budget) {
-  std::vector<bool> selected(graph.num_nodes(), false);
-  for (const graph::NodeId v : restrict_to) selected[v] = true;
-
-  // Ascending-EdgeId sweep == per-selected-node walk (CSR edge order), so
-  // the unite sequence matches the SignedGraph overload exactly.
-  UnionFind uf(graph.num_nodes());
-  const auto num_edges = static_cast<graph::EdgeId>(graph.num_edges());
-  graph::EdgeId drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kEdgeBlock) {
-    const graph::EdgeId hi = std::min<graph::EdgeId>(num_edges, lo + kEdgeBlock);
-    const graph::EdgeWindow w = graph.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const graph::NodeId u = w.srcs[i];
-      const graph::NodeId v = w.dsts[i];
-      if (selected[u] && selected[v]) uf.unite(u, v);
-    }
-    if (budget != nullptr) budget->check();
-    if (hi - drop_from >= kDropStride) {
-      graph.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
     }
   }
   return label_components(uf, graph.num_nodes(), &selected);

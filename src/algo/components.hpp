@@ -5,9 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "graph/columnar.hpp"
+#include "algo/union_find.hpp"
 #include "graph/signed_graph.hpp"
-#include "util/work_budget.hpp"
 
 namespace rid::algo {
 
@@ -30,25 +29,11 @@ Components weakly_connected_components(const graph::SignedGraph& graph,
                                        std::span<const graph::NodeId>
                                            restrict_to);
 
-// --- columnar (out-of-core) variants ---------------------------------------
-// Stream the mmap-ed edge columns in fixed-size edge_range windows instead
-// of walking per-node adjacency, so only one block of the edge array needs
-// to be resident at a time and an armed WorkBudget is polled between
-// blocks. CSR stores edges sorted by (src, dst), so the ascending-EdgeId
-// sweep performs the *identical* unite sequence as the per-node SignedGraph
-// walk — the resulting labels (and everything derived from them) are
-// bitwise equal across the two backends.
-
-/// Components over all nodes of a columnar view.
-Components weakly_connected_components(const graph::ColumnarGraphView& graph,
-                                       const util::BudgetScope* budget =
-                                           nullptr);
-
-/// Restricted variant (see above). Nodes outside the set get kInvalidNode.
-Components weakly_connected_components(const graph::ColumnarGraphView& graph,
-                                       std::span<const graph::NodeId>
-                                           restrict_to,
-                                       const util::BudgetScope* budget =
-                                           nullptr);
+/// Labels the sets of `uf` over nodes [0, num_nodes) by ascending node scan:
+/// the first node of each set takes the next label, so labels depend only
+/// on the partition, never on the unite order. Nodes with `selected` false
+/// get kInvalidNode (null = every node is selected).
+Components label_components(UnionFind& uf, graph::NodeId num_nodes,
+                            const std::vector<bool>* selected);
 
 }  // namespace rid::algo

@@ -10,11 +10,11 @@
 #include "algo/arborescence.hpp"
 #include "algo/components.hpp"
 #include "algo/forest.hpp"
+#include "algo/union_find.hpp"
 #include "core/isomit.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
-#include "util/mmap_buffer.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -33,16 +33,16 @@ double arc_log_weight(double weight) {
   return std::log(std::max(weight, kScoreFloor));
 }
 
-/// The finish phase (state imputation, g-factors, side evidence) looks
-/// arcs up by global EdgeId, so on the columnar backend its page faults
-/// land randomly across the edge columns and never fall behind a sweep
-/// cursor — and the kernel's fault-around maps up to 16 surrounding
-/// page-cache pages (~64 KiB) per probe, so unchecked lookups accumulate
-/// to O(file) resident set. Under the streamed plan, component tasks share
-/// one reclaimer and tick it once per column probe; every kDropVisits
-/// probes the per-edge pages are dropped, capping the phase's resident set
-/// near kResidentCapBytes regardless of file size. madvise is data-neutral,
-/// so results stay bit-identical for any thread count or drop schedule.
+/// Caps the edge pages extraction keeps mapped on a .ridg larger than
+/// kResidentCapBytes. The walk and the finish phase (state imputation,
+/// g-factors, side evidence) probe the edge columns by EdgeId with no
+/// cursor to drop pages behind, and one probe can map a whole page-cache
+/// folio around it: on a 2.4 GiB file, probes mapped 180-230 KiB each on
+/// average, not the 64 KiB of 16-page fault-around. So each probe is
+/// accounted as one 2 MiB (PMD-sized) folio, and every kDropVisits =
+/// 128 MiB / 2 MiB = 64 probes the per-edge pages are dropped. The walk and the component
+/// tasks share one reclaimer. madvise is data-neutral, so results stay
+/// bit-identical for any thread count or drop schedule.
 class PageReclaimer {
  public:
   explicit PageReclaimer(const graph::ColumnarGraphView& view)
@@ -56,131 +56,99 @@ class PageReclaimer {
   }
 
  private:
-  static constexpr std::uint64_t kFaultAroundBytes = std::uint64_t{64} << 10;
-  static constexpr std::uint64_t kDropVisits =
-      kResidentCapBytes / kFaultAroundBytes;
+  static constexpr std::uint64_t kFolioBytes = std::uint64_t{2} << 20;
+  static constexpr std::uint64_t kDropVisits = kResidentCapBytes / kFolioBytes;
   const graph::ColumnarGraphView* view_;
   std::atomic<std::uint64_t> count_{0};
 };
 
-/// Component discovery per backend: the columnar view streams the edge
-/// array in budgeted blocks, the in-RAM graph walks per-node adjacency.
-/// Both yield the same partition, hence the same labels.
-algo::Components infected_components(const graph::SignedGraph& diffusion,
-                                     std::span<const graph::NodeId> infected,
-                                     const ExtractionConfig&) {
-  return algo::weakly_connected_components(diffusion, infected);
-}
+/// The infected subgraph split into weakly-connected components: each
+/// component's members (ascending node id) and its candidate arcs
+/// (component-local endpoints, ascending EdgeId) as one slice of `arcs`.
+struct InfectedComponents {
+  std::vector<std::vector<graph::NodeId>> members;
+  std::vector<algo::WeightedArc> arcs;
+  std::vector<std::size_t> arc_begin;  // members.size() + 1 offsets
 
-algo::Components infected_components(const graph::ColumnarGraphView& diffusion,
-                                     std::span<const graph::NodeId> infected,
-                                     const ExtractionConfig& config) {
-  return algo::weakly_connected_components(diffusion, infected, config.budget);
-}
-
-/// Streamed-gather window sizes (matching algo/components' sweep): budget
-/// polls every kGatherBlock edges, pages dropped behind the cursor every
-/// kDropStride edges.
-constexpr graph::EdgeId kGatherBlock = 1u << 16;
-constexpr graph::EdgeId kDropStride = 1u << 22;
-
-/// Spill the arc arena to an unlinked temp-file mapping above this size so
-/// huge candidate sets stay kernel-reclaimable instead of OOM-ing.
-constexpr std::size_t kArcSpillBytes = std::size_t{64} << 20;
-
-/// All components' candidate arcs in one allocation, sliced per component.
-/// Arc order within a slice equals the copy path's (members ascending ×
-/// out-edges ascending = ascending global EdgeId restricted to the
-/// component), which is what keeps the two gather modes bit-identical.
-struct ArcArena {
-  util::SpillableBuffer storage;
-  std::vector<std::uint64_t> offsets;  // per component, count+1 entries
-
-  std::span<const algo::WeightedArc> slice(std::size_t gi) const {
-    const auto* base = static_cast<const algo::WeightedArc*>(storage.data());
-    return {base + offsets[gi],
-            static_cast<std::size_t>(offsets[gi + 1] - offsets[gi])};
+  std::span<const algo::WeightedArc> arcs_of(std::size_t c) const {
+    return std::span(arcs).subspan(arc_begin[c],
+                                   arc_begin[c + 1] - arc_begin[c]);
   }
 };
 
-/// Two ascending edge-window sweeps over the columnar view: count arcs per
-/// component, then scatter them into the arena. An edge is a candidate arc
-/// iff both endpoints are infected, in which case they share a component
-/// (anything else would have merged the components), so the component label
-/// of the source indexes the slice.
-ArcArena gather_arcs_streamed(const graph::ColumnarGraphView& diffusion,
-                              const algo::Components& comps,
-                              std::span<const graph::NodeId> to_local,
-                              std::size_t num_groups,
-                              const ExtractionConfig& config) {
-  ArcArena arena;
-  arena.offsets.assign(num_groups + 1, 0);
-  const auto num_edges = static_cast<graph::EdgeId>(diffusion.num_edges());
+/// Steps 1-2 in one serial walk over the infected nodes' out-edges: an edge
+/// between two infected nodes unites their components and is a candidate
+/// arc. Nodes are visited in ascending id and each one's out-edges in
+/// ascending EdgeId (CSR), so arcs come out in ascending EdgeId order, and
+/// the stable counting sort by component keeps that order in every slice.
+/// Labels come from algo::label_components' ascending scan, so they depend
+/// only on the partition.
+template <typename Graph>
+InfectedComponents walk_infected(const Graph& diffusion,
+                                 std::span<const graph::NodeId> infected,
+                                 const ExtractionConfig& config,
+                                 PageReclaimer* reclaimer) {
+  // Each infected node's position in `infected`: the union-find and the
+  // walked arcs work on these dense indices, so only this map is O(n).
+  std::vector<graph::NodeId> index(diffusion.num_nodes(),
+                                   graph::kInvalidNode);
+  for (graph::NodeId i = 0; i < infected.size(); ++i) index[infected[i]] = i;
 
-  graph::EdgeId drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kGatherBlock) {
-    const graph::EdgeId hi =
-        std::min<graph::EdgeId>(num_edges, lo + kGatherBlock);
-    const graph::EdgeWindow w = diffusion.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      if (to_local[w.srcs[i]] == graph::kInvalidNode ||
-          to_local[w.dsts[i]] == graph::kInvalidNode)
-        continue;
-      ++arena.offsets[comps.label[w.srcs[i]] + 1];
-    }
-    if (config.budget != nullptr) config.budget->check();
-    if (hi - drop_from >= kDropStride) {
-      diffusion.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
+  algo::UnionFind uf(infected.size());
+  std::vector<algo::WeightedArc> walked;
+  util::BudgetChecker checker(config.budget);
+  for (graph::NodeId i = 0; i < infected.size(); ++i) {
+    checker.tick();
+    if (reclaimer != nullptr) reclaimer->tick();  // the dst run
+    for (const graph::EdgeId e : diffusion.out_edge_ids(infected[i])) {
+      const graph::NodeId j = index[diffusion.edge_dst(e)];
+      if (j == graph::kInvalidNode) continue;
+      uf.unite(i, j);
+      walked.push_back({i, j, arc_log_weight(diffusion.edge_weight(e)), e});
+      if (reclaimer != nullptr) reclaimer->tick();  // the weight
     }
   }
-  for (std::size_t gi = 0; gi < num_groups; ++gi)
-    arena.offsets[gi + 1] += arena.offsets[gi];
+  const algo::Components comps = algo::label_components(
+      uf, static_cast<graph::NodeId>(infected.size()), nullptr);
 
-  const std::size_t total = arena.offsets[num_groups];
-  const std::size_t bytes = total * sizeof(algo::WeightedArc);
-  arena.storage = util::SpillableBuffer::allocate(bytes,
-                                                  bytes >= kArcSpillBytes);
-  auto* arcs = static_cast<algo::WeightedArc*>(arena.storage.data());
-  std::vector<std::uint64_t> cursor(arena.offsets.begin(),
-                                    arena.offsets.end() - 1);
-  drop_from = 0;
-  for (graph::EdgeId lo = 0; lo < num_edges; lo += kGatherBlock) {
-    const graph::EdgeId hi =
-        std::min<graph::EdgeId>(num_edges, lo + kGatherBlock);
-    const graph::EdgeWindow w = diffusion.edge_range(lo, hi);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const graph::NodeId u = w.srcs[i];
-      const graph::NodeId v = w.dsts[i];
-      if (to_local[u] == graph::kInvalidNode ||
-          to_local[v] == graph::kInvalidNode)
-        continue;
-      arcs[cursor[comps.label[u]]++] = {
-          to_local[u], to_local[v], arc_log_weight(w.weights[i]),
-          static_cast<graph::EdgeId>(w.first + i)};
-    }
-    if (config.budget != nullptr) config.budget->check();
-    if (hi - drop_from >= kDropStride) {
-      diffusion.drop_edge_pages(drop_from, hi);
-      drop_from = hi;
+  // Groups hold infected indices: record each one's component-local id,
+  // then store the node id in its place.
+  InfectedComponents out;
+  out.members = comps.groups();
+  std::vector<graph::NodeId> local(infected.size());
+  for (std::vector<graph::NodeId>& group : out.members) {
+    for (graph::NodeId k = 0; k < group.size(); ++k) {
+      local[group[k]] = k;
+      group[k] = infected[group[k]];
     }
   }
-  return arena;
+  out.arc_begin.assign(std::size_t{comps.count} + 1, 0);
+  for (const algo::WeightedArc& arc : walked)
+    ++out.arc_begin[comps.label[arc.src] + 1];
+  for (std::size_t c = 0; c < comps.count; ++c)
+    out.arc_begin[c + 1] += out.arc_begin[c];
+  out.arcs.resize(walked.size());
+  std::vector<std::size_t> cursor(out.arc_begin.begin(),
+                                  out.arc_begin.end() - 1);
+  for (const algo::WeightedArc& arc : walked)
+    out.arcs[cursor[comps.label[arc.src]]++] = {
+        local[arc.src], local[arc.dst], arc.weight, arc.id};
+  return out;
 }
 
-/// Everything downstream of arc gathering for one component: the Edmonds
-/// solve, tree splitting, state imputation, g-factor annotation, and side
-/// evidence. Only per-edge accessors and in_edge_ids of member nodes are
-/// touched, so no per-component graph copy is needed.
+/// Everything downstream of the walk for one component: the Edmonds solve,
+/// tree splitting, state imputation, g-factor annotation, and side
+/// evidence. Only per-edge accessors are touched, so no per-component
+/// graph copy is needed.
 template <typename Graph>
 void finish_component(const Graph& diffusion,
                       std::span<const graph::NodeId> members,
                       std::span<const algo::WeightedArc> arcs,
                       std::span<const graph::NodeState> states,
                       const ExtractionConfig& config,
-                      util::BudgetChecker& checker,
                       std::vector<CascadeTree>& out_trees,
-                      PageReclaimer* reclaimer = nullptr) {
+                      PageReclaimer* reclaimer) {
+  util::BudgetChecker checker(config.budget);
   const algo::Branching branching = algo::max_branching_fast(
       static_cast<graph::NodeId>(members.size()), arcs, config.budget);
 
@@ -210,6 +178,7 @@ void finish_component(const Graph& diffusion,
   for (CascadeTree& tree : trees) {
     tree.root = 0;
     tree.in_g.assign(tree.size(), 1.0);
+    tree.side_q.assign(tree.size(), 1.0);
     // Impute unknown states top-down: pick the sign-consistent state given
     // the parent; unknown roots default to +1.
     for (std::size_t v = 0; v < tree.size(); ++v) {
@@ -230,45 +199,41 @@ void finish_component(const Graph& diffusion,
           diffusion.edge_weight(e), config.likelihood);
       if (reclaimer != nullptr) reclaimer->tick(2);
     }
-
-    // Side-evidence factors (see CascadeTree::side_q): every non-tree,
-    // sign-consistent in-edge from an infected node contributes (1 - g).
-    tree.side_q.assign(tree.size(), 1.0);
-    for (std::size_t v = 0; v < tree.size(); ++v) {
-      checker.tick();
-      const graph::NodeId gu = tree.global[v];
-      for (const graph::EdgeId e : diffusion.in_edge_ids(gu)) {
-        if (e == tree.parent_edge[v]) continue;
-        if (reclaimer != nullptr) reclaimer->tick(3);
-        const graph::NodeId src = diffusion.edge_src(e);
-        const graph::NodeState src_state = states[src];
-        if (!graph::is_active(src_state)) continue;
-        double g;
-        if (graph::is_opinion(src_state)) {
-          g = diffusion::g_factor(src_state, diffusion.edge_sign(e),
-                                  tree.state[v], diffusion.edge_weight(e),
-                                  config.likelihood);
-        } else {
-          // Unknown-state source: optimistic consistent interpretation.
-          const double w = diffusion.edge_weight(e);
-          g = diffusion.edge_sign(e) == graph::Sign::kPositive
-                  ? std::min(1.0, config.likelihood.alpha * w)
-                  : w;
-        }
-        tree.side_q[v] *= 1.0 - g;
-      }
-    }
-    out_trees.push_back(std::move(tree));
   }
+
+  // Side-evidence factors (see CascadeTree::side_q): every non-tree,
+  // sign-consistent in-edge from an infected node contributes (1 - g). An
+  // infected source is always in its target's component, so those in-edges
+  // are exactly the slice's arcs into the node, in ascending EdgeId like
+  // the graph's in-edge lists: each product multiplies the same factors in
+  // the same order. The source's state is as observed, the target's as
+  // imputed.
+  for (const algo::WeightedArc& arc : arcs) {
+    checker.tick();
+    CascadeTree& tree = trees[tree_label[arc.dst]];
+    const graph::NodeId v = tree_local[arc.dst];
+    const graph::EdgeId e = arc.id;
+    if (e == tree.parent_edge[v]) continue;
+    if (reclaimer != nullptr) reclaimer->tick(2);
+    const graph::NodeState src_state = states[members[arc.src]];
+    double g;
+    if (graph::is_opinion(src_state)) {
+      g = diffusion::g_factor(src_state, diffusion.edge_sign(e),
+                              tree.state[v], diffusion.edge_weight(e),
+                              config.likelihood);
+    } else {
+      // Unknown-state source: optimistic consistent interpretation.
+      const double w = diffusion.edge_weight(e);
+      g = diffusion.edge_sign(e) == graph::Sign::kPositive
+              ? std::min(1.0, config.likelihood.alpha * w)
+              : w;
+    }
+    tree.side_q[v] *= 1.0 - g;
+  }
+  for (CascadeTree& tree : trees) out_trees.push_back(std::move(tree));
 }
 
 }  // namespace
-
-ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes) {
-  if (requested != ArcGather::kAuto) return requested;
-  return mapped_bytes <= kResidentCapBytes ? ArcGather::kCopy
-                                           : ArcGather::kStreamed;
-}
 
 void apply_candidate_mask(CascadeForest& forest,
                           const std::vector<bool>& candidates) {
@@ -297,105 +262,37 @@ CascadeForest extract_cascade_forest_impl(
   const std::vector<graph::NodeId> infected = infected_nodes(states);
   if (infected.empty()) return out;
 
-  const algo::Components comps =
-      infected_components(diffusion, infected, config);
-  out.num_components = comps.count;
-  const auto groups = comps.groups();
-
-  // The in-RAM backend has no edge windows, so it always copies.
-  constexpr bool is_columnar =
-      std::is_same_v<Graph, graph::ColumnarGraphView>;
-  bool streamed = false;
-  if constexpr (is_columnar)
-    streamed = resolve_arc_gather(config.arc_gather, diffusion.file_bytes()) ==
-               ArcGather::kStreamed;
-
-  // Local-index map shared by all component tasks, populated up front and
-  // read-only during the tasks: component member sets are disjoint, and any
-  // edge endpoint outside a component is uninfected (an infected endpoint
-  // would have merged the components), so each task only ever reads its own
-  // members' cells or the never-written kInvalidNode state — race-free.
-  std::vector<graph::NodeId> to_local(diffusion.num_nodes(),
-                                      graph::kInvalidNode);
-  for (const std::vector<graph::NodeId>& members : groups)
-    for (graph::NodeId i = 0; i < members.size(); ++i)
-      to_local[members[i]] = i;
-
-  // Streamed gather: one serial sweep fills every component's arc slice
-  // before the per-component solves fan out.
-  ArcArena arena;
-  if constexpr (is_columnar) {
-    if (streamed) {
-      diffusion.advise_sequential();
-      arena = gather_arcs_streamed(diffusion, comps, to_local, groups.size(),
-                                   config);
-      // The per-component solves ahead probe arcs by global EdgeId in no
-      // particular order: suppress readahead/fault-around so each probe
-      // maps as few pages as possible (advise_normal() after the join).
-      diffusion.advise_random();
-    }
+  // Only a .ridg larger than the cap can map more than the cap; below it,
+  // dropping pages would only make the solves fault them straight back.
+  std::optional<PageReclaimer> reclaimer;
+  if constexpr (std::is_same_v<Graph, graph::ColumnarGraphView>) {
+    if (diffusion.file_bytes() > kResidentCapBytes)
+      reclaimer.emplace(diffusion);
   }
+  PageReclaimer* const reclaim = reclaimer ? &*reclaimer : nullptr;
+
+  const InfectedComponents comps =
+      walk_infected(diffusion, infected, config, reclaim);
+  out.num_components = comps.members.size();
+  out.num_candidate_arcs = comps.arcs.size();
 
   // Per-component outputs, merged in component order after the join so the
   // forest is bit-identical for any thread count.
-  std::vector<std::vector<CascadeTree>> group_trees(groups.size());
-  std::vector<std::size_t> group_arcs(groups.size(), 0);
-
-  // Caps the finish phase's resident set in streamed mode; see
-  // PageReclaimer. Shared across component tasks, nullptr otherwise.
-  std::optional<PageReclaimer> reclaimer;
-  if constexpr (is_columnar) {
-    if (streamed) reclaimer.emplace(diffusion);
-  }
-
-  const auto process_group = [&](std::size_t gi) {
-    RID_FAILPOINT("extract.component");
-    const std::vector<graph::NodeId>& members = groups[gi];
-    util::BudgetChecker checker(config.budget);
-
-    // Candidate activation arcs: every diffusion edge inside the component,
-    // in ascending global EdgeId order under either gather mode.
-    std::vector<algo::WeightedArc> copied;
-    std::span<const algo::WeightedArc> arcs;
-    if (streamed) {
-      if constexpr (is_columnar) arcs = arena.slice(gi);
-    } else {
-      for (graph::NodeId i = 0; i < members.size(); ++i) {
-        checker.tick();
-        const graph::NodeId u = members[i];
-        for (const graph::EdgeId e : diffusion.out_edge_ids(u)) {
-          const graph::NodeId v = diffusion.edge_dst(e);
-          if (to_local[v] == graph::kInvalidNode) continue;
-          copied.push_back(
-              {i, to_local[v], arc_log_weight(diffusion.edge_weight(e)), e});
-        }
-      }
-      arcs = copied;
-    }
-    group_arcs[gi] = arcs.size();
-    finish_component(diffusion, members, arcs, states, config, checker,
-                     group_trees[gi],
-                     reclaimer.has_value() ? &*reclaimer : nullptr);
-  };
-
-  util::parallel_for_each(groups.size(), std::max<std::size_t>(1, config.num_threads),
-                          process_group);
-
-  if constexpr (is_columnar) {
-    if (streamed) diffusion.advise_normal();
-  }
-
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    out.num_candidate_arcs += group_arcs[gi];
-    for (CascadeTree& tree : group_trees[gi])
-      out.trees.push_back(std::move(tree));
-  }
+  std::vector<std::vector<CascadeTree>> group_trees(out.num_components);
+  util::parallel_for_each(
+      out.num_components, std::max<std::size_t>(1, config.num_threads),
+      [&](std::size_t c) {
+        RID_FAILPOINT("extract.component");
+        finish_component(diffusion, comps.members[c], comps.arcs_of(c),
+                         states, config, group_trees[c], reclaim);
+      });
+  for (std::vector<CascadeTree>& trees : group_trees)
+    for (CascadeTree& tree : trees) out.trees.push_back(std::move(tree));
 
   span.tag("infected", static_cast<std::int64_t>(infected.size()));
   span.tag("components", static_cast<std::int64_t>(out.num_components));
   span.tag("trees", static_cast<std::int64_t>(out.trees.size()));
   span.tag("arcs", static_cast<std::int64_t>(out.num_candidate_arcs));
-  span.tag("gather", streamed ? "streamed" : "copy");
   util::metrics::global().counter("extract.runs").add(1);
   util::metrics::global().counter("extract.trees").add(out.trees.size());
   util::metrics::global()

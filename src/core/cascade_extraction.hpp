@@ -56,43 +56,19 @@ struct CascadeTree {
   std::size_t size() const noexcept { return global.size(); }
 };
 
-/// How candidate arcs are materialized for the per-component Edmonds solves.
-/// Arc sequences (hence forests) are bit-identical under either plan; only
-/// the paging pattern and the budget poll cadence differ.
-enum class ArcGather {
-  /// Pick a plan from the input (resolve_arc_gather).
-  kAuto,
-  /// Per-component adjacency-walk copies on either backend. The pages it
-  /// faults in stay mapped, so on a .ridg the resident set can grow to the
-  /// file's size. Also the oracle the streamed plan is verified against.
-  kCopy,
-  /// One ascending edge-window sweep scatters arcs into a per-component
-  /// spillable arena, and the edge pages are dropped behind the sweep and
-  /// during the solves, holding the resident set near kResidentCapBytes
-  /// whatever the file size. Columnar only; the in-RAM backend copies.
-  kStreamed,
-};
-
-/// The edge-page resident set the streamed plan holds a .ridg under, and
-/// the largest mapped file kAuto copies: copy keeps at most the file's
-/// pages resident and fewer arcs on the heap than the streamed arena, so
-/// on such a file it cannot exceed the bound streaming promises.
+/// Extraction on a .ridg larger than this drops the file's edge pages every
+/// time its probes could have mapped this much, holding the resident set
+/// near the cap whatever the file size. A smaller file cannot exceed it, so
+/// its pages stay mapped.
 inline constexpr std::size_t kResidentCapBytes = std::size_t{128} << 20;
-
-/// The plan for a .ridg of `mapped_bytes` bytes: kAuto becomes kCopy up to
-/// kResidentCapBytes and kStreamed above it; kCopy and kStreamed stand.
-/// It reads no host state, so every process opening the same file (socket
-/// workers included) resolves the same plan.
-ArcGather resolve_arc_gather(ArcGather requested, std::size_t mapped_bytes);
 
 /// Candidate arcs are scored by their raw diffusion weight, the paper's
 /// L(T) = prod w(u, v), and every tree's side_q is filled (set it to 1 for
 /// the pure tree-path objective).
 struct ExtractionConfig {
-  ArcGather arc_gather = ArcGather::kAuto;
   diffusion::LikelihoodConfig likelihood;
   /// Optional armed work budget (non-owning; must outlive the call). The
-  /// deadline/cancellation is polled from the arc-building, Edmonds, and
+  /// deadline/cancellation is polled from the walk, Edmonds, and
   /// side-evidence loops; overruns throw util::BudgetExceededError. Note
   /// that extraction is the base of the degradation ladder (even RID-Tree
   /// needs the forest), so run_rid leaves this null and budgets only the
@@ -101,7 +77,7 @@ struct ExtractionConfig {
   /// answer. Null = unbudgeted.
   const util::BudgetScope* budget = nullptr;
   /// Worker threads for per-component extraction: each weakly-connected
-  /// component's arc building, Edmonds run, and tree assembly is independent
+  /// component's Edmonds run, tree assembly and side evidence is independent
   /// of the others, so components run as thread-pool tasks and the resulting
   /// trees are merged back in component order. Results are bit-identical for
   /// any value. 0 or 1 = serial when calling extract_cascade_forest
@@ -117,12 +93,11 @@ struct CascadeForest {
 
 /// Runs steps 1-4 for the whole snapshot. The two overloads share one
 /// template body and produce bit-identical forests for the same graph
-/// content under any ArcGather. The columnar variant streams component
-/// discovery over the mmap-ed edge array in windows, gathers arcs under
-/// resolve_arc_gather(config.arc_gather, diffusion.file_bytes()), and
-/// runs tree assembly and side evidence straight over the view — no
-/// per-component graph copies. The "extract_forest" span's `gather` tag
-/// names the plan run.
+/// content. One serial walk over the infected nodes' out-edges finds the
+/// components and their candidate arcs; each component's solve, tree
+/// assembly and side evidence then read its slice of those arcs and the
+/// per-edge accessors — no per-component graph copies, and nothing past
+/// the infected nodes' out-edges is read.
 CascadeForest extract_cascade_forest(const graph::SignedGraph& diffusion,
                                      std::span<const graph::NodeState> states,
                                      const ExtractionConfig& config);

@@ -218,10 +218,14 @@ ColumnarGraphView ColumnarGraphView::open(const std::string& path,
     check_offsets(view.out_offsets_, "out_offsets");
     check_offsets(view.in_offsets_, "in_offsets");
     for (std::size_t e = 0; e < m; ++e) {
-      if (view.src_[e] >= n || view.dst_[e] >= n)
-        fail(path, "edge endpoint out of range");
+      const NodeId u = view.src_[e];
+      if (u >= n || view.dst_[e] >= n) fail(path, "edge endpoint out of range");
+      if (e < view.out_offsets_[u] || e >= view.out_offsets_[u + 1])
+        fail(path, "edge outside its source's CSR run");
       if (view.sign_[e] != Sign::kPositive && view.sign_[e] != Sign::kNegative)
         fail(path, "invalid sign byte");
+      if (!(view.weight_[e] >= 0.0 && view.weight_[e] <= 1.0))
+        fail(path, "edge weight outside [0, 1]");
       if (view.in_edge_[e] >= m) fail(path, "in_edge id out of range");
     }
     for (std::size_t v = 0; v < n; ++v) {
@@ -234,44 +238,16 @@ ColumnarGraphView ColumnarGraphView::open(const std::string& path,
   return view;
 }
 
-void ColumnarGraphView::drop_edge_pages(EdgeId first,
-                                        EdgeId last) const noexcept {
-  if (first >= last || last > num_edges_) return;
-  const auto* base = file_.data();
-  const std::size_t count = last - first;
-  const auto drop = [&](const void* column, std::size_t elt) {
-    const std::size_t off =
-        static_cast<std::size_t>(static_cast<const std::byte*>(column) - base) +
-        static_cast<std::size_t>(first) * elt;
-    file_.advise_dontneed(off, count * elt);
-  };
-  drop(dst_.data(), sizeof(NodeId));
-  drop(src_.data(), sizeof(NodeId));
-  drop(sign_.data(), sizeof(Sign));
-  drop(weight_.data(), sizeof(double));
-}
-
 void ColumnarGraphView::drop_all_edge_pages() const noexcept {
-  drop_edge_pages(0, static_cast<EdgeId>(num_edges_));
-  if (num_edges_ == 0) return;
-  const auto* base = file_.data();
-  const std::size_t off = static_cast<std::size_t>(
-      reinterpret_cast<const std::byte*>(in_edge_.data()) - base);
-  file_.advise_dontneed(off, num_edges_ * sizeof(EdgeId));
-}
-
-EdgeWindow ColumnarGraphView::edge_range(EdgeId first, EdgeId last) const {
-  if (first > last || last > num_edges_)
-    throw util::InputError("ridg: edge_range [" + std::to_string(first) +
-                           ", " + std::to_string(last) + ") out of bounds");
-  EdgeWindow w;
-  w.first = first;
-  const std::size_t count = last - first;
-  w.srcs = src_.subspan(first, count);
-  w.dsts = dst_.subspan(first, count);
-  w.signs = sign_.subspan(first, count);
-  w.weights = weight_.subspan(first, count);
-  return w;
+  const auto offset = [&](const void* p) {
+    return static_cast<std::size_t>(static_cast<const std::byte*>(p) -
+                                    file_.data());
+  };
+  // dst, src, sign and weight are adjacent sections; in_edge follows
+  // in_offsets.
+  const std::size_t first = offset(dst_.data());
+  file_.advise_dontneed(first, offset(weight_.data() + weight_.size()) - first);
+  file_.advise_dontneed(offset(in_edge_.data()), in_edge_.size_bytes());
 }
 
 SignedGraph materialize(const ColumnarGraphView& view) {

@@ -93,19 +93,6 @@ void write_columnar_file(const SignedGraph& graph,
 /// CLI format dispatch; does not validate the rest of the header).
 bool is_ridg_file(const std::string& path);
 
-/// A window [first, first + srcs.size()) of consecutive edges; spans alias
-/// the mapped file. Used to stream the edge array in blocks under a
-/// WorkBudget instead of touching all m edges' pages at once.
-struct EdgeWindow {
-  EdgeId first = 0;
-  std::span<const NodeId> srcs;
-  std::span<const NodeId> dsts;
-  std::span<const Sign> signs;
-  std::span<const double> weights;
-
-  std::size_t size() const noexcept { return srcs.size(); }
-};
-
 /// Read-only zero-copy view over a mmap-ed .ridg file. Mirrors the
 /// SignedGraph accessor surface; spans and EdgeIdRanges alias the mapping
 /// and stay valid for the lifetime of the view (moves included).
@@ -113,7 +100,8 @@ class ColumnarGraphView {
  public:
   struct OpenOptions {
     /// Additionally verify the data fingerprint and structural invariants
-    /// (monotone offsets, ids in range, signs in {-1,+1}, valid states).
+    /// (monotone offsets, ids in range, each edge inside its source's CSR
+    /// run, signs in {-1,+1}, weights in [0, 1], valid states).
     /// Header magic/version/size/checksum are always verified.
     bool verify_data = false;
   };
@@ -180,32 +168,16 @@ class ColumnarGraphView {
   }
   std::span<const EdgeId> csr_in_edges() const noexcept { return in_edge_; }
 
-  /// Window of consecutive edges [first, last) for streaming scans.
-  EdgeWindow edge_range(EdgeId first, EdgeId last) const;
-
   /// Drops resident pages of the whole mapping (re-faulted from the file on
   /// next access). Called before forking sharded workers so children do not
   /// inherit O(graph) resident pages.
   void advise_dontneed() const noexcept { file_.advise_dontneed(); }
 
-  /// Readahead hints for linear edge sweeps (WCC, streamed arc gathering);
-  /// advise_normal() restores default paging before random-access phases.
-  void advise_sequential() const noexcept { file_.advise_sequential(); }
-  void advise_normal() const noexcept { file_.advise_normal(); }
-  /// Minimal readahead/fault-around for scattered per-arc lookups (the
-  /// extraction finish phase); advise_normal() undoes it.
-  void advise_random() const noexcept { file_.advise_random(); }
-
-  /// Drops the resident pages of the four edge columns (dst/src/sign/weight)
-  /// for edges [first, last) — streaming sweeps call this behind their
-  /// cursor so resident set stays O(window) even on multi-GB files.
-  void drop_edge_pages(EdgeId first, EdgeId last) const noexcept;
-
   /// Drops every per-edge column (dst/src/sign/weight + the in_edge
   /// permutation) but leaves the hot per-node structures (offsets, states)
-  /// resident. Random-access phases that look up arcs by global EdgeId
-  /// (side evidence, g-factor annotation) call this periodically so the
-  /// pages they fault in do not accumulate to O(file) resident set.
+  /// resident. Extraction on a file above core::kResidentCapBytes calls
+  /// this periodically, so the pages its EdgeId probes fault in do not
+  /// accumulate to O(file) resident set.
   void drop_all_edge_pages() const noexcept;
 
   /// Bytes of the underlying file (0 when default-constructed).

@@ -133,27 +133,6 @@ void MappedFile::advise_dontneed(std::size_t offset,
 #endif
 }
 
-void MappedFile::advise_sequential() const noexcept {
-#if defined(RID_HAVE_MMAP)
-  if (mapped_ && data_ != nullptr)
-    ::madvise(const_cast<std::byte*>(data_), size_, MADV_SEQUENTIAL);
-#endif
-}
-
-void MappedFile::advise_normal() const noexcept {
-#if defined(RID_HAVE_MMAP)
-  if (mapped_ && data_ != nullptr)
-    ::madvise(const_cast<std::byte*>(data_), size_, MADV_NORMAL);
-#endif
-}
-
-void MappedFile::advise_random() const noexcept {
-#if defined(RID_HAVE_MMAP)
-  if (mapped_ && data_ != nullptr)
-    ::madvise(const_cast<std::byte*>(data_), size_, MADV_RANDOM);
-#endif
-}
-
 void MappedFile::close() noexcept {
   if (data_ != nullptr) {
 #if defined(RID_HAVE_MMAP)

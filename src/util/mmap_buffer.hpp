@@ -51,23 +51,11 @@ class MappedFile {
   /// heap fallback. The mapping stays valid.
   void advise_dontneed() const noexcept;
 
-  /// Ranged MADV_DONTNEED over bytes [offset, offset + length): streaming
-  /// edge sweeps drop the pages behind their cursor so resident set stays
-  /// O(window), not O(file). The range is shrunk inward to page boundaries
+  /// Ranged MADV_DONTNEED over bytes [offset, offset + length): extraction
+  /// drops a large .ridg's edge columns this way so its resident set stays
+  /// bounded, not O(file). The range is shrunk inward to page boundaries
   /// (a sub-page range is a no-op); no-op on the heap fallback.
   void advise_dontneed(std::size_t offset, std::size_t length) const noexcept;
-
-  /// MADV_SEQUENTIAL over the whole mapping: aggressive readahead +
-  /// free-behind for linear scans (converter verification, WCC/edge-window
-  /// sweeps). advise_normal() restores default behavior before the
-  /// random-access solve phase.
-  void advise_sequential() const noexcept;
-  void advise_normal() const noexcept;
-
-  /// MADV_RANDOM over the whole mapping: no readahead for scattered
-  /// lookups (per-arc side evidence / g-factor probes), so each fault
-  /// maps as little around it as possible. advise_normal() undoes it.
-  void advise_random() const noexcept;
 
   /// Unmaps/frees; the object becomes empty.
   void close() noexcept;

@@ -63,7 +63,7 @@ struct TagValue {
   std::int64_t ival = 0;
 };
 
-inline constexpr std::size_t kMaxTags = 5;
+inline constexpr std::size_t kMaxTags = 4;
 inline constexpr std::size_t kMaxNameLength = 47;
 
 /// POD record of one completed span (fixed size; lives in the ring).

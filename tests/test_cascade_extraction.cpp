@@ -273,30 +273,5 @@ TEST(CascadeExtraction, ParallelExtractionBitIdentical) {
   }
 }
 
-TEST(CascadeExtraction, ResolveArcGatherPlansFromMappedSize) {
-  struct Case {
-    ArcGather requested;
-    std::size_t mapped_bytes;
-    ArcGather want;
-  };
-  const std::size_t huge = std::size_t{1} << 40;
-  const Case cases[] = {
-      {ArcGather::kCopy, 0, ArcGather::kCopy},
-      {ArcGather::kCopy, kResidentCapBytes + 1, ArcGather::kCopy},
-      {ArcGather::kCopy, huge, ArcGather::kCopy},
-      {ArcGather::kStreamed, 0, ArcGather::kStreamed},
-      {ArcGather::kStreamed, kResidentCapBytes, ArcGather::kStreamed},
-      {ArcGather::kStreamed, huge, ArcGather::kStreamed},
-      {ArcGather::kAuto, 0, ArcGather::kCopy},
-      {ArcGather::kAuto, kResidentCapBytes, ArcGather::kCopy},
-      {ArcGather::kAuto, kResidentCapBytes + 1, ArcGather::kStreamed},
-      {ArcGather::kAuto, huge, ArcGather::kStreamed},
-  };
-  for (const Case& c : cases)
-    EXPECT_EQ(resolve_arc_gather(c.requested, c.mapped_bytes), c.want)
-        << "requested " << static_cast<int>(c.requested) << " at "
-        << c.mapped_bytes << " bytes";
-}
-
 }  // namespace
 }  // namespace rid::core

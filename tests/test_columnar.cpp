@@ -1,20 +1,21 @@
 // Columnar .ridg storage (graph/columnar.hpp): golden header bytes,
 // write-twice determinism, the corruption matrix (truncation, bad magic/
-// version/checksum/fingerprint), zero-copy view accessor equivalence with
-// SignedGraph, partial views and streaming WCC, materialize round trips,
-// MfcEngine backend equality, and — the tentpole contract — bit-identical
-// run_rid/run_rid_sharded results between the in-RAM and mmap-ed backends
-// across thread and shard counts.
+// version/checksum/fingerprint, structural damage under restamped
+// checksums, seeded bit flips), zero-copy view accessor equivalence with
+// SignedGraph, materialize round trips, MfcEngine backend equality, and —
+// the tentpole contract — bit-identical run_rid/run_rid_sharded results
+// between the in-RAM and mmap-ed backends across thread and shard counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "algo/components.hpp"
+#include "core/cascade_extraction.hpp"
 #include "core/rid.hpp"
 #include "diffusion/mfc.hpp"
 #include "diffusion/mfc_engine.hpp"
@@ -23,9 +24,9 @@
 #include "graph/columnar.hpp"
 #include "graph/diffusion_network.hpp"
 #include "util/errors.hpp"
+#include "util/fnv.hpp"
 #include "util/proc_supervisor.hpp"
 #include "util/rng.hpp"
-#include "util/work_budget.hpp"
 
 namespace rid::graph {
 namespace {
@@ -62,6 +63,16 @@ std::string slurp(const fs::path& path) {
 void dump(const fs::path& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// Recomputes the data fingerprint and the header checksum of an edited
+/// .ridg image, so only the structural checks can reject the edit.
+void restamp(std::string& bytes) {
+  const std::uint64_t fingerprint = util::fnv1a64(
+      bytes.data() + kRidgHeaderSize, bytes.size() - kRidgHeaderSize);
+  std::memcpy(bytes.data() + 32, &fingerprint, 8);
+  const std::uint64_t checksum = util::fnv1a64(bytes.data(), 40);
+  std::memcpy(bytes.data() + 40, &checksum, 8);
 }
 
 /// Deterministic diffusion graph + infected snapshot with several cascade
@@ -280,20 +291,91 @@ TEST_F(RidgCorruption, StructuralValidation) {
   std::string m = bytes_;
   const std::uint32_t bogus = 0x7fffffffu;
   std::memcpy(m.data() + layout.dst, &bogus, 4);
-  // Recompute the data fingerprint so the structural check is what trips.
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = kRidgHeaderSize; i < m.size(); ++i) {
-    h ^= static_cast<unsigned char>(m[i]);
-    h *= 1099511628211ull;
-  }
-  std::memcpy(m.data() + 32, &h, 8);
-  std::uint64_t hh = 14695981039346656037ull;
-  for (std::size_t i = 0; i < 40; ++i) {
-    hh ^= static_cast<unsigned char>(m[i]);
-    hh *= 1099511628211ull;
-  }
-  std::memcpy(m.data() + 40, &hh, 8);
+  restamp(m);
   expect_rejected(m, "dst id out of range");
+}
+
+// What scripts/check_ridg.py rejects beyond ids and signs: a weight outside
+// [0, 1] (NaN included) and an edge outside its source's CSR run. Each edit
+// is restamped, so the structural pass is what must reject it.
+TEST_F(RidgCorruption, VerifyDataRejectsBadWeightsAndMisplacedEdges) {
+  const SignedGraph& g = scenario().graph;
+  const RidgLayout layout = RidgLayout::compute(g.num_nodes(), g.num_edges());
+  const auto set_weight = [&](EdgeId e, double w) {
+    std::string m = bytes_;
+    std::memcpy(m.data() + layout.weight + 8 * e, &w, 8);
+    return m;
+  };
+  // Edge 0 belongs to the run of its source and of no other node.
+  const NodeId moved = (g.edge_src(0) + 1) % g.num_nodes();
+  std::string misplaced = bytes_;
+  std::memcpy(misplaced.data() + layout.src, &moved, 4);
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"weight 1.5", set_weight(3, 1.5)},
+      {"NaN weight", set_weight(g.num_edges() - 1,
+                                std::numeric_limits<double>::quiet_NaN())},
+      {"src outside its run", misplaced},
+  };
+  for (const auto& c : cases) {
+    std::string m = c.bytes;
+    restamp(m);
+    expect_rejected(m, c.what);
+  }
+}
+
+// Every strict prefix and 4,000 seeded rounds of 1-4 restamped bit flips of
+// a small .ridg with states: open(verify_data) either returns or throws
+// InputError, and whatever it accepts materializes and extracts.
+TEST_F(RidgCorruption, DamagedFilesOpenOrThrowInputError) {
+  util::Rng rng(20261018);
+  SignedGraphBuilder builder(12);
+  for (int i = 0; i < 30; ++i)
+    builder.add_edge(static_cast<NodeId>(rng.next_below(12)),
+                     static_cast<NodeId>(rng.next_below(12)),
+                     rng.bernoulli(0.7) ? Sign::kPositive : Sign::kNegative,
+                     rng.uniform(0.0, 1.0));
+  const NodeState cycle[] = {NodeState::kPositive, NodeState::kInactive,
+                             NodeState::kNegative, NodeState::kUnknown};
+  std::vector<NodeState> states(12);
+  for (NodeId v = 0; v < 12; ++v) states[v] = cycle[v % 4];
+  const fs::path small = dir_ / "small.ridg";
+  write_columnar_file(builder.build(), states, small.string(),
+                      kRidgFlagDiffusion);
+  const std::string body = slurp(small);
+
+  const fs::path bad = dir_ / "bad.ridg";
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    dump(bad, body.substr(0, cut));
+    EXPECT_THROW(ColumnarGraphView::open(bad.string(), {.verify_data = true}),
+                 util::InputError)
+        << "prefix of " << cut << " bytes";
+  }
+  std::size_t opened = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string damaged = body;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.next_below(damaged.size() * 8);
+      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    }
+    restamp(damaged);
+    dump(bad, damaged);
+    try {
+      const auto view =
+          ColumnarGraphView::open(bad.string(), {.verify_data = true});
+      materialize(view);
+      core::extract_cascade_forest(view, view.states(), {});
+      ++opened;
+    } catch (const util::InputError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(opened, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- view equivalence -----------------------------------------------------
@@ -342,49 +424,6 @@ TEST(ColumnarView, MaterializeRoundTrips) {
   write_columnar_file(rebuilt, scenario().states, again.string(),
                       kRidgFlagDiffusion);
   EXPECT_EQ(slurp(path), slurp(again));
-}
-
-TEST(ColumnarView, PartialViewsAndEdgeWindows) {
-  const fs::path dir = test_dir("partial");
-  const auto view = ColumnarGraphView::open(write_scenario(dir).string());
-  // Windowed edge scan covers every edge exactly once with global ids.
-  std::size_t seen = 0;
-  const EdgeId m = static_cast<EdgeId>(view.num_edges());
-  for (EdgeId first = 0; first < m; first += 64) {
-    const EdgeId last = std::min<EdgeId>(first + 64, m);
-    const EdgeWindow w = view.edge_range(first, last);
-    ASSERT_EQ(w.first, first);
-    ASSERT_EQ(w.size(), static_cast<std::size_t>(last - first));
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const EdgeId e = first + static_cast<EdgeId>(i);
-      ASSERT_EQ(w.srcs[i], view.edge_src(e));
-      ASSERT_EQ(w.dsts[i], view.edge_dst(e));
-      ++seen;
-    }
-  }
-  EXPECT_EQ(seen, view.num_edges());
-  EXPECT_THROW(view.edge_range(0, m + 1), util::InputError);
-}
-
-TEST(ColumnarView, StreamingWccMatchesSignedGraph) {
-  const fs::path dir = test_dir("wcc");
-  const auto view = ColumnarGraphView::open(write_scenario(dir).string());
-  const SignedGraph& g = scenario().graph;
-  const auto want = algo::weakly_connected_components(g);
-  const auto got = algo::weakly_connected_components(view);
-  EXPECT_EQ(got.count, want.count);
-  EXPECT_EQ(got.label, want.label);
-
-  // Restricted variant (the infected-subgraph path) under a work budget.
-  std::vector<NodeId> infected;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (is_active(scenario().states[v])) infected.push_back(v);
-  const auto want_r = algo::weakly_connected_components(g, infected);
-  util::WorkBudget budget;  // unlimited, but exercises the polling path
-  util::BudgetScope scope(budget);
-  const auto got_r = algo::weakly_connected_components(view, infected, &scope);
-  EXPECT_EQ(got_r.count, want_r.count);
-  EXPECT_EQ(got_r.label, want_r.label);
 }
 
 TEST(ColumnarView, MfcEngineBackendEquality) {

@@ -2,16 +2,18 @@
 // fingerprint-identity with the in-RAM writer across orientations, snapshot
 // embedding, chunk sizes and degenerate inputs; error-message parity with
 // load_weighted_file on a malformed-input corpus; bounded-address-space
-// conversion where the in-RAM path cannot fit; ArcGather::kStreamed /
-// ArcGather::kCopy forest bit-identity across thread counts; and the plan
-// the extraction span reports.
+// conversion where the in-RAM path cannot fit; columnar-vs-in-RAM forest
+// bit-identity across thread counts, also on a file large enough that
+// extraction drops its edge pages; and the extraction span's tags.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,6 +32,7 @@
 #endif
 #endif
 
+#include "algo/components.hpp"
 #include "core/cascade_extraction.hpp"
 #include "core/isomit.hpp"
 #include "core/snapshot_io.hpp"
@@ -41,6 +44,7 @@
 #include "graph/diffusion_network.hpp"
 #include "graph/graph_io.hpp"
 #include "util/errors.hpp"
+#include "util/fnv.hpp"
 #include "util/proc_supervisor.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
@@ -409,40 +413,130 @@ void expect_identical_forests(const core::CascadeForest& got,
   }
 }
 
-TEST(ColumnarStream, StreamedArcGatherMatchesCopyOracle) {
-  const fs::path dir = test_dir("gather");
+TEST(ColumnarStream, ColumnarForestMatchesInRamForest) {
+  const fs::path dir = test_dir("forest");
   const fs::path ridg = dir / "g.ridg";
   write_columnar_file(scenario().graph, scenario().states, ridg.string(),
                       kRidgFlagDiffusion);
   const auto view = ColumnarGraphView::open(ridg.string());
 
-  core::ExtractionConfig config;
-  config.arc_gather = core::ArcGather::kCopy;
   const core::CascadeForest want =
-      core::extract_cascade_forest(scenario().graph, scenario().states,
-                                   config);
+      core::extract_cascade_forest(scenario().graph, scenario().states, {});
   ASSERT_GT(want.trees.size(), 1u);
+  EXPECT_EQ(want.num_components,
+            algo::weakly_connected_components(
+                scenario().graph, core::infected_nodes(scenario().states))
+                .count);
 
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    for (const core::ArcGather gather :
-         {core::ArcGather::kAuto, core::ArcGather::kCopy,
-          core::ArcGather::kStreamed}) {
-      core::ExtractionConfig c;
-      c.arc_gather = gather;
-      c.num_threads = threads;
-      expect_identical_forests(
-          core::extract_cascade_forest(view, scenario().states, c), want);
-      // The in-RAM backend ignores kStreamed (no edge windows) but must
-      // still produce the same forest.
-      expect_identical_forests(
-          core::extract_cascade_forest(scenario().graph, scenario().states,
-                                       c),
-          want);
-    }
+    core::ExtractionConfig c;
+    c.num_threads = threads;
+    expect_identical_forests(
+        core::extract_cascade_forest(view, scenario().states, c), want);
+    expect_identical_forests(
+        core::extract_cascade_forest(scenario().graph, scenario().states, c),
+        want);
   }
 }
 
-TEST(ColumnarStream, ExtractForestSpanTagsTheResolvedGather) {
+/// Writes `g` plus isolated nodes up to `num_nodes` as a .ridg one section
+/// at a time, so the file can exceed core::kResidentCapBytes while the
+/// test holds neither it nor a num_nodes-sized graph in memory.
+void write_padded_ridg(const SignedGraph& g, std::span<const NodeState> states,
+                       NodeId num_nodes, const fs::path& path) {
+  const std::uint64_t m = g.num_edges();
+  const RidgLayout layout = RidgLayout::compute(num_nodes, m);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::string header(kRidgHeaderSize, '\0');
+  out.write(header.data(), kRidgHeaderSize);  // stamped after the body
+  std::uint64_t fingerprint = util::kFnv64Basis;
+  std::size_t at = kRidgHeaderSize;
+  const auto put = [&](const void* data, std::size_t bytes) {
+    out.write(static_cast<const char*>(data),
+              static_cast<std::streamsize>(bytes));
+    fingerprint = util::fnv1a64(data, bytes, fingerprint);
+    at += bytes;
+  };
+  const auto put_repeated = [&](auto value, std::size_t count) {
+    const std::vector<decltype(value)> block(std::size_t{1} << 16, value);
+    for (std::size_t k = 0; k < count; k += block.size())
+      put(block.data(),
+          std::min(block.size(), count - k) * sizeof(decltype(value)));
+  };
+  const auto put_column = [&](std::size_t offset, auto column) {
+    put_repeated('\0', offset - at);
+    put(column.data(), column.size_bytes());
+  };
+  const auto put_offsets = [&](std::size_t offset,
+                               std::span<const EdgeId> offsets) {
+    const std::vector<std::uint64_t> wide(offsets.begin(), offsets.end());
+    put_column(offset, std::span(wide));
+    put_repeated(m, num_nodes - g.num_nodes());
+  };
+  put_offsets(layout.out_offsets, g.csr_out_offsets());
+  put_column(layout.dst, g.csr_dsts());
+  put_column(layout.src, g.csr_srcs());
+  put_column(layout.sign, g.csr_signs());
+  put_column(layout.weight, g.csr_weights());
+  put_offsets(layout.in_offsets, g.csr_in_offsets());
+  put_column(layout.in_edge, g.csr_in_edges());
+  put_column(layout.state, states);
+  put_repeated(NodeState::kInactive, num_nodes - g.num_nodes());
+
+  std::memcpy(header.data(), kRidgMagic, sizeof(kRidgMagic));
+  const std::uint32_t words[2] = {kRidgFormatVersion,
+                                  kRidgFlagDiffusion | kRidgFlagHasStates};
+  const std::uint64_t counts[3] = {num_nodes, m, fingerprint};
+  std::memcpy(header.data() + 8, words, sizeof(words));
+  std::memcpy(header.data() + 16, counts, sizeof(counts));
+  const std::uint64_t checksum = util::fnv1a64(header.data(), 40);
+  std::memcpy(header.data() + 40, &checksum, 8);
+  out.seekp(0);
+  out.write(header.data(), kRidgHeaderSize);
+}
+
+// Only a .ridg above core::kResidentCapBytes runs the page reclaimer. About
+// 8.1M nodes (17 bytes each in the two offset columns and the state
+// column) get there; the edges live among the first 2,000, where the
+// snapshot infects every other node. At 64 probes per drop, many drops
+// land while component tasks run. The isolated nodes change nothing, so
+// the in-RAM reference is the 2,000-node graph.
+TEST(ColumnarStream, ForestAboveTheResidentCapMatchesInRam) {
+  constexpr NodeId kNodes = 8'100'000;
+  constexpr NodeId kCore = 2'000;
+  util::Rng rng(29);
+  SignedGraphBuilder builder(kCore);
+  for (int i = 0; i < 6'000; ++i)
+    builder.add_edge(static_cast<NodeId>(rng.next_below(kCore)),
+                     static_cast<NodeId>(rng.next_below(kCore)),
+                     rng.bernoulli(0.8) ? Sign::kPositive : Sign::kNegative,
+                     rng.uniform(0.02, 0.3));
+  const SignedGraph g = builder.build();
+  const NodeState cycle[] = {NodeState::kPositive, NodeState::kNegative,
+                             NodeState::kUnknown};
+  std::vector<NodeState> states(kCore, NodeState::kInactive);
+  for (NodeId v = 0; v < kCore; v += 2) states[v] = cycle[v % 3];
+
+  const fs::path ridg = test_dir("reclaim") / "big.ridg";
+  write_padded_ridg(g, states, kNodes, ridg);
+  {
+    const auto view =
+        ColumnarGraphView::open(ridg.string(), {.verify_data = true});
+    ASSERT_GT(view.file_bytes(), core::kResidentCapBytes);
+    const core::CascadeForest want =
+        core::extract_cascade_forest(g, states, {});
+    ASSERT_GT(want.trees.size(), 1u);
+    for (const std::size_t threads : {1u, 4u}) {
+      core::ExtractionConfig c;
+      c.num_threads = threads;
+      expect_identical_forests(
+          core::extract_cascade_forest(view, view.states(), c), want);
+    }
+  }
+  fs::remove(ridg);
+}
+
+TEST(ColumnarStream, ExtractForestSpanCarriesFourCountTags) {
   namespace trace = util::trace;
   if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
   const fs::path dir = test_dir("span");
@@ -450,47 +544,34 @@ TEST(ColumnarStream, ExtractForestSpanTagsTheResolvedGather) {
   write_columnar_file(scenario().graph, scenario().states, ridg.string(),
                       kRidgFlagDiffusion);
   const auto view = ColumnarGraphView::open(ridg.string());
-  ASSERT_LE(view.file_bytes(), core::kResidentCapBytes);
   const auto infected = static_cast<std::int64_t>(
       core::infected_nodes(scenario().states).size());
 
-  for (const auto& [gather, want] :
-       {std::pair{core::ArcGather::kAuto, "copy"},
-        std::pair{core::ArcGather::kStreamed, "streamed"}}) {
-    core::ExtractionConfig config;
-    config.arc_gather = gather;
-    trace::start();
-    const core::CascadeForest forest =
-        core::extract_cascade_forest(view, scenario().states, config);
-    trace::stop();
+  trace::start();
+  const core::CascadeForest forest =
+      core::extract_cascade_forest(view, scenario().states, {});
+  trace::stop();
 
-    std::size_t spans = 0;
-    for (const trace::SpanRecord& span : trace::snapshot().spans) {
-      if (std::string(span.name) != "extract_forest") continue;
-      ++spans;
-      std::map<std::string, std::int64_t> counts;
-      std::string plan;
-      for (std::uint8_t i = 0; i < span.num_tags; ++i) {
-        const trace::TagValue& tag = span.tags[i];
-        if (tag.sval == nullptr) {
-          counts[tag.key] = tag.ival;
-        } else {
-          EXPECT_STREQ(tag.key, "gather");
-          plan = tag.sval;
-        }
-      }
-      EXPECT_EQ(plan, want);
-      EXPECT_EQ(counts, (std::map<std::string, std::int64_t>{
-                            {"arcs", static_cast<std::int64_t>(
-                                         forest.num_candidate_arcs)},
-                            {"components", static_cast<std::int64_t>(
-                                               forest.num_components)},
-                            {"infected", infected},
-                            {"trees", static_cast<std::int64_t>(
-                                          forest.trees.size())}}));
+  std::size_t spans = 0;
+  for (const trace::SpanRecord& span : trace::snapshot().spans) {
+    if (std::string(span.name) != "extract_forest") continue;
+    ++spans;
+    std::map<std::string, std::int64_t> counts;
+    for (std::uint8_t i = 0; i < span.num_tags; ++i) {
+      const trace::TagValue& tag = span.tags[i];
+      EXPECT_EQ(tag.sval, nullptr) << "string tag " << tag.key;
+      counts[tag.key] = tag.ival;
     }
-    EXPECT_EQ(spans, 1u) << want;
+    EXPECT_EQ(counts, (std::map<std::string, std::int64_t>{
+                          {"arcs", static_cast<std::int64_t>(
+                                       forest.num_candidate_arcs)},
+                          {"components", static_cast<std::int64_t>(
+                                             forest.num_components)},
+                          {"infected", infected},
+                          {"trees", static_cast<std::int64_t>(
+                                        forest.trees.size())}}));
   }
+  EXPECT_EQ(spans, 1u);
 }
 
 }  // namespace
