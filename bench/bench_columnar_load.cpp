@@ -6,8 +6,10 @@
 //
 //   1. Load time: ColumnarGraphView::open mmaps the file and verifies only
 //      the 64-byte header, so "load" is O(1) page-table work; the text path
-//      re-parses every edge. The report records both and their ratio — the
-//      acceptance bar is >= 10x in full mode (scripts/check_bench.py).
+//      (load_diffusion_file, the route a text detect takes) re-parses every
+//      edge and builds the diffusion CSR. The report records both and their
+//      ratio — the acceptance bar is >= 10x in full mode
+//      (scripts/check_bench.py).
 //   2. Bit-identity: run_rid over the mmap-ed view (with its embedded
 //      snapshot) must equal run_rid over the in-RAM SignedGraph bit-for-bit
 //      — the zero-copy backend is a pure representation change.
@@ -224,7 +226,7 @@ Setup run_setup(NodeId nodes, std::size_t edges, const std::string& text_path,
   // is judged against the generator's SignedGraph.
   {
     util::Timer text_timer;
-    const graph::LoadedGraph loaded = graph::load_weighted_file(text_path);
+    const graph::LoadedGraph loaded = graph::load_diffusion_file(text_path);
     setup.row.text_load_ms = text_timer.seconds() * 1e3;
     static_cast<void>(loaded);
   }

@@ -26,7 +26,9 @@
 // ("src dst sign weight"; see graph/graph_io.hpp) holding the *social*
 // network; snapshots/truth/detections are "node state" files
 // (core/snapshot_io.hpp). `generate` already applies Jaccard weighting, so
-// `simulate`/`detect` only reverse into the diffusion network.
+// `simulate`/`detect` load the file straight into the diffusion network
+// (graph::load_diffusion_file: each row is stored reversed, and no social
+// graph is built).
 //
 // Columnar storage (graph/columnar.hpp, DESIGN.md §12/§15): `convert` writes
 // the binary .ridg format — by default the *diffusion* reversal of the input
@@ -292,9 +294,8 @@ diffusion::Cascade simulate_on(const graph::SignedGraph& diffusion,
 
 int cmd_simulate(const util::Flags& flags) {
   const auto loaded =
-      graph::load_weighted_file(flags.get_string("graph", "graph.txt"));
-  const graph::SignedGraph diffusion =
-      graph::make_diffusion_network(loaded.graph);
+      graph::load_diffusion_file(flags.get_string("graph", "graph.txt"));
+  const graph::SignedGraph& diffusion = loaded.graph;
   diffusion::SeedSet seeds;
   const diffusion::Cascade cascade = simulate_on(diffusion, seeds, flags);
 
@@ -477,9 +478,8 @@ int cmd_detect(const util::Flags& flags) {
     const core::DetectionResult result = detect_on(view, snapshot, flags);
     return write_detection(result, view.num_nodes(), flags);
   }
-  const auto loaded = graph::load_weighted_file(graph_path);
-  const graph::SignedGraph diffusion =
-      graph::make_diffusion_network(loaded.graph);
+  const auto loaded = graph::load_diffusion_file(graph_path);
+  const graph::SignedGraph& diffusion = loaded.graph;
   const auto snapshot = core::load_snapshot_file(
       flags.get_string("snapshot", "snap.txt"), diffusion.num_nodes());
   const core::DetectionResult result = detect_on(diffusion, snapshot, flags);
@@ -581,10 +581,9 @@ int cmd_convert(const util::Flags& flags) {
     // Oracle path: materialize the whole graph and serialize in one shot.
     // Kept so tests (and suspicious users) can cmp it against the default
     // streaming path — the two are byte-identical by contract.
-    auto loaded = graph::load_weighted_file(in_path);
     const graph::SignedGraph converted =
-        social ? std::move(loaded.graph)
-               : graph::make_diffusion_network(loaded.graph);
+        social ? graph::load_weighted_file(in_path).graph
+               : graph::load_diffusion_file(in_path).graph;
     graph::write_columnar_file(converted, make_states(converted.num_nodes()),
                                out_path, ridg_flags);
     const auto view = graph::ColumnarGraphView::open(out_path);

@@ -12,6 +12,7 @@
 #include "algo/forest.hpp"
 #include "algo/union_find.hpp"
 #include "core/isomit.hpp"
+#include "util/errors.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/metrics.hpp"
@@ -62,6 +63,11 @@ class PageReclaimer {
   std::atomic<std::uint64_t> count_{0};
 };
 
+[[noreturn]] void damaged(graph::NodeId u, const std::string& what) {
+  throw util::InputError("cascade extraction: node " + std::to_string(u) +
+                         ": " + what + "; run scripts/check_ridg.py");
+}
+
 /// The infected subgraph split into weakly-connected components: each
 /// component's members (ascending node id) and its candidate arcs
 /// (component-local endpoints, ascending EdgeId) as one slice of `arcs`.
@@ -82,7 +88,8 @@ struct InfectedComponents {
 /// ascending EdgeId (CSR), so arcs come out in ascending EdgeId order, and
 /// the stable counting sort by component keeps that order in every slice.
 /// Labels come from algo::label_components' ascending scan, so they depend
-/// only on the partition.
+/// only on the partition. Ranges and destinations are bounds-checked: a
+/// .ridg opened without verify_data has only its header checked.
 template <typename Graph>
 InfectedComponents walk_infected(const Graph& diffusion,
                                  std::span<const graph::NodeId> infected,
@@ -100,8 +107,15 @@ InfectedComponents walk_infected(const Graph& diffusion,
   for (graph::NodeId i = 0; i < infected.size(); ++i) {
     checker.tick();
     if (reclaimer != nullptr) reclaimer->tick();  // the dst run
-    for (const graph::EdgeId e : diffusion.out_edge_ids(infected[i])) {
-      const graph::NodeId j = index[diffusion.edge_dst(e)];
+    const graph::EdgeIdRange edges = diffusion.out_edge_ids(infected[i]);
+    if (*edges.begin() > *edges.end() || *edges.end() > diffusion.num_edges())
+      damaged(infected[i], "out-edge ids run past the edges");
+    for (const graph::EdgeId e : edges) {
+      const graph::NodeId dst = diffusion.edge_dst(e);
+      if (dst >= diffusion.num_nodes())
+        damaged(infected[i],
+                "edge " + std::to_string(e) + " points past the nodes");
+      const graph::NodeId j = index[dst];
       if (j == graph::kInvalidNode) continue;
       uf.unite(i, j);
       walked.push_back({i, j, arc_log_weight(diffusion.edge_weight(e)), e});

@@ -225,14 +225,13 @@ void TextEdgeSource::rewind() {
   in_.clear();
   in_.open(path_);
   if (!in_) throw util::InputError("graph_io: cannot open " + path_);
-  line_no_ = 0;
+  lines_.emplace(in_.rdbuf());
 }
 
 bool TextEdgeSource::next(ParsedEdge& edge) {
-  while (std::getline(in_, line_)) {
-    ++line_no_;
-    if (parse_edge_line(line_, line_no_, weighted_, edge)) return true;
-  }
+  std::string_view line;
+  while (const std::size_t line_no = lines_->next(line))
+    if (parse_edge_line(line, line_no, weighted_, edge)) return true;
   return false;
 }
 

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,8 +57,9 @@ class EdgeSource {
 };
 
 /// EdgeSource over a weighted ("src dst sign weight") or SNAP ("src dst
-/// sign") text file; parsing and diagnostics are graph_io's parse_edge_line,
-/// so malformed input fails with byte-identical errors to load_weighted_file.
+/// sign") text file; reading and parsing are graph_io's LineReader and
+/// parse_edge_line, so malformed input fails with byte-identical errors to
+/// load_weighted_file.
 class TextEdgeSource final : public EdgeSource {
  public:
   explicit TextEdgeSource(std::string path, bool weighted = true);
@@ -68,8 +70,7 @@ class TextEdgeSource final : public EdgeSource {
   std::string path_;
   bool weighted_;
   std::ifstream in_;
-  std::string line_;
-  std::size_t line_no_ = 0;
+  std::optional<LineReader> lines_;
 };
 
 struct StreamConvertOptions {

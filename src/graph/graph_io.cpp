@@ -1,7 +1,10 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string_view>
 #include <system_error>
@@ -77,22 +80,48 @@ double parse_weight(std::string_view token, std::size_t line_no) {
   return negative ? -value : value;
 }
 
+/// One pass over a plain row: each column is one from_chars call ending at
+/// a separator or the line end, the sign is +1 or -1 and the weight in
+/// [0, 1]. False leaves the line to the tokenizing parser below.
+bool parse_plain_row(std::string_view line, bool weighted, ParsedEdge& out) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  const auto number = [&](auto& value, auto... format) {
+    while (p != end && is_separator(*p)) ++p;
+    const auto res = std::from_chars(p, end, value, format...);
+    p = res.ptr;
+    return res.ec == std::errc{} && (p == end || is_separator(*p));
+  };
+  out.weight = 1.0;
+  return number(out.src) && number(out.dst) && number(out.sign) &&
+         (out.sign == 1 || out.sign == -1) &&
+         (!weighted || (number(out.weight, std::chars_format::general) &&
+                        out.weight >= 0.0 && out.weight <= 1.0));
+}
+
 /// Streams parsed rows into the builder's columns, numbering labels in
 /// order of first appearance (sources before destinations within a row).
+/// With `diffusion`, row (src, dst) becomes the edge dst -> src.
 class EdgeAssembler {
  public:
+  explicit EdgeAssembler(bool diffusion = false) : diffusion_(diffusion) {}
   void reserve(std::size_t rows) { builder_.reserve(rows); }
 
   void add(const ParsedEdge& e, std::size_t line_no) {
-    const NodeId src = ids_.insert(e.src);
+    // Rows come grouped by source: skip the probe for the last row's.
+    if (src_ == kInvalidNode || e.src != src_label_) {
+      src_ = ids_.insert(e.src);
+      src_label_ = e.src;
+    }
     const NodeId dst = ids_.insert(e.dst);
-    if (src == kInvalidNode || dst == kInvalidNode)
+    if (src_ == kInvalidNode || dst == kInvalidNode)
       fail(line_no, "node count exceeds 32-bit id space");
     if (builder_.num_edges() + 1 >= kInvalidEdge)
       fail(line_no, "edge count exceeds 32-bit id space");
     if (ids_.size() > builder_.num_nodes())
       builder_.ensure_node(static_cast<NodeId>(ids_.size() - 1));
-    builder_.add_edge(src, dst, sign_from_value(e.sign), e.weight);
+    builder_.add_edge(diffusion_ ? dst : src_, diffusion_ ? src_ : dst,
+                      sign_from_value(e.sign), e.weight);
   }
 
   std::size_t rows() const noexcept { return builder_.num_edges(); }
@@ -108,30 +137,81 @@ class EdgeAssembler {
   }
 
  private:
+  bool diffusion_;
   LabelCompactor ids_;
   SignedGraphBuilder builder_{0};
+  NodeId src_ = kInvalidNode;  // id of src_label_, the last row's source
+  std::uint64_t src_label_ = 0;
 };
 
-LoadedGraph load_impl(std::istream& in, bool weighted) {
+/// Reserves the rows `file_bytes` holds at the first block's bytes per
+/// line, plus an eighth (unwritten capacity is never resident).
+LoadedGraph load_impl(std::istream& in, bool weighted, bool diffusion = false,
+                      std::uintmax_t file_bytes = 0) {
   util::trace::TraceSpan span("load_text");
-  EdgeAssembler assembler;
-  std::string line;
-  std::size_t line_no = 0;
+  EdgeAssembler assembler(diffusion);
+  LineReader reader(in ? in.rdbuf() : nullptr);
+  const std::string_view head = reader.peek();
+  if (const auto lines = std::count(head.begin(), head.end(), '\n'))
+    assembler.reserve(std::min<std::uintmax_t>(
+        file_bytes * lines / head.size() * 9 / 8, kInvalidEdge));
+  std::string_view line;
   ParsedEdge e;
-  while (std::getline(in, line)) {
-    ++line_no;
+  while (const std::size_t line_no = reader.next(line))
     if (parse_edge_line(line, line_no, weighted, e)) assembler.add(e, line_no);
-  }
   span.tag("rows", static_cast<std::int64_t>(assembler.rows()));
   LoadedGraph out = assembler.finish();
   span.tag("nodes", static_cast<std::int64_t>(out.graph.num_nodes()));
   return out;
 }
 
+LoadedGraph load_file(const std::string& path, bool weighted, bool diffusion) {
+  std::ifstream in(path);
+  if (!in) throw util::InputError("graph_io: cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+  return load_impl(in, weighted, diffusion, ec ? 0 : bytes);
+}
+
 }  // namespace
+
+/// Moves the partial line to the front, doubling a block it fills, and
+/// reads behind it; false at the end of the stream.
+bool LineReader::refill() {
+  std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
+  if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+  const auto room = static_cast<std::streamsize>(buf_.size() - end_);
+  const std::streamsize got = in_ ? in_->sgetn(buf_.data() + end_, room) : 0;
+  if (got <= 0) in_ = nullptr;  // sticky, like eofbit
+  else end_ += static_cast<std::size_t>(got);
+  return got > 0;
+}
+
+std::string_view LineReader::peek() {
+  if (begin_ == end_) refill();
+  return {buf_.data() + begin_, end_ - begin_};
+}
+
+std::size_t LineReader::next(std::string_view& line) {
+  std::size_t scan = begin_;  // [begin_, scan) holds no '\n'
+  std::size_t at;
+  while ((at = std::string_view(buf_.data(), end_).find('\n', scan)) ==
+         std::string_view::npos) {
+    scan = end_ - begin_;  // refill() moves the scanned bytes to [0, scan)
+    if (refill()) continue;
+    if (begin_ == end_) return 0;
+    buf_[end_++] = '\n';  // the last line lacks one; refill() left room
+  }
+  line = {buf_.data() + begin_, at - begin_};
+  begin_ = at + 1;
+  return ++line_no_;
+}
 
 bool parse_edge_line(std::string_view line, std::size_t line_no, bool weighted,
                      ParsedEdge& out) {
+  if (parse_plain_row(line, weighted, out)) return true;
   const std::size_t expected = weighted ? 4 : 3;
   std::string_view tokens[4];
   std::size_t count = 0;
@@ -167,15 +247,15 @@ LoadedGraph load_snap(std::istream& in) { return load_impl(in, false); }
 LoadedGraph load_weighted(std::istream& in) { return load_impl(in, true); }
 
 LoadedGraph load_snap_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw util::InputError("graph_io: cannot open " + path);
-  return load_snap(in);
+  return load_file(path, false, false);
 }
 
 LoadedGraph load_weighted_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw util::InputError("graph_io: cannot open " + path);
-  return load_weighted(in);
+  return load_file(path, true, false);
+}
+
+LoadedGraph load_diffusion_file(const std::string& path) {
+  return load_file(path, true, true);
 }
 
 void save_weighted(const SignedGraph& graph, std::ostream& out) {

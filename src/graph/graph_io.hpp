@@ -11,6 +11,7 @@
 //
 // Node ids in files may be sparse; they are compacted to 0..n-1 and the
 // original labels are returned so results can be reported in file ids.
+// load_diffusion_file builds the diffusion network straight from the rows.
 #pragma once
 
 #include <iosfwd>
@@ -38,6 +39,26 @@ struct ParsedEdge {
   double weight = 1.0;
 };
 
+/// Splits a stream buffer (null reads as empty) into lines as std::getline
+/// does, reading 1 MiB blocks with sgetn; a longer line grows the block.
+/// Shared by the loaders below and TextEdgeSource (columnar_stream.hpp).
+class LineReader {
+ public:
+  explicit LineReader(std::streambuf* in)
+      : in_(in), buf_(std::size_t{1} << 20) {}
+  /// Sets `line` to the next line without its '\n', valid until the next
+  /// call, and returns its 1-based number; 0 at the end of the stream.
+  std::size_t next(std::string_view& line);
+  /// The bytes read but not yet returned; reads the first block if none.
+  std::string_view peek();
+
+ private:
+  bool refill();
+  std::streambuf* in_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0, end_ = 0, line_no_ = 0;
+};
+
 /// Parses one edge-list line. Returns false for blank/comment lines, true
 /// with `out` filled for edge rows; throws util::InputError carrying
 /// `line_no` on malformed rows. Shared by the whole-file loaders below and
@@ -62,6 +83,10 @@ LoadedGraph load_snap_file(const std::string& path);
 /// Parses the 4-column weighted variant ("src dst sign weight").
 LoadedGraph load_weighted(std::istream& in);
 LoadedGraph load_weighted_file(const std::string& path);
+
+/// make_diffusion_network(load_weighted_file(path).graph), same
+/// original_label, built in one pass: each row is added as (dst, src).
+LoadedGraph load_diffusion_file(const std::string& path);
 
 /// Writes "src dst sign weight" rows (library node ids, '#' header).
 void save_weighted(const SignedGraph& graph, std::ostream& out);

@@ -233,6 +233,38 @@ class RidgCorruption : public ::testing::Test {
         << what;
   }
 
+  /// The first infected node with an out-edge: the extraction walk reads
+  /// its range and its edges' destinations.
+  static NodeId walked_node() {
+    const Scenario& s = scenario();
+    for (NodeId v = 0; v < s.graph.num_nodes(); ++v)
+      if (is_active(s.states[v]) && s.graph.out_degree(v) > 0) return v;
+    return kInvalidNode;
+  }
+
+  /// Opens a mutated copy with only the header checked, as detect does,
+  /// and expects extraction to throw InputError at 1 and 4 threads.
+  void expect_walk_rejects(const std::string& mutated) {
+    const fs::path bad = dir_ / "bad.ridg";
+    dump(bad, mutated);
+    const auto view = ColumnarGraphView::open(bad.string());
+    for (const std::size_t threads : {1, 4}) {
+      core::ExtractionConfig config;
+      config.num_threads = threads;
+      try {
+        core::extract_cascade_forest(view, view.states(), config);
+        ADD_FAILURE() << "extraction accepted the damaged file";
+      } catch (const util::InputError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("node " + std::to_string(walked_node())),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("scripts/check_ridg.py"), std::string::npos)
+            << what;
+      }
+    }
+  }
+
   fs::path dir_;
   fs::path path_;
   std::string bytes_;
@@ -293,6 +325,30 @@ TEST_F(RidgCorruption, StructuralValidation) {
   std::memcpy(m.data() + layout.dst, &bogus, 4);
   restamp(m);
   expect_rejected(m, "dst id out of range");
+}
+
+// detect opens a .ridg without verify_data, so the extraction walk checks
+// what it indexes with: a destination past the nodes used to crash it.
+TEST_F(RidgCorruption, WalkRejectsADestinationPastTheNodes) {
+  const NodeId u = walked_node();
+  ASSERT_NE(u, kInvalidNode);
+  const SignedGraph& g = scenario().graph;
+  const RidgLayout layout = RidgLayout::compute(g.num_nodes(), g.num_edges());
+  std::string m = bytes_;
+  const std::uint32_t bogus = 0x7ffffff0u;
+  std::memcpy(m.data() + layout.dst + 4 * g.out_edge_ids(u).front(), &bogus, 4);
+  expect_walk_rejects(m);
+}
+
+TEST_F(RidgCorruption, WalkRejectsAnOutEdgeRangePastTheEdges) {
+  const NodeId u = walked_node();
+  ASSERT_NE(u, kInvalidNode);
+  const SignedGraph& g = scenario().graph;
+  const RidgLayout layout = RidgLayout::compute(g.num_nodes(), g.num_edges());
+  std::string m = bytes_;
+  const std::uint64_t past = g.num_edges() + 5;
+  std::memcpy(m.data() + layout.out_offsets + 8 * (u + 1), &past, 8);
+  expect_walk_rejects(m);
 }
 
 // What scripts/check_ridg.py rejects beyond ids and signs: a weight outside

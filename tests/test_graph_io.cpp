@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph/columnar.hpp"
+#include "graph/columnar_stream.hpp"
 #include "graph/diffusion_network.hpp"
+#include "oracles/edge_line_parser.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 #include "util/trace.hpp"
 
 namespace rid::graph {
@@ -280,6 +286,312 @@ TEST(GraphIo, EmptyInputYieldsEmptyGraph) {
   const LoadedGraph loaded = load_snap(in);
   EXPECT_EQ(loaded.graph.num_nodes(), 0u);
   EXPECT_EQ(loaded.graph.num_edges(), 0u);
+}
+
+// --- one-pass rows and the diffusion loader --------------------------------
+
+/// One seeded line for the differential parser test. Columns mix the rows
+/// the one-pass parser takes with every way the tokenizing fallback accepts
+/// or refuses a column: separator runs, leading zeros, labels at and past
+/// 2^64 - 1, signs with '+', leading zeros and junk, each weight spelling of
+/// WeightSpellingsLoadToStrtodBits, shortest round-trip and exponent
+/// decimals, out-of-range, overflowing and underflowing weights, junk
+/// suffixes, 1-5 columns, comments and blank lines.
+std::string random_line(util::Rng& rng) {
+  const auto pick = [&](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.next_below(options.size())]);
+  };
+  const auto separator = [&] {
+    return pick({" ", "\t", "\r", "  ", " \t", "\t\r ", "\t\t"});
+  };
+  const auto label = [&] {
+    if (rng.bernoulli(0.8)) return std::to_string(rng.next_below(100000));
+    if (rng.bernoulli(0.5)) return std::to_string(rng.next_u64());
+    return pick({"0", "007", "0000000000000000000000042",
+                 "18446744073709551615", "18446744073709551616",
+                 "99999999999999999999", "-1", "+5", "1x", "0x10", "1.0",
+                 "#3", "%"});
+  };
+  const auto sign = [&] {
+    if (rng.bernoulli(0.8)) return pick({"1", "-1"});
+    return pick({"01", "+1", "0", "2", "1x", "-01", "-2", "1.0", "--1",
+                 "2147483648", "-"});
+  };
+  const auto weight = [&] {
+    char buf[64];
+    const double d = rng.next_double();
+    if (rng.bernoulli(0.6))
+      return std::string(buf, std::to_chars(buf, buf + sizeof(buf), d).ptr);
+    if (rng.bernoulli(0.2)) {
+      std::string sci(buf, std::to_chars(buf, buf + sizeof(buf), d,
+                                         std::chars_format::scientific)
+                               .ptr);
+      if (rng.bernoulli(0.5)) sci[sci.find('e')] = 'E';
+      return sci;
+    }
+    return pick({"+0.5", "0x1p-1", "0X1P-1", "-0", "-0x0p+0", ".5", "+.25",
+                 "1.", "1E-2", "1e-310", "1e-400", "1e400", "1e309",
+                 "1e-330", "nan", "inf", "-inf", "NaN", "infinity",
+                 "0.5trailing", "+-0.5", "-+0.5", "++0.5", "0x-1p-1",
+                 "0x+1p-1", "0xinf", "0x1p+-1", "0x", "+", ".", "1.5", "2",
+                 "1.0000000000000002", "1", "0", "0.0", "1.0", "1e0", "5e-1",
+                 "0.5x", "0.5e", "0.5e+", "\v0.5", "\f0.25", "\n0.5", "0.5\v",
+                 "00.5", "4.9406564584124654e-324", "2.2250738585072014e-308",
+                 "0.999999999999999999999", "0.5#"});
+  };
+  switch (rng.next_below(20)) {
+    case 0:
+      return rng.bernoulli(0.5) ? "" : separator();
+    case 1:
+      return pick({"#", "% comment", "# 1 2 1 0.5", "\t# indented 1 2",
+                   "%1 2 1 0.5"});
+    default:
+      break;
+  }
+  std::string line = rng.bernoulli(0.2) ? separator() : "";
+  const std::string columns[] = {label(), label(), sign(), weight(),
+                                 pick({"extra", "0.5", "#", "x y"})};
+  const std::uint64_t count =
+      rng.bernoulli(0.9) ? 3 + rng.next_below(3) : 1 + rng.next_below(2);
+  for (std::uint64_t c = 0; c < count; ++c)
+    line += (c > 0 ? separator() : "") + columns[c];
+  if (rng.bernoulli(0.2)) line += separator();
+  return line;
+}
+
+/// What a parser makes of one line: skipped, accepted with `edge`, or the
+/// InputError text.
+struct RowOutcome {
+  bool accepted = false;
+  ParsedEdge edge;
+  std::string error;
+};
+
+template <typename Parser>
+RowOutcome parse_outcome(Parser parser, const std::string& line,
+                         bool weighted) {
+  RowOutcome out;
+  try {
+    out.accepted = parser(line, 7, weighted, out.edge);
+  } catch (const util::InputError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+TEST(GraphIo, OnePassRowsMatchTheTokenizingParser) {
+  util::Rng rng(20261018);
+  std::size_t accepted = 0;
+  std::size_t skipped = 0;
+  std::size_t refused = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::string line = random_line(rng);
+    for (const bool weighted : {true, false}) {
+      const RowOutcome got = parse_outcome(parse_edge_line, line, weighted);
+      const RowOutcome want =
+          parse_outcome(tokenizing_parse_edge_line, line, weighted);
+      ASSERT_EQ(got.error, want.error) << "line '" << line << "'";
+      ASSERT_EQ(got.accepted, want.accepted) << "line '" << line << "'";
+      if (!want.error.empty()) {
+        ++refused;
+      } else if (!want.accepted) {
+        ++skipped;
+      } else {
+        ++accepted;
+        ASSERT_EQ(got.edge.src, want.edge.src) << "line '" << line << "'";
+        ASSERT_EQ(got.edge.dst, want.edge.dst) << "line '" << line << "'";
+        ASSERT_EQ(got.edge.sign, want.edge.sign) << "line '" << line << "'";
+        ASSERT_EQ(bits(got.edge.weight), bits(want.edge.weight))
+            << "line '" << line << "'";
+      }
+    }
+  }
+  EXPECT_GT(accepted, 50000u);
+  EXPECT_GT(skipped, 10000u);
+  EXPECT_GT(refused, 50000u);
+}
+
+/// The running test's temporary directory; ctest runs each test in its own
+/// process, so tests never share one.
+std::filesystem::path test_dir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("graph_io_") + info->name());
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string temp_file(const std::string& name, const std::string& body) {
+  const std::string path = (test_dir() / name).string();
+  std::ofstream(path, std::ios::binary) << body;
+  return path;
+}
+
+/// The text route as it was before block reads and the diffusion loader,
+/// rebuilt from independent parts: std::getline lines, the tokenizing
+/// parser, assemble_edges, then the reversal.
+LoadedGraph getline_route(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<ParsedEdge> rows;
+  std::string line;
+  std::size_t line_no = 0;
+  ParsedEdge e;
+  while (std::getline(in, line))
+    if (tokenizing_parse_edge_line(line, ++line_no, true, e)) rows.push_back(e);
+  LoadedGraph social = assemble_edges(rows);
+  return {make_diffusion_network(social.graph),
+          std::move(social.original_label)};
+}
+
+/// load_diffusion_file equals the reversed weighted load and the getline
+/// route, graph and labels; the block reader splits lines like getline.
+void expect_routes_agree(const std::string& path) {
+  const LoadedGraph direct = load_diffusion_file(path);
+  const LoadedGraph social = load_weighted_file(path);
+  EXPECT_EQ(direct.graph, make_diffusion_network(social.graph));
+  EXPECT_EQ(direct.original_label, social.original_label);
+  const LoadedGraph old = getline_route(path);
+  EXPECT_EQ(direct.graph, old.graph);
+  EXPECT_EQ(direct.original_label, old.original_label);
+
+  std::ifstream blocks_in(path);
+  LineReader reader(blocks_in.rdbuf());
+  std::ifstream getline_in(path);
+  std::string want;
+  std::string_view got;
+  for (std::size_t line_no = 1; std::getline(getline_in, want); ++line_no) {
+    ASSERT_EQ(reader.next(got), line_no);
+    ASSERT_EQ(got, want) << "line " << line_no;
+  }
+  EXPECT_EQ(reader.next(got), 0u);
+}
+
+/// The InputError text of each route on `path`: the two loaders, the
+/// streaming converter's source and the getline route.
+std::vector<std::string> route_errors(const std::string& path) {
+  std::vector<std::string> errors;
+  const auto record = [&](auto load) {
+    try {
+      load();
+      errors.emplace_back("");
+    } catch (const util::InputError& e) {
+      errors.emplace_back(e.what());
+    }
+  };
+  record([&] { load_diffusion_file(path); });
+  record([&] { load_weighted_file(path); });
+  record([&] {
+    TextEdgeSource source(path);
+    load_edge_source(source);
+  });
+  record([&] { getline_route(path); });
+  return errors;
+}
+
+TEST(GraphIo, DiffusionLoadMatchesTheReversedLoad) {
+  const std::string messy = temp_file("messy.txt", kMessyEdgeList);
+  expect_routes_agree(messy);
+  const std::string ridg = temp_file("messy.ridg", "");
+  write_columnar_file(load_diffusion_file(messy).graph, {}, ridg,
+                      kRidgFlagDiffusion);
+  EXPECT_EQ(ColumnarGraphView::open(ridg).fingerprint(), 0xb9ad60843b29cef5ull);
+
+  // Seeded multigraphs: sparse labels, self-loops, parallel pairs with
+  // differing signs and weights, unsorted rows, CRLF, comments, and some
+  // files without a final newline.
+  util::Rng rng(22);
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    const std::uint64_t n = 1 + rng.next_below(40);
+    std::vector<std::uint64_t> labels(n);
+    for (std::uint64_t& l : labels)
+      l = rng.bernoulli(0.5) ? rng.next_below(1000) : rng.next_u64();
+    std::string text;
+    char buf[64];
+    const std::uint64_t rows = rng.next_below(300);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      if (rng.bernoulli(0.05)) text += "# comment\n";
+      const std::uint64_t u = rng.next_below(n);
+      const std::uint64_t v = rng.bernoulli(0.1) ? u : rng.next_below(n);
+      const double w = rng.bernoulli(0.1) ? 1.0 : rng.next_double();
+      text += std::to_string(labels[u]) + (rng.bernoulli(0.5) ? "\t" : " ") +
+              std::to_string(labels[v]) + " " +
+              (rng.bernoulli(0.7) ? "1" : "-1") + " " +
+              std::string(buf, std::to_chars(buf, buf + sizeof(buf), w).ptr) +
+              (rng.bernoulli(0.3) ? "\r\n" : "\n");
+    }
+    if (!text.empty() && rng.bernoulli(0.3)) text.pop_back();
+    expect_routes_agree(temp_file("random.txt", text));
+  }
+  std::filesystem::remove_all(test_dir());
+}
+
+TEST(GraphIo, DiffusionLoadAcrossBlockBoundaries) {
+  constexpr std::size_t kBlock = std::size_t{1} << 20;  // LineReader's block
+  const auto rows_until = [](std::string text, std::size_t bytes) {
+    for (std::uint64_t i = 0; text.size() < bytes; ++i)
+      text += std::to_string(i % 5000) + "\t" + std::to_string(i % 4999 + 7) +
+              (i % 3 ? " 1 " : " -1 ") + "0.0" + std::to_string(i % 97) + "\n";
+    return text;
+  };
+  // A row straddling the first block boundary.
+  std::string straddle =
+      "#" + std::string(kBlock - 8, 'x') + "\n12345 678 -1 0.25\n";
+  expect_routes_agree(
+      temp_file("straddle.txt", rows_until(straddle, kBlock + 9000)));
+  // A 3 MiB comment line between rows: the block grows to hold it.
+  std::string long_line = rows_until("", 5000) + "%" +
+                          std::string(3 * kBlock, 'c') + "\n";
+  expect_routes_agree(
+      temp_file("long.txt", rows_until(long_line, long_line.size() + 5000)));
+  // Exactly one block, with and without a final newline.
+  std::string one_block = rows_until("", kBlock - 200);
+  one_block += "#" + std::string(kBlock - one_block.size() - 2, 'p') + "\n";
+  ASSERT_EQ(one_block.size(), kBlock);
+  expect_routes_agree(temp_file("block.txt", one_block));
+  one_block.resize(kBlock - 21);
+  one_block += "\n4 5 1 0.5\n2 3 -1 0.5";
+  ASSERT_EQ(one_block.size(), kBlock);
+  expect_routes_agree(temp_file("block_nonl.txt", one_block));
+  // No rows at all.
+  expect_routes_agree(temp_file("empty.txt", ""));
+  expect_routes_agree(temp_file("comments.txt", "# a\n%b\n\n\r\n# c"));
+
+  // A malformed row in the third block: every route names the same line.
+  std::string bad = rows_until("", 2 * kBlock + 777);
+  const auto line_no = std::count(bad.begin(), bad.end(), '\n') + 1;
+  bad += "5 6 3 0.5\n";
+  const std::string want = "graph_io: line " + std::to_string(line_no) +
+                           ": sign must be +1 or -1, got 3";
+  const std::string path =
+      temp_file("bad.txt", rows_until(bad, bad.size() + 9000));
+  EXPECT_EQ(route_errors(path), std::vector<std::string>(4, want));
+  std::filesystem::remove_all(test_dir());
+}
+
+TEST(GraphIo, TracedDiffusionLoadHasNoReverseSpan) {
+  namespace trace = util::trace;
+  if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
+  const std::string path = temp_file("messy.txt", kMessyEdgeList);
+  trace::start();
+  const LoadedGraph loaded = load_diffusion_file(path);
+  trace::stop();
+
+  std::vector<std::string> names;
+  for (const trace::SpanRecord& span : trace::snapshot().spans) {
+    names.emplace_back(span.name);
+    if (names.back() != "load_text") continue;
+    ASSERT_EQ(span.num_tags, 2u);
+    EXPECT_STREQ(span.tags[0].key, "rows");
+    EXPECT_EQ(span.tags[0].ival, 13);
+    EXPECT_STREQ(span.tags[1].key, "nodes");
+    EXPECT_EQ(span.tags[1].ival, 7);
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"csr_build", "load_text"}));
+  EXPECT_EQ(loaded.graph.num_edges(), 9u);
+  std::filesystem::remove_all(test_dir());
 }
 
 }  // namespace
