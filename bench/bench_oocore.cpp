@@ -191,7 +191,6 @@ constexpr NodeId kDenseStride = 20;
 graph::StreamConvertOptions convert_options() {
   graph::StreamConvertOptions options;
   options.social = false;
-  options.flags = graph::kRidgFlagDiffusion;
   options.make_states = make_snapshot;
   return options;
 }

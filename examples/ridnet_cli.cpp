@@ -9,7 +9,7 @@
 //                        --truth=truth.txt
 //   ridnet_cli pipeline  --profile=slashdot --scale=0.05 --n=50 --beta=2.0
 //   ridnet_cli convert   --graph=graph.txt --out=graph.ridg ...
-//                        [--snapshot=snap.txt] [--social] [--in-ram]
+//                        [--snapshot=snap.txt] [--social]
 //                        [--chunk-edges=N] [--expect-fingerprint=HEX]
 //   ridnet_cli checkpoints --run-dir=ridnet-run [--verify] [--gc]
 //   ridnet_cli serve     --run-dir=ridnet-serve [--endpoint=unix:PATH|tcp:P]
@@ -34,12 +34,12 @@
 // the binary .ridg format — by default the *diffusion* reversal of the input
 // (what detect consumes), with `--social` the graph as-is; `--snapshot`
 // embeds the observed states so one file carries the whole detection input.
-// Conversion streams by default (graph/columnar_stream.hpp): two passes over
-// the text plus tmpfile chunk spills keep peak memory O(nodes + chunk) for
-// arbitrarily many edges; `--chunk-edges=N` tunes the chunk, `--in-ram`
-// forces the original load-everything writer. Both paths are
-// byte-deterministic AND byte-identical to each other: converting the same
-// input any way yields the same file, whose data fingerprint convert prints.
+// Conversion streams (graph/columnar_stream.hpp): two passes over the text
+// plus tmpfile chunk spills keep peak memory O(nodes + chunk) for
+// arbitrarily many edges; `--chunk-edges=N` tunes the chunk. The output is
+// byte-deterministic and byte-identical to the library's in-RAM writer
+// (graph::write_columnar_file): converting the same input any way yields the
+// same file, whose data fingerprint convert prints.
 // `--expect-fingerprint=HEX` re-checks that print and exits 2 on mismatch
 // (for scripted reproducibility gates). `detect` auto-detects .ridg inputs
 // by magic and mmaps them zero-copy (method=rid only; baselines and --early
@@ -164,9 +164,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -557,11 +559,10 @@ int cmd_pipeline(const util::Flags& flags) {
 int cmd_convert(const util::Flags& flags) {
   const std::string in_path = flags.get_string("graph", "graph.txt");
   const std::string out_path = flags.get_string("out", "graph.ridg");
-  const bool social = flags.get_bool("social", false);
   // Store the diffusion reversal by default: that is the graph detect runs
   // on, and reversing at convert time is what lets detect mmap the file
   // without materializing anything.
-  const std::uint32_t ridg_flags = social ? 0u : graph::kRidgFlagDiffusion;
+  const bool social = flags.get_bool("social", false);
 
   // Parse the snapshot rows before touching the graph: a malformed snapshot
   // fails with its line-numbered error before conversion spends any work.
@@ -570,37 +571,20 @@ int cmd_convert(const util::Flags& flags) {
   std::vector<core::SnapshotEntry> snapshot_entries;
   if (!snapshot_path.empty())
     snapshot_entries = core::load_snapshot_entries_file(snapshot_path);
-  const auto make_states =
+
+  // Two passes over the text plus chunk spills: peak RSS is
+  // O(nodes + chunk) no matter how many edges the input holds.
+  graph::TextEdgeSource source(in_path);
+  graph::StreamConvertOptions options;
+  options.social = social;
+  options.chunk_edges = flags.get_count<std::size_t>("chunk-edges", 1 << 20);
+  options.make_states =
       [&](graph::NodeId num_nodes) -> std::vector<graph::NodeState> {
     if (snapshot_path.empty()) return {};
     return core::apply_snapshot_entries(snapshot_entries, num_nodes);
   };
-
-  graph::StreamConvertResult result;
-  if (flags.get_bool("in-ram", false)) {
-    // Oracle path: materialize the whole graph and serialize in one shot.
-    // Kept so tests (and suspicious users) can cmp it against the default
-    // streaming path — the two are byte-identical by contract.
-    const graph::SignedGraph converted =
-        social ? graph::load_weighted_file(in_path).graph
-               : graph::load_diffusion_file(in_path).graph;
-    graph::write_columnar_file(converted, make_states(converted.num_nodes()),
-                               out_path, ridg_flags);
-    const auto view = graph::ColumnarGraphView::open(out_path);
-    result.num_nodes = view.num_nodes();
-    result.num_edges = view.num_edges();
-    result.fingerprint = view.fingerprint();
-  } else {
-    // Default: two-pass bounded-memory streaming conversion — peak RSS is
-    // O(nodes + chunk) no matter how many edges the input holds.
-    graph::TextEdgeSource source(in_path);
-    graph::StreamConvertOptions options;
-    options.social = social;
-    options.flags = ridg_flags;
-    options.chunk_edges = flags.get_count<std::size_t>("chunk-edges", 1 << 20);
-    options.make_states = make_states;
-    result = graph::stream_convert_to_columnar(source, out_path, options);
-  }
+  const graph::StreamConvertResult result =
+      graph::stream_convert_to_columnar(source, out_path, options);
 
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%016llx",
@@ -830,20 +814,28 @@ int cmd_stats(const util::Flags& flags) {
   return 0;
 }
 
+/// Runs `command`. A command that returns (whatever its exit code) also
+/// names each flag it never read, so a misspelt or retired flag does not
+/// pass silently; the warning never changes the exit code.
 int dispatch(const std::string& command, const rid::util::Flags& flags) {
+  using Command = int (*)(const rid::util::Flags&);
+  static const std::pair<const char*, Command> kCommands[] = {
+      {"generate", cmd_generate}, {"simulate", cmd_simulate},
+      {"detect", cmd_detect},     {"evaluate", cmd_evaluate},
+      {"pipeline", cmd_pipeline}, {"convert", cmd_convert},
+      {"checkpoints", cmd_checkpoints}, {"serve", cmd_serve},
+      {"submit", cmd_submit},     {"query", cmd_query},
+      {"stats", cmd_stats},       {"worker", cmd_worker}};
+  const auto* it = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const auto& entry) { return command == entry.first; });
+  if (it == std::end(kCommands)) return usage();
   try {
-    if (command == "generate") return cmd_generate(flags);
-    if (command == "simulate") return cmd_simulate(flags);
-    if (command == "detect") return cmd_detect(flags);
-    if (command == "evaluate") return cmd_evaluate(flags);
-    if (command == "pipeline") return cmd_pipeline(flags);
-    if (command == "convert") return cmd_convert(flags);
-    if (command == "checkpoints") return cmd_checkpoints(flags);
-    if (command == "serve") return cmd_serve(flags);
-    if (command == "submit") return cmd_submit(flags);
-    if (command == "query") return cmd_query(flags);
-    if (command == "stats") return cmd_stats(flags);
-    if (command == "worker") return cmd_worker(flags);
+    const int code = it->second(flags);
+    for (const std::string& name : flags.unread())
+      std::fprintf(stderr, "ridnet_cli %s: ignoring unknown flag --%s\n",
+                   command.c_str(), name.c_str());
+    return code;
   } catch (const rid::util::InputError& error) {
     std::fprintf(stderr, "ridnet_cli %s: %s\n", command.c_str(), error.what());
     return kExitBadInput;
@@ -854,7 +846,6 @@ int dispatch(const std::string& command, const rid::util::Flags& flags) {
     std::fprintf(stderr, "ridnet_cli %s: %s\n", command.c_str(), error.what());
     return kExitInternal;
   }
-  return usage();
 }
 
 /// Written after the subcommand so the artifacts cover the full run,

@@ -77,7 +77,7 @@ struct ServeOptions {
   /// Jobs running concurrently (runner threads).
   std::size_t max_concurrent_jobs = 2;
   /// Global worker-process cap shared by every concurrent job's supervisor
-  /// (0 = no shared pool; each job runs its own max_parallel workers).
+  /// (0 = no shared pool; each job runs one worker per shard).
   std::size_t worker_slots = 0;
   /// Worker transport for job execution. kSocket requires worker_command.
   ShardTransport transport = ShardTransport::kFork;

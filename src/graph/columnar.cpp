@@ -1,10 +1,12 @@
 #include "graph/columnar.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <vector>
+#include <iterator>
+#include <utility>
 
 #include "util/errors.hpp"
 #include "util/fnv.hpp"
@@ -68,74 +70,103 @@ RidgLayout RidgLayout::compute(std::uint64_t num_nodes,
   return l;
 }
 
+RidgWriter::RidgWriter(const std::string& path, std::uint64_t num_nodes,
+                       std::uint64_t num_edges, std::uint32_t flags)
+    : path_(path),
+      tmp_(path + ".tmp"),
+      layout_(RidgLayout::compute(num_nodes, num_edges)) {
+  static_assert(std::endian::native == std::endian::little,
+                "RidgWriter writes host-order columns; port before enabling "
+                "big-endian");
+  std::memcpy(header_, kRidgMagic, sizeof(kRidgMagic));
+  store_u32(header_ + 8, kRidgFormatVersion);
+  store_u32(header_ + 12, flags);
+  store_u64(header_ + 16, num_nodes);
+  store_u64(header_ + 24, num_edges);
+  // Fingerprint (32) and checksum (40) are patched in by finish().
+  out_ = std::fopen(tmp_.c_str(), "wb");
+  if (out_ == nullptr) fail(path_, "cannot open for writing");
+  if (std::fwrite(header_, 1, sizeof(header_), out_) != sizeof(header_)) {
+    discard();  // no destructor runs for a throwing constructor
+    fail(path_, "write failed");
+  }
+}
+
+RidgWriter::~RidgWriter() { discard(); }
+
+void RidgWriter::discard() noexcept {
+  if (out_ == nullptr) return;
+  std::fclose(std::exchange(out_, nullptr));
+  std::remove(tmp_.c_str());
+}
+
+void RidgWriter::append(const void* data, std::size_t bytes) {
+  if (bytes == 0) return;
+  if (std::fwrite(data, 1, bytes, out_) != bytes) fail(path_, "write failed");
+  hash_ = util::fnv1a64(data, bytes, hash_);
+  offset_ += bytes;
+}
+
+void RidgWriter::pad_to(std::size_t section) {
+  static constexpr unsigned char kZeros[4096] = {};
+  if (offset_ > section)
+    fail(path_, "streamed section sizes disagree with layout (bug)");
+  while (offset_ < section)
+    append(kZeros, std::min(sizeof(kZeros), section - offset_));
+}
+
+std::uint64_t RidgWriter::finish() {
+  pad_to(layout_.file_size);
+  store_u64(header_ + 32, hash_);
+  store_u64(header_ + 40, util::fnv1a64(header_, 40));
+  const bool patched = std::fseek(out_, 32, SEEK_SET) == 0 &&
+                       std::fwrite(header_ + 32, 1, 16, out_) == 16;
+  const bool closed = std::fclose(std::exchange(out_, nullptr)) == 0;
+  if (!patched || !closed) {
+    std::remove(tmp_.c_str());
+    fail(path_, "write failed");
+  }
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    std::remove(tmp_.c_str());
+    fail(path_, "rename failed");
+  }
+  return hash_;
+}
+
 void write_columnar_file(const SignedGraph& graph,
                          std::span<const NodeState> states,
                          const std::string& path, std::uint32_t flags) {
   const std::size_t n = graph.num_nodes();
-  const std::size_t m = graph.num_edges();
   if (!states.empty() && states.size() != n)
     fail(path, "states size does not match num_nodes");
   if (!states.empty()) flags |= kRidgFlagHasStates;
 
-  const RidgLayout l = RidgLayout::compute(n, m);
-  std::vector<unsigned char> buf(l.file_size, 0);
-
-  std::memcpy(buf.data(), kRidgMagic, sizeof(kRidgMagic));
-  store_u32(buf.data() + 8, kRidgFormatVersion);
-  store_u32(buf.data() + 12, flags);
-  store_u64(buf.data() + 16, n);
-  store_u64(buf.data() + 24, m);
-  // Fingerprint (32) and checksum (40) are filled in last.
-
-  const auto out_off = graph.csr_out_offsets();
-  for (std::size_t i = 0; i <= n; ++i)
-    store_u64(buf.data() + l.out_offsets + 8 * i, out_off[i]);
-  const auto dsts = graph.csr_dsts();
-  for (std::size_t e = 0; e < m; ++e)
-    store_u32(buf.data() + l.dst + 4 * e, dsts[e]);
-  const auto srcs = graph.csr_srcs();
-  for (std::size_t e = 0; e < m; ++e)
-    store_u32(buf.data() + l.src + 4 * e, srcs[e]);
-  const auto signs = graph.csr_signs();
-  for (std::size_t e = 0; e < m; ++e)
-    buf[l.sign + e] =
-        static_cast<unsigned char>(static_cast<std::int8_t>(signs[e]));
-  const auto weights = graph.csr_weights();
-  for (std::size_t e = 0; e < m; ++e)
-    store_u64(buf.data() + l.weight + 8 * e,
-              std::bit_cast<std::uint64_t>(weights[e]));
-  const auto in_off = graph.csr_in_offsets();
-  for (std::size_t i = 0; i <= n; ++i)
-    store_u64(buf.data() + l.in_offsets + 8 * i, in_off[i]);
-  const auto in_edges = graph.csr_in_edges();
-  for (std::size_t e = 0; e < m; ++e)
-    store_u32(buf.data() + l.in_edge + 4 * e, in_edges[e]);
-  for (std::size_t v = 0; v < states.size(); ++v)
-    buf[l.state + v] =
-        static_cast<unsigned char>(static_cast<std::int8_t>(states[v]));
-
-  store_u64(buf.data() + 32,
-            util::fnv1a64(buf.data() + kRidgHeaderSize,
-                          l.file_size - kRidgHeaderSize));
-  store_u64(buf.data() + 40, util::fnv1a64(buf.data(), 40));
-
-  // Write to a sibling temp file and rename so readers never see a torn
-  // .ridg and interrupted converts leave the old file intact.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) fail(path, "cannot open for writing");
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      fail(path, "write failed");
+  RidgWriter out(path, n, graph.num_edges(), flags);
+  const RidgLayout& l = out.layout();
+  // Offsets are EdgeId in RAM and u64 on disk; every other column is
+  // written straight from the graph's spans.
+  const auto append_offsets = [&out](std::span<const EdgeId> offsets) {
+    std::uint64_t wide[4096];
+    for (std::size_t i = 0; i < offsets.size(); i += std::size(wide)) {
+      const std::size_t step = std::min(std::size(wide), offsets.size() - i);
+      std::copy_n(offsets.begin() + i, step, wide);
+      out.append(wide, step * sizeof(std::uint64_t));
     }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail(path, "rename failed");
-  }
+  };
+  const auto append_column = [&out](std::size_t section, auto column) {
+    out.pad_to(section);
+    out.append(column.data(), column.size_bytes());
+  };
+  append_offsets(graph.csr_out_offsets());
+  append_column(l.dst, graph.csr_dsts());
+  append_column(l.src, graph.csr_srcs());
+  append_column(l.sign, graph.csr_signs());
+  append_column(l.weight, graph.csr_weights());
+  out.pad_to(l.in_offsets);
+  append_offsets(graph.csr_in_offsets());
+  append_column(l.in_edge, graph.csr_in_edges());
+  append_column(l.state, states);  // empty: finish() writes kInactive zeros
+  out.finish();
 }
 
 bool is_ridg_file(const std::string& path) {

@@ -42,11 +42,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <span>
 #include <string>
 
 #include "graph/signed_graph.hpp"
 #include "graph/types.hpp"
+#include "util/fnv.hpp"
 #include "util/mmap_buffer.hpp"
 
 namespace rid::graph {
@@ -78,6 +80,41 @@ struct RidgLayout {
   std::size_t file_size = 0;
 
   static RidgLayout compute(std::uint64_t num_nodes, std::uint64_t num_edges);
+};
+
+/// The one .ridg emitter (write_columnar_file and the streaming converter):
+/// opens `path`.tmp and writes the header; append()/pad_to() take the
+/// sections in layout order, in host byte order, hashing them; finish()
+/// pads to the file size, patches fingerprint then checksum and renames
+/// onto `path`. Destroyed unfinished, it removes the temp file. Failures
+/// throw util::InputError("ridg: <path>: ...").
+class RidgWriter {
+ public:
+  RidgWriter(const std::string& path, std::uint64_t num_nodes,
+             std::uint64_t num_edges, std::uint32_t flags);
+  ~RidgWriter();
+  RidgWriter(const RidgWriter&) = delete;
+  RidgWriter& operator=(const RidgWriter&) = delete;
+
+  const RidgLayout& layout() const noexcept { return layout_; }
+
+  /// Zero-pads up to `section`, a RidgLayout offset not behind the bytes
+  /// written so far.
+  void pad_to(std::size_t section);
+  void append(const void* data, std::size_t bytes);
+  /// Completes the file and returns its data fingerprint.
+  std::uint64_t finish();
+
+ private:
+  void discard() noexcept;  // close + remove the temp file if still open
+
+  std::string path_;
+  std::string tmp_;
+  std::FILE* out_ = nullptr;
+  RidgLayout layout_;
+  unsigned char header_[kRidgHeaderSize] = {};
+  std::size_t offset_ = kRidgHeaderSize;
+  std::uint64_t hash_ = util::kFnv64Basis;
 };
 
 /// Serializes `graph` (plus an optional per-node snapshot) to `path` in

@@ -1,16 +1,13 @@
 #include "graph/columnar_stream.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "graph/columnar.hpp"
 #include "graph/label_compactor.hpp"
 #include "util/errors.hpp"
-#include "util/fnv.hpp"
 
 #if !defined(_WIN32)
 #define RID_HAVE_POSIX_TMP 1
@@ -23,14 +20,6 @@ namespace {
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw util::InputError("ridg: " + path + ": " + what);
-}
-
-inline void store_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-inline void store_u64(unsigned char* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
 }
 
 /// One pre-normalization edge in final (post-reversal) orientation. `seq`
@@ -103,6 +92,22 @@ class TempFile {
     bytes_ = 0;
   }
 
+  /// Copies the spilled bytes to `out` at `section` in 1 MiB blocks, then
+  /// releases the file.
+  void drain_into(RidgWriter& out, std::size_t section) {
+    out.pad_to(section);
+    rewind_for_read();
+    std::vector<unsigned char> block(std::size_t{1} << 20);
+    for (std::uint64_t left = bytes_; left > 0;) {
+      const auto step = static_cast<std::size_t>(
+          std::min<std::uint64_t>(left, block.size()));
+      read(block.data(), step);
+      out.append(block.data(), step);
+      left -= step;
+    }
+    reset();
+  }
+
  private:
   void open_file() {
 #if defined(RID_HAVE_POSIX_TMP)
@@ -159,55 +164,6 @@ BucketMap make_buckets(std::span<const std::uint32_t> degree,
   return map;
 }
 
-/// Streams body bytes into the output file, tracking the absolute offset
-/// (for RidgLayout padding) and the running FNV-1a64 data fingerprint.
-class BodyWriter {
- public:
-  BodyWriter(std::FILE* out, const std::string& path, const std::string& tmp)
-      : out_(out), path_(path), tmp_(tmp) {}
-
-  void write(const void* data, std::size_t bytes) {
-    if (bytes == 0) return;
-    if (std::fwrite(data, 1, bytes, out_) != bytes) {
-      std::fclose(out_);
-      std::remove(tmp_.c_str());
-      fail(path_, "write failed");
-    }
-    hash_ = util::fnv1a64(data, bytes, hash_);
-    offset_ += bytes;
-  }
-
-  void pad_to(std::size_t target) {
-    static constexpr unsigned char kZeros[8] = {};
-    while (offset_ < target)
-      write(kZeros, std::min<std::size_t>(sizeof(kZeros), target - offset_));
-  }
-
-  void copy(TempFile& tf) {
-    tf.rewind_for_read();
-    std::vector<unsigned char> buf(std::size_t{1} << 20);
-    std::uint64_t left = tf.bytes();
-    while (left > 0) {
-      const auto step = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, buf.size()));
-      tf.read(buf.data(), step);
-      write(buf.data(), step);
-      left -= step;
-    }
-    tf.reset();
-  }
-
-  std::size_t offset() const noexcept { return offset_; }
-  std::uint64_t hash() const noexcept { return hash_; }
-
- private:
-  std::FILE* out_;
-  const std::string& path_;
-  const std::string& tmp_;
-  std::size_t offset_ = kRidgHeaderSize;
-  std::uint64_t hash_ = util::kFnv64Basis;
-};
-
 /// Soft ceiling on scatter buckets per direction; keeps the peak open-file
 /// count well under typical RLIMIT_NOFILE while still bounding bucket loads
 /// near chunk_edges for any graph size.
@@ -246,9 +202,6 @@ LoadedGraph load_edge_source(EdgeSource& source) {
 StreamConvertResult stream_convert_to_columnar(
     EdgeSource& source, const std::string& out_path,
     const StreamConvertOptions& options) {
-  static_assert(std::endian::native == std::endian::little,
-                "stream_convert_to_columnar writes host-endian columns; port "
-                "before enabling big-endian");
   static_assert(sizeof(double) == 8 && sizeof(NodeState) == 1);
 
   // --- pass 1: compact ids (appearance order) + pre-normalization degrees --
@@ -284,7 +237,7 @@ StreamConvertResult stream_convert_to_columnar(
   if (options.make_states) states = options.make_states(n);
   if (!states.empty() && states.size() != n)
     fail(out_path, "states size does not match num_nodes");
-  std::uint32_t flags = options.flags;
+  std::uint32_t flags = options.social ? 0u : kRidgFlagDiffusion;
   if (!states.empty()) flags |= kRidgFlagHasStates;
 
   const std::uint64_t chunk =
@@ -408,71 +361,24 @@ StreamConvertResult stream_convert_to_columnar(
   cursor = {};
   in_buckets.clear();
 
-  // --- emit: header + sections + padding, fingerprint on the fly ----------
-  const RidgLayout layout = RidgLayout::compute(n, num_edges);
-  const std::string tmp = out_path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail(out_path, "cannot open for writing");
-
-  unsigned char header[kRidgHeaderSize] = {};
-  std::memcpy(header, kRidgMagic, sizeof(kRidgMagic));
-  store_u32(header + 8, kRidgFormatVersion);
-  store_u32(header + 12, flags);
-  store_u64(header + 16, n);
-  store_u64(header + 24, num_edges);
-  // Fingerprint (32) and checksum (40) are patched in below.
-  if (std::fwrite(header, 1, sizeof(header), out) != sizeof(header)) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    fail(out_path, "write failed");
-  }
-
-  BodyWriter body(out, out_path, tmp);
-  body.write(out_offsets.data(), out_offsets.size() * sizeof(std::uint64_t));
-  body.pad_to(layout.dst);
-  body.copy(dst_col);
-  body.pad_to(layout.src);
-  body.copy(src_col);
-  body.pad_to(layout.sign);
-  body.copy(sign_col);
-  body.pad_to(layout.weight);
-  body.copy(weight_col);
-  body.pad_to(layout.in_offsets);
-  body.write(in_offsets.data(), in_offsets.size() * sizeof(std::uint64_t));
-  body.pad_to(layout.in_edge);
-  body.copy(in_edge_col);
-  body.pad_to(layout.state);
-  if (states.empty()) {
-    body.pad_to(layout.file_size);  // kInactive filler is all zeros
-  } else {
-    body.write(states.data(), states.size());
-  }
-  if (body.offset() != layout.file_size) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    fail(out_path, "streamed section sizes disagree with layout (bug)");
-  }
-
-  store_u64(header + 32, body.hash());
-  store_u64(header + 40, util::fnv1a64(header, 40));
-  unsigned char patch[16];
-  std::memcpy(patch, header + 32, sizeof(patch));
-  bool ok = std::fseek(out, 32, SEEK_SET) == 0 &&
-            std::fwrite(patch, 1, sizeof(patch), out) == sizeof(patch);
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail(out_path, "write failed");
-  }
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail(out_path, "rename failed");
-  }
+  // --- emit: every section through the one .ridg writer -------------------
+  RidgWriter out(out_path, n, num_edges, flags);
+  const RidgLayout& layout = out.layout();
+  out.append(out_offsets.data(), out_offsets.size() * sizeof(std::uint64_t));
+  dst_col.drain_into(out, layout.dst);
+  src_col.drain_into(out, layout.src);
+  sign_col.drain_into(out, layout.sign);
+  weight_col.drain_into(out, layout.weight);
+  out.pad_to(layout.in_offsets);
+  out.append(in_offsets.data(), in_offsets.size() * sizeof(std::uint64_t));
+  in_edge_col.drain_into(out, layout.in_edge);
+  out.pad_to(layout.state);
+  out.append(states.data(), states.size());  // empty: kInactive zeros
 
   StreamConvertResult result;
   result.num_nodes = n;
   result.num_edges = num_edges;
-  result.fingerprint = body.hash();
+  result.fingerprint = out.finish();
   return result;
 }
 

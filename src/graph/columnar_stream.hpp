@@ -1,10 +1,9 @@
 // Streaming text → .ridg conversion with bounded memory.
 //
 // write_columnar_file (columnar.cpp) serializes an in-RAM SignedGraph, so
-// converting a text edge list that way costs O(graph) resident memory twice
-// over (the parsed SignedGraph plus the serialization buffer). The streaming
-// converter here produces the *same bytes* — identical data fingerprint,
-// cmp-identical file — while holding only O(nodes + chunk) in RAM:
+// converting a text edge list that way holds the whole parsed graph in RAM.
+// The streaming converter here produces the *same bytes* — identical data
+// fingerprint, cmp-identical file — while holding only O(nodes + chunk):
 //
 //   pass 1  read the edge list once: assign compact node ids in appearance
 //           order (exactly graph_io's assemble_edges order) and count
@@ -19,10 +18,9 @@
 //           final CSR edge columns to per-section temp files; incoming-edge
 //           records are re-scattered into in-buckets and resolved the same
 //           way (matching the builder's counting sort).
-//   emit    stream header + sections (+ the RidgLayout inter-section
-//           padding) into path.tmp, hashing the body bytes on the fly for
-//           the fingerprint, then patch fingerprint + header checksum and
-//           rename — the same atomic-replace protocol as the in-RAM writer.
+//   emit    hand the sections to RidgWriter (columnar.hpp), the emitter
+//           the in-RAM writer uses too: header, padding, fingerprint and
+//           the atomic tmp+rename live there once.
 //
 // Temp files live in $TMPDIR (else /tmp), are unlinked at creation, and use
 // plain buffered stdio; their pages are page cache, not process RSS, which
@@ -76,11 +74,10 @@ class TextEdgeSource final : public EdgeSource {
 struct StreamConvertOptions {
   /// Keep the social orientation (trust edges as written). Default is the
   /// diffusion orientation: every (src, dst) row is stored as (dst, src),
-  /// matching make_diffusion_network on the in-RAM path.
+  /// matching make_diffusion_network on the in-RAM path, and the header
+  /// carries kRidgFlagDiffusion. kRidgFlagHasStates is set when make_states
+  /// returns a non-empty vector.
   bool social = false;
-  /// Extra header flags (kRidgFlagDiffusion etc.); kRidgFlagHasStates is
-  /// set automatically when make_states returns a non-empty vector.
-  std::uint32_t flags = 0;
   /// Scatter-bucket size in edges; peak RSS is O(nodes + chunk_edges).
   /// Values below 4096 are clamped up (pathological bucket counts).
   std::size_t chunk_edges = std::size_t{1} << 20;

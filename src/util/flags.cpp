@@ -36,10 +36,20 @@ Flags Flags::parse(int argc, const char* const* argv) {
 }
 
 bool Flags::has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) != 0;
 }
 
+std::vector<std::string> Flags::unread() const {
+  std::vector<std::string> names;
+  std::set<std::string> seen = read_;
+  for (const auto& entry : entries_)
+    if (seen.insert(entry.first).second) names.push_back(entry.first);
+  return names;
+}
+
 std::optional<std::string> Flags::raw(const std::string& name) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
   return it->second;

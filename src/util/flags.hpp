@@ -2,13 +2,15 @@
 //
 // Supported forms: --name=value, --name value, --bool-flag (implicit true),
 // and bare positional arguments. Unknown flags are collected so callers can
-// forward them (google-benchmark consumes its own flags).
+// forward them (google-benchmark consumes its own flags) or report them
+// (unread()).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -56,9 +58,14 @@ class Flags {
     return entries_;
   }
 
+  /// Given names no has()/get_*() call has consulted, in command-line
+  /// order, each once. Consulting records the name: not for concurrent use.
+  std::vector<std::string> unread() const;
+
  private:
   std::optional<std::string> raw(const std::string& name) const;
 
+  mutable std::set<std::string> read_;
   std::map<std::string, std::string> values_;
   std::vector<std::pair<std::string, std::string>> entries_;
   std::vector<std::string> positional_;

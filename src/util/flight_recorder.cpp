@@ -17,14 +17,19 @@
 namespace rid::util::flight {
 namespace {
 
-// Per-slot commit protocol: a writer claims seq = g_seq.fetch_add(1)+1,
-// zeroes the slot's commit stamp (readers now skip it), fills the POD
-// fields, then release-stores seq into the stamp. A reader accepts a slot
-// only when the stamp read before and after copying matches and is
-// nonzero — otherwise the slot was mid-overwrite and is skipped.
+// Per-slot guard: a writer claims seq = g_seq.fetch_add(1)+1 and spins on
+// its slot's guard, which only another record a whole lap away (or a
+// reader's copy) can hold; the newer seq wins the slot. Readers try the
+// guard once and skip a busy slot, so the fatal-signal dump never spins.
 struct Slot {
-  std::atomic<std::uint64_t> commit{0};
+  std::atomic<bool> busy{false};
   Event event;
+
+  bool try_lock() noexcept {
+    return !busy.exchange(true, std::memory_order_acquire);
+  }
+  void lock() noexcept { while (!try_lock()) continue; }
+  void unlock() noexcept { busy.store(false, std::memory_order_release); }
 };
 
 Slot g_ring[kRingCapacity];
@@ -146,25 +151,26 @@ void fatal_signal_handler(int sig) noexcept {
 
 void record(std::string_view category, std::string_view message) noexcept {
   const std::uint64_t seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t t_ns = trace::now_ns();
   Slot& slot = g_ring[(seq - 1) % kRingCapacity];
-  slot.commit.store(0, std::memory_order_release);
-  slot.event.seq = seq;
-  slot.event.t_ns = trace::now_ns();
-  copy_field(slot.event.category, kMaxCategoryLength, category);
-  copy_field(slot.event.message, kMaxMessageLength, message);
-  slot.commit.store(seq, std::memory_order_release);
+  slot.lock();
+  if (slot.event.seq < seq) {
+    slot.event.seq = seq;
+    slot.event.t_ns = t_ns;
+    copy_field(slot.event.category, kMaxCategoryLength, category);
+    copy_field(slot.event.message, kMaxMessageLength, message);
+  }
+  slot.unlock();
 }
 
 std::vector<Event> snapshot() {
   std::vector<Event> out;
   out.reserve(kRingCapacity);
-  for (const Slot& slot : g_ring) {
-    const std::uint64_t before = slot.commit.load(std::memory_order_acquire);
-    if (before == 0) continue;
-    Event copy = slot.event;
-    const std::uint64_t after = slot.commit.load(std::memory_order_acquire);
-    if (after != before || copy.seq != before) continue;  // torn: skip
-    out.push_back(copy);
+  for (Slot& slot : g_ring) {
+    if (!slot.try_lock()) continue;  // mid-write: skip
+    const Event copy = slot.event;
+    slot.unlock();
+    if (copy.seq != 0) out.push_back(copy);
   }
   std::sort(out.begin(), out.end(),
             [](const Event& a, const Event& b) { return a.seq < b.seq; });
@@ -182,8 +188,9 @@ std::uint64_t dropped() noexcept {
 
 void reset() noexcept {
   for (Slot& slot : g_ring) {
-    slot.commit.store(0, std::memory_order_release);
+    slot.lock();
     slot.event = Event{};
+    slot.unlock();
   }
   g_seq.store(0, std::memory_order_relaxed);
 }
@@ -211,12 +218,13 @@ void dump_jsonl_fd(int fd) noexcept {
   char line[kLineBufferSize];
   // Walk slots in ring order; ordering by seq would need a sort, which
   // is fine to skip under a fatal signal (consumers sort by "seq").
-  for (const Slot& slot : g_ring) {
-    const std::uint64_t before = slot.commit.load(std::memory_order_acquire);
-    if (before == 0) continue;
-    const Event& e = slot.event;
-    if (e.seq != before) continue;
-    write_all(fd, line, format_event_line(e, line));
+  for (Slot& slot : g_ring) {
+    if (!slot.try_lock()) continue;  // mid-write, maybe by this thread
+    const std::size_t n = slot.event.seq != 0
+                              ? format_event_line(slot.event, line)
+                              : 0;
+    slot.unlock();
+    write_all(fd, line, n);
   }
 #else
   (void)fd;

@@ -8,12 +8,13 @@
 // Design constraints (see DESIGN.md §14):
 //  * storage is a fixed static array of POD slots — recording never
 //    allocates, so it is safe on error paths (including bad_alloc unwind);
-//  * writers claim a slot with one atomic fetch_add and publish it with a
-//    per-slot commit stamp, so concurrent recorders never block each other
-//    and a reader can skip slots that are mid-write instead of tearing;
+//  * writers claim a slot with one atomic fetch_add and fill it under the
+//    slot's one-flag guard; two records contend only when the ring wraps
+//    onto the same slot (the newer seq wins), and readers try the guard
+//    once and skip a slot that is mid-write instead of tearing it;
 //  * the fatal-dump path uses only async-signal-safe primitives (open/
-//    write/close plus hand-rolled integer formatting) — no malloc, no
-//    stdio, no locks — because it runs inside SIGSEGV/SIGABRT handlers;
+//    write/close, hand-rolled integer formatting, a guard try that never
+//    waits) — no malloc, no stdio — as it runs in SIGSEGV/SIGABRT handlers;
 //  * events older than the ring capacity are overwritten oldest-first; the
 //    overwrite count is reported (`dropped`), never silent.
 //
@@ -42,7 +43,8 @@ struct Event {
   char message[kMaxMessageLength + 1] = {};
 };
 
-/// Records one event (lock-free; truncates over-long fields). Categories
+/// Records one event (never allocates; truncates over-long fields; waits
+/// only while a record a ring lap away or a reader holds its slot). Categories
 /// are short dotted slugs mirroring the metrics naming ("serve.job",
 /// "shard.worker", "net.frame", "failpoint").
 void record(std::string_view category, std::string_view message) noexcept;
@@ -67,8 +69,8 @@ std::string to_jsonl();
 bool dump_jsonl_file(const std::string& path);
 
 /// Async-signal-safe dump of the ring as JSONL to an open fd: write(2)
-/// only, no allocation, no locks. Torn slots are skipped. Used by the
-/// fatal-signal path; safe to call from normal code too.
+/// only, no allocation, never waits (a slot being written is skipped).
+/// Used by the fatal-signal path; safe to call from normal code too.
 void dump_jsonl_fd(int fd) noexcept;
 
 /// Installs SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT handlers that dump the

@@ -141,8 +141,6 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
 
   // item -> workers it was in flight on when they died (poison detection).
   std::unordered_map<std::size_t, std::uint32_t> suspect_kills;
-  const std::size_t max_parallel =
-      options.max_parallel == 0 ? states.size() : options.max_parallel;
   const bool heartbeat_enabled =
       options.heartbeat_timeout_seconds != kUnlimitedSeconds;
   const bool deadline_enabled =
@@ -330,21 +328,16 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
       break;
     }
 
-    bool all_done = true;
-    std::size_t running = 0;
-    for (const ShardState& state : states) {
-      if (state.phase != ShardState::Phase::kDone) all_done = false;
-      if (state.phase == ShardState::Phase::kRunning) ++running;
-    }
-    if (all_done) break;
+    if (std::all_of(states.begin(), states.end(), [](const ShardState& s) {
+          return s.phase == ShardState::Phase::kDone;
+        }))
+      break;
 
     const Clock::time_point now = Clock::now();
     for (ShardState& state : states) {
-      if (running >= max_parallel) break;
       if (state.phase != ShardState::Phase::kReady || now < state.ready_at)
         continue;
       spawn(state);
-      if (state.phase == ShardState::Phase::kRunning) ++running;
     }
 
     for (ShardState& state : states) {

@@ -63,9 +63,9 @@ struct ShardWork {
 /// Optional cross-supervisor worker pool. When SupervisorOptions::slots
 /// points at one, every spawn first acquires a slot and every reap releases
 /// it, so several concurrent supervise_shards() calls — the serve daemon's
-/// jobs — share one global worker cap instead of each running max_parallel
-/// workers. A shard that cannot get a slot simply stays queued (no attempt
-/// is consumed). Thread-safe.
+/// jobs — share one global worker cap instead of each running one worker
+/// per shard. A shard that cannot get a slot simply stays queued (no
+/// attempt is consumed). Thread-safe.
 class WorkerSlots {
  public:
   explicit WorkerSlots(std::size_t capacity) : capacity_(capacity) {}
@@ -93,8 +93,6 @@ class WorkerSlots {
 };
 
 struct SupervisorOptions {
-  /// Workers running concurrently (0 = one per shard).
-  std::size_t max_parallel = 0;
   /// Worker attempts per shard before its remaining items are abandoned.
   std::uint32_t max_shard_attempts = 5;
   /// Capped exponential backoff between a shard's attempts:
@@ -118,8 +116,7 @@ struct SupervisorOptions {
   std::uint64_t mem_limit_bytes = 0;
   double cpu_limit_seconds = 0.0;
   /// Optional shared worker pool (see WorkerSlots). Not owned; must outlive
-  /// the supervise_shards() call. nullptr = this supervisor caps itself with
-  /// max_parallel only.
+  /// the supervise_shards() call. nullptr = one worker per shard.
   WorkerSlots* slots = nullptr;
   /// Cooperative cancellation: running workers are killed, nothing is
   /// requeued, and the report is marked cancelled.

@@ -2,7 +2,7 @@
 
 #include "algo/components.hpp"
 #include "algo/forest.hpp"
-#include "algo/scc.hpp"
+#include "oracles/scc.hpp"
 #include "algo/skew_heap.hpp"
 #include "algo/traversal.hpp"
 #include "algo/union_find.hpp"

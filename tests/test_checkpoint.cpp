@@ -15,6 +15,8 @@
 #include "core/checkpoint.hpp"
 #include "graph/signed_graph.hpp"
 #include "util/errors.hpp"
+#include "util/fnv.hpp"
+#include "util/rng.hpp"
 #include "util/wire.hpp"
 
 namespace rid::core {
@@ -247,6 +249,69 @@ TEST(Checkpoint, VersionAndMagicMismatchesAreRejected) {
   const CheckpointLoad load = load_checkpoint_dir(dir.string(), 7);
   EXPECT_TRUE(load.records.empty());
   EXPECT_EQ(load.errors.size(), 1u);
+}
+
+/// Recomputes every frame's checksum over its (possibly damaged) payload,
+/// so bit flips reach decode_record instead of stopping at the checksum.
+void restamp_frames(std::string& file) {
+  std::size_t off = 24;  // magic, version, reserved, fingerprint
+  while (off + util::wire::kFrameHeaderSize <= file.size()) {
+    const std::uint32_t length =
+        util::wire::decode_frame_header(std::string_view(file).substr(off))
+            .first;
+    const std::size_t payload = off + util::wire::kFrameHeaderSize;
+    if (length > file.size() - payload) break;
+    std::string stamp;
+    util::wire::put_u32(
+        stamp, util::fnv1a32(std::string_view(file).substr(payload, length)));
+    file.replace(off + 4, 4, stamp);
+    off = payload + length;
+  }
+}
+
+TEST(Checkpoint, DamagedFilesReadOrThrowInputError) {
+  const fs::path dir = test_dir("fuzz");
+  const std::string path = (dir / "shard-0-a1.ckpt").string();
+  {
+    CheckpointWriter writer(path, 42);
+    for (std::uint64_t tree = 0; tree < 3; ++tree)
+      writer.append(sample_record(tree));
+  }
+  const std::string file = slurp(path);
+  // The strict reader returns records or throws InputError (any other
+  // exception fails the test); the tolerant readers never throw.
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto probe = [&](const std::string& bytes) {
+    dump(path, bytes);
+    try {
+      const auto records = read_checkpoint_file(path, 42);
+      EXPECT_LE(records.size(), 3u);
+      ++accepted;
+    } catch (const util::InputError&) {
+      ++rejected;
+    }
+    EXPECT_NO_THROW(load_checkpoint_dir(dir.string(), 42));
+    EXPECT_NO_THROW(inspect_checkpoint_file(path));
+  };
+  for (std::size_t cut = 0; cut < file.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    probe(file.substr(0, cut));
+  }
+  util::Rng rng(20261018);
+  for (int round = 0; round < 4000; ++round) {
+    SCOPED_TRACE(round);
+    std::string damaged = file;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.next_below(damaged.size() * 8);
+      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    }
+    if (round % 2 == 1) restamp_frames(damaged);
+    probe(damaged);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Checkpoint, DirectoryLoaderMergesFilesAndIgnoresStrangers) {

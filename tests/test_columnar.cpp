@@ -198,6 +198,21 @@ TEST(RidgFormat, WriteTwiceIsByteIdentical) {
   EXPECT_EQ(slurp(a), slurp(b));
 }
 
+TEST(RidgFormat, UnfinishedWriterRemovesItsTempFile) {
+  const fs::path path = test_dir("unfinished") / "g.ridg";
+  const std::string tmp = path.string() + ".tmp";
+  {
+    RidgWriter out(path.string(), 3, 2, kRidgFlagDiffusion);
+    EXPECT_TRUE(fs::exists(tmp));
+    const std::uint64_t zero = 0;
+    out.append(&zero, sizeof(zero));
+    // A section start behind the bytes already written is a caller bug.
+    EXPECT_THROW(out.pad_to(out.layout().out_offsets), util::InputError);
+  }
+  EXPECT_FALSE(fs::exists(tmp));
+  EXPECT_FALSE(fs::exists(path));
+}
+
 TEST(RidgFormat, SniffAndEmptyGraph) {
   const fs::path dir = test_dir("sniff");
   const fs::path path = dir / "empty.ridg";

@@ -2,7 +2,8 @@
 // fingerprint-identity with the in-RAM writer across orientations, snapshot
 // embedding, chunk sizes and degenerate inputs; error-message parity with
 // load_weighted_file on a malformed-input corpus; bounded-address-space
-// conversion where the in-RAM path cannot fit; columnar-vs-in-RAM forest
+// conversion where the in-RAM path cannot fit, and an in-RAM write that
+// needs no file-sized buffer; columnar-vs-in-RAM forest
 // bit-identity across thread counts, also on a file large enough that
 // extraction drops its edge pages; and the extraction span's tags.
 #include <gtest/gtest.h>
@@ -127,7 +128,6 @@ TEST(ColumnarStream, ByteIdenticalToInRamWriterAcrossChunkSizes) {
       TextEdgeSource source(text.string());
       StreamConvertOptions options;
       options.social = social;
-      options.flags = social ? 0u : kRidgFlagDiffusion;
       options.chunk_edges = chunk;
       const StreamConvertResult result =
           stream_convert_to_columnar(source, out.string(), options);
@@ -168,7 +168,6 @@ TEST(ColumnarStream, EmbedsSnapshotIdenticallyToInRamWriter) {
   const fs::path out = dir / "streamed.ridg";
   TextEdgeSource source(text.string());
   StreamConvertOptions options;
-  options.flags = kRidgFlagDiffusion;
   options.make_states = [&entries](NodeId num_nodes) {
     return core::apply_snapshot_entries(entries, num_nodes);
   };
@@ -212,8 +211,7 @@ TEST(ColumnarStream, DegenerateInputsMatchInRamWriter) {
     const fs::path out = dir / "streamed.ridg";
     TextEdgeSource source(text.string());
     StreamConvertOptions options;
-    options.flags = kRidgFlagDiffusion;
-    stream_convert_to_columnar(source, out.string(), options);
+      stream_convert_to_columnar(source, out.string(), options);
     EXPECT_EQ(slurp(out), slurp(ref_path)) << "corpus " << i;
   }
 }
@@ -331,8 +329,7 @@ TEST(ColumnarStream, ConvertsUnderAddressSpaceCapWhereInRamCannot) {
       runs_under_address_cap(kHeadroom, [&] {
         TextEdgeSource source(text.string());
         StreamConvertOptions options;
-        options.flags = kRidgFlagDiffusion;
-        options.chunk_edges = std::size_t{1} << 16;
+              options.chunk_edges = std::size_t{1} << 16;
         stream_convert_to_columnar(source, (dir / "s.ridg").string(),
                                    options);
       });
@@ -350,6 +347,38 @@ TEST(ColumnarStream, ConvertsUnderAddressSpaceCapWhereInRamCannot) {
   const fs::path ref = dir / "ref.ridg";
   write_reference(text, ref, /*social=*/false, {});
   EXPECT_EQ(slurp(dir / "s.ridg"), slurp(ref));
+}
+
+TEST(ColumnarStream, WriteColumnarFileNeedsNoFileSizedBuffer) {
+#ifdef RIDNET_ASAN
+  GTEST_SKIP() << "RLIMIT_AS is incompatible with ASan's shadow mappings";
+#endif
+  if (!util::process_isolation_supported())
+    GTEST_SKIP() << "no fork() on this platform";
+
+  // 800k edges at 21 bytes each: a .ridg above 16 MiB. The graph is built
+  // before the fork, so the cap leaves the writer itself 8 MiB.
+  constexpr NodeId kNodes = 100000;
+  SignedGraphBuilder builder(kNodes);
+  util::Rng rng(53);
+  for (std::size_t i = 0; i < 800000; ++i)
+    builder.add_edge(static_cast<NodeId>(rng.next_below(kNodes)),
+                     static_cast<NodeId>(rng.next_below(kNodes)),
+                     rng.bernoulli(0.8) ? Sign::kPositive : Sign::kNegative,
+                     rng.uniform(0.0, 1.0));
+  const SignedGraph graph = builder.build();
+  ASSERT_GE(RidgLayout::compute(graph.num_nodes(), graph.num_edges())
+                .file_size,
+            std::size_t{16} << 20);
+
+  const fs::path dir = test_dir("rlimit_writer");
+  EXPECT_TRUE(runs_under_address_cap(std::size_t{8} << 20, [&] {
+    write_columnar_file(graph, {}, (dir / "capped.ridg").string(),
+                        kRidgFlagDiffusion);
+  })) << "write_columnar_file needed more than 8 MiB of address space";
+  write_columnar_file(graph, {}, (dir / "ref.ridg").string(),
+                      kRidgFlagDiffusion);
+  EXPECT_EQ(slurp(dir / "capped.ridg"), slurp(dir / "ref.ridg"));
 }
 #endif  // __unix__ || __APPLE__
 

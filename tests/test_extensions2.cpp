@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "algo/arborescence_root.hpp"
+#include "oracles/arborescence_root.hpp"
 #include "diffusion/cascade_stats.hpp"
 #include "diffusion/influence_max.hpp"
 #include "diffusion/mfc.hpp"

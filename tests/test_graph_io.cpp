@@ -496,6 +496,11 @@ TEST(GraphIo, DiffusionLoadMatchesTheReversedLoad) {
   write_columnar_file(load_diffusion_file(messy).graph, {}, ridg,
                       kRidgFlagDiffusion);
   EXPECT_EQ(ColumnarGraphView::open(ridg).fingerprint(), 0xb9ad60843b29cef5ull);
+  // The streaming converter writes the same file from the same text.
+  TextEdgeSource source(messy);
+  EXPECT_EQ(stream_convert_to_columnar(source, ridg, {}).fingerprint,
+            0xb9ad60843b29cef5ull);
+  EXPECT_EQ(ColumnarGraphView::open(ridg).flags(), kRidgFlagDiffusion);
 
   // Seeded multigraphs: sparse labels, self-loops, parallel pairs with
   // differing signs and weights, unsorted rows, CRLF, comments, and some

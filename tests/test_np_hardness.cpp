@@ -1,4 +1,4 @@
-#include "core/np_hardness.hpp"
+#include "oracles/np_hardness.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "algo/components.hpp"
-#include "algo/scc.hpp"
+#include "oracles/scc.hpp"
 #include "core/rid.hpp"
 #include "core/snapshot_io.hpp"
 #include "core/tree_dp.hpp"

@@ -9,12 +9,16 @@
 //    and detection results stay bit-identical with telemetry damaged.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rid.hpp"
@@ -119,6 +123,66 @@ TEST_F(FlightRecorderTest, DumpFileWritesEveryEventAsOneJsonLine) {
     ++lines;
   }
   EXPECT_EQ(lines, 5u);
+}
+
+TEST_F(FlightRecorderTest, ConcurrentRecordsAndSnapshotsNeverTear) {
+  constexpr int kWriters = 4;
+  constexpr int kRecords = 5000;
+  // Counts events that are out of seq order or malformed. A writer records
+  // "w<id> i<n>" with n rising, so within one writer n must rise with seq:
+  // a seq paired with another record's message shows up here.
+  const auto damaged = [](const std::vector<flight::Event>& events) {
+    std::size_t bad = 0;
+    std::array<int, kWriters> last;
+    last.fill(-1);
+    std::uint64_t prev = 0;
+    for (const flight::Event& e : events) {
+      int w = -1;
+      int n = -1;
+      char tail = 0;
+      const bool parsed =
+          std::sscanf(e.message, "w%d i%d%c", &w, &n, &tail) == 2 && w >= 0 &&
+          w < kWriters;
+      if (e.seq <= prev || std::string(e.category) != "race" || !parsed ||
+          n <= last[w]) {
+        ++bad;
+      } else {
+        last[w] = n;
+      }
+      prev = e.seq;
+    }
+    return bad;
+  };
+
+  std::atomic<bool> done{false};
+  std::size_t snapshots = 0;
+  std::size_t bad_in_flight = 0;
+  std::thread reader([&] {
+    do {
+      bad_in_flight += damaged(flight::snapshot());
+      ++snapshots;
+    } while (!done.load());
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([w] {
+      for (int n = 0; n < kRecords; ++n)
+        flight::record("race",
+                       "w" + std::to_string(w) + " i" + std::to_string(n));
+    });
+  for (std::thread& writer : writers) writer.join();
+  done = true;
+  reader.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(bad_in_flight, 0u);
+
+  // Each slot keeps the newest of the seqs that mapped to it.
+  const std::vector<flight::Event> events = flight::snapshot();
+  EXPECT_EQ(damaged(events), 0u);
+  const std::uint64_t total = std::uint64_t{kWriters} * kRecords;
+  ASSERT_EQ(events.size(), flight::kRingCapacity);
+  for (std::size_t i = 0; i < events.size(); ++i)
+    EXPECT_EQ(events[i].seq, total - flight::kRingCapacity + 1 + i);
 }
 
 // --- Prometheus exposition ------------------------------------------------

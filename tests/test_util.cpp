@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "metrics/summary.hpp"
 #include "util/csv.hpp"
@@ -140,6 +142,21 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_FALSE(flags.get_bool("b", true));
   EXPECT_TRUE(flags.get_bool("c", false));
   EXPECT_FALSE(flags.get_bool("d", true));
+}
+
+TEST(Flags, UnreadNamesFlagsNoCallerConsulted) {
+  const char* argv[] = {"prog",       "--thread=4", "--seed=3", "--thread=8",
+                        "--verbose",  "input.txt",  "--in-ram"};
+  const auto flags = util::Flags::parse(7, argv);
+  EXPECT_EQ(flags.unread(),
+            (std::vector<std::string>{"thread", "seed", "verbose", "in-ram"}));
+  EXPECT_EQ(flags.get_int("seed", 0), 3);
+  EXPECT_FALSE(flags.has("threads"));  // a name not given is not listed
+  EXPECT_TRUE(flags.has("verbose"));   // has() counts as a read
+  EXPECT_EQ(flags.unread(), (std::vector<std::string>{"thread", "in-ram"}));
+  EXPECT_EQ(flags.get_string("in-ram", ""), "true");
+  EXPECT_EQ(flags.get_int("thread", 0), 8);
+  EXPECT_TRUE(flags.unread().empty());
 }
 
 // --- logging ---------------------------------------------------------------
