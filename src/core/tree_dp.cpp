@@ -253,6 +253,10 @@ void BinarizedTreeDp::process_node(std::int32_t v, std::uint32_t k_lo,
   // unclamped recurrence — it just stops paying O(k) per node for columns
   // that small subtrees can never fill.
   const std::uint32_t k_top = std::min(k_hi, nl.real_count);
+  // A growth pass adds no column to a node whose subtree holds no more real
+  // nodes than the old cap: its k loop would be empty, so skip the per-row
+  // prefix rebuilds too. The next node rebuilds the scratch before use.
+  if (k_lo > k_top) return;
   const std::uint32_t lcnt = lc >= 0 ? layout_[lc].real_count : 0;
   const std::uint32_t rcnt = rc >= 0 ? layout_[rc].real_count : 0;
   double* const vbase = values_ + nl.offset;

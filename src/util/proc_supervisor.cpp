@@ -5,7 +5,6 @@
 #include <cmath>
 #include <exception>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +18,9 @@
 #define RID_HAS_FORK 1
 #include <cerrno>
 #include <csignal>
+#include <poll.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -44,6 +45,11 @@ std::uint64_t own_pid() noexcept {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Longest the parent blocks between checks of cancellation, heartbeats
+/// and attempt deadlines. A worker's exit or a backoff's expiry ends the
+/// wait sooner.
+constexpr std::chrono::milliseconds kTick{5};
 
 /// Supervisor-side metrics (names shared with the RID diagnostics).
 struct ShardMetrics {
@@ -75,6 +81,20 @@ pid_t wait_child(pid_t pid, int* status, int flags, ShardMetrics& sm) {
   return r;
 }
 
+/// A descriptor that turns readable when `pid` exits, or -1 where the
+/// kernel has no pidfd_open (before Linux 5.3, or not Linux). poll()
+/// ignores a negative descriptor, so the tick then bounds the reap lag.
+/// The raw syscall, not <sys/pidfd.h>: some glibc versions declare
+/// pidfd_open there without C linkage.
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
+}
+
 ShardMetrics& shard_metrics() {
   static ShardMetrics instance;
   return instance;
@@ -89,6 +109,7 @@ struct ShardState {
   Phase phase = Phase::kReady;
   Clock::time_point ready_at{};  // backoff gate (kReady)
   pid_t pid = -1;
+  int pidfd = -1;  // readable once the running worker exits (open_pidfd)
   bool holds_slot = false;  // owns one WorkerSlots slot while running
   Clock::time_point attempt_start{};
   Clock::time_point last_progress{};
@@ -138,6 +159,19 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     if (state.remaining.empty()) state.phase = ShardState::Phase::kDone;
     states.push_back(std::move(state));
   }
+  // end_attempt closes each attempt's pidfd; this closes those that an
+  // exception from a launcher or durable callback leaves open.
+  struct PidfdGuard {
+    explicit PidfdGuard(const std::vector<ShardState>& watched)
+        : states(watched) {}
+    PidfdGuard(const PidfdGuard&) = delete;
+    PidfdGuard& operator=(const PidfdGuard&) = delete;
+    ~PidfdGuard() {
+      for (const ShardState& state : states)
+        if (state.pidfd >= 0) ::close(state.pidfd);
+    }
+    const std::vector<ShardState>& states;
+  } const pidfd_guard{states};
 
   // item -> workers it was in flight on when they died (poison detection).
   std::unordered_map<std::size_t, std::uint32_t> suspect_kills;
@@ -171,12 +205,13 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     }
   };
 
-  /// Every reaping path ends an attempt here: the slot and trace span are
-  /// closed, the worker's stream is drained (drain before durable), and
-  /// the durable items are removed from state.remaining (keeping order).
-  /// Returns how many were completed.
+  /// Every reaping path ends an attempt here: the pidfd, slot and trace
+  /// span are closed, the worker's stream is drained (drain before
+  /// durable), and the durable items are removed from state.remaining
+  /// (keeping order). Returns how many were completed.
   const auto end_attempt = [&](ShardState& state, int exit_code) {
     const pid_t reaped = std::exchange(state.pid, -1);
+    if (state.pidfd >= 0) ::close(std::exchange(state.pidfd, -1));
     release_slot(state);
     emit_attempt_span(state, exit_code);
     if (launcher.drain) launcher.drain(reaped);
@@ -261,6 +296,7 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     }
     sm.spawned.add(1);
     state.pid = pid;
+    state.pidfd = open_pidfd(pid);
     state.phase = ShardState::Phase::kRunning;
     state.attempt_start = state.last_progress = Clock::now();
     state.last_durable = heartbeat_enabled ? durable(state.shard_id).size() : 0;
@@ -309,6 +345,7 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     // The death is observed (and requeued) by the normal waitpid path.
   };
 
+  std::vector<pollfd> exits;  // the running workers' pidfds, per wait
   while (true) {
     if (options.cancel.cancel_requested()) {
       report.cancelled = true;
@@ -327,11 +364,6 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
       }
       break;
     }
-
-    if (std::all_of(states.begin(), states.end(), [](const ShardState& s) {
-          return s.phase == ShardState::Phase::kDone;
-        }))
-      break;
 
     const Clock::time_point now = Clock::now();
     for (ShardState& state : states) {
@@ -385,8 +417,27 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
       }
     }
 
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        std::max(0.1, options.poll_interval_ms)));
+    if (std::all_of(states.begin(), states.end(), [](const ShardState& s) {
+          return s.phase == ShardState::Phase::kDone;
+        }))
+      break;
+
+    // Block until a worker exits, the nearest backoff expires, or a tick
+    // passes. Only a future ready_at may shorten the wait: a ready shard
+    // that got no WorkerSlots slot waits the full tick, or the loop spins.
+    const Clock::time_point wait_from = Clock::now();
+    Clock::time_point wake = wait_from + kTick;
+    exits.clear();
+    for (const ShardState& state : states) {
+      if (state.phase == ShardState::Phase::kRunning)
+        exits.push_back({state.pidfd, POLLIN, 0});
+      else if (state.phase == ShardState::Phase::kReady &&
+               state.ready_at > wait_from)
+        wake = std::min(wake, state.ready_at);
+    }
+    const auto wait_ms =
+        std::chrono::ceil<std::chrono::milliseconds>(wake - wait_from);
+    ::poll(exits.data(), exits.size(), static_cast<int>(wait_ms.count()));
   }
 
   return report;

@@ -29,6 +29,13 @@
 // treated as a crash — this is how hangs (e.g. a deadlock or a failpoint
 // sleep) are converted into the same requeue path as crashes.
 //
+// Between checks the parent blocks in poll() on the running workers'
+// pidfds, so it reaps a worker the moment it exits and returns as soon as
+// every shard is done. The wait also ends when the nearest backoff expires,
+// and at the latest after a fixed 5 ms tick, which paces the cancellation,
+// heartbeat and deadline checks. Without pidfd_open (Linux before 5.3, or
+// another POSIX system) the tick alone bounds how late a worker is reaped.
+//
 // The supervisor only ever sees pids. How a worker comes to exist, and how
 // its results become durable, belongs to the caller's ShardLauncher (the
 // RID runner streams worker frames into checkpoint files,
@@ -107,8 +114,6 @@ struct SupervisorOptions {
   double shard_deadline_seconds = kUnlimitedSeconds;
   /// Workers an in-flight item may kill before it is demoted (poisoned).
   std::uint32_t poison_threshold = 2;
-  /// Parent polling cadence (waitpid/heartbeat/backoff timers).
-  double poll_interval_ms = 5.0;
   /// Per-worker resource caps, applied in the child pre-exec via
   /// setrlimit(RLIMIT_AS / RLIMIT_CPU). 0 = unlimited. A worker that blows
   /// either cap dies (bad_alloc → exit 99, or SIGKILL/SIGXCPU) and follows

@@ -166,7 +166,6 @@ class RemoteTransportTest : public ::testing::Test {
     config.worker_command = RIDNET_CLI_PATH;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
-    config.supervisor.poll_interval_ms = 2.0;
     return config;
   }
 

@@ -144,7 +144,6 @@ class ServeTest : public ::testing::Test {
     config.worker_command = RIDNET_CLI_PATH;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
-    config.supervisor.poll_interval_ms = 2.0;
     return config;
   }
 };
@@ -337,7 +336,6 @@ ServeOptions serve_options(const std::string& dir) {
   options.base_config = scenario().config;
   options.supervisor.backoff_initial_ms = 1.0;
   options.supervisor.backoff_max_ms = 20.0;
-  options.supervisor.poll_interval_ms = 2.0;
   return options;
 }
 

@@ -6,6 +6,7 @@
 // never simulated in-process.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -31,6 +32,7 @@
 #if !defined(_WIN32)
 #include <csignal>
 #include <cstdlib>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -122,7 +124,7 @@ class ShardedRidTest : public ::testing::Test {
     return dir.string();
   }
 
-  /// Fast supervision defaults for tests: tiny backoffs, quick polling.
+  /// Fast supervision defaults for tests: tiny backoffs.
   ShardedConfig sharded(std::size_t shards, const std::string& dir) {
     ShardedConfig config;
     config.num_shards = shards;
@@ -130,7 +132,6 @@ class ShardedRidTest : public ::testing::Test {
     config.resume = false;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
-    config.supervisor.poll_interval_ms = 2.0;
     return config;
   }
 };
@@ -604,6 +605,89 @@ TEST_F(ShardedRidTest, ForkedWorkersNeverInheritAHeldRegistryLock) {
   }
   util::failpoint::disarm_all();
   EXPECT_EQ(kills, 0u) << "a forked worker hung on an inherited lock";
+}
+
+// --- the supervisor's waits ----------------------------------------------
+
+/// Four one-item shards whose forked workers stamp the time into a shared
+/// page and exit at once. The supervisor blocks on the workers' exits, so
+/// it must return within a few ms of the last one, not after another tick.
+TEST_F(ShardedRidTest, SupervisorReturnsRightAfterTheLastWorkerExits) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kShards = 4;
+  const std::size_t page_bytes = kShards * sizeof(Clock::time_point);
+  void* const page = ::mmap(nullptr, page_bytes, PROT_READ | PROT_WRITE,
+                            MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  Clock::time_point* const exited = static_cast<Clock::time_point*>(page);
+  std::vector<util::ShardWork> shards;
+  for (std::size_t i = 0; i < kShards; ++i) shards.push_back({i, {i}});
+  const util::ShardLauncher launcher{
+      [&](std::size_t shard_id, const std::vector<std::size_t>&,
+          std::uint32_t) -> pid_t {
+        const pid_t pid = ::fork();
+        if (pid == 0) {
+          exited[shard_id] = Clock::now();
+          _exit(0);
+        }
+        return pid;
+      },
+      {}};
+  const util::ShardDurableItems durable = [](std::size_t shard_id) {
+    return std::vector<std::size_t>{shard_id};
+  };
+  std::vector<double> lag_ms;
+  for (int call = 0; call < 10; ++call) {
+    const util::SupervisorReport report =
+        util::supervise_shards(shards, {}, launcher, durable);
+    const Clock::time_point returned = Clock::now();
+    EXPECT_EQ(report.crashes, 0u);
+    const Clock::time_point last = *std::max_element(exited, exited + kShards);
+    lag_ms.push_back(
+        std::chrono::duration<double, std::milli>(returned - last).count());
+  }
+  ::munmap(page, page_bytes);
+  std::sort(lag_ms.begin(), lag_ms.end());
+  EXPECT_LT((lag_ms[4] + lag_ms[5]) / 2.0, 4.0)
+      << "median ms from the last worker's exit to the return; fastest "
+      << lag_ms.front() << ", slowest " << lag_ms.back();
+}
+
+/// A shard whose backoff is over but which can get no WorkerSlots slot
+/// stays queued. The supervisor must keep waiting a tick at a time until
+/// the cancellation, not spin on the unspawnable shard.
+TEST_F(ShardedRidTest, SlotStarvedShardWaitsWithoutSpinning) {
+  util::WorkerSlots slots(0);
+  util::SupervisorOptions options;
+  options.slots = &slots;
+  options.cancel = util::CancelToken::create();
+  const util::ShardLauncher launcher{
+      [](std::size_t, const std::vector<std::size_t>&,
+         std::uint32_t) -> pid_t {
+        ADD_FAILURE() << "launched without a slot";
+        return -1;
+      },
+      {}};
+  const util::ShardDurableItems durable = [](std::size_t) {
+    return std::vector<std::size_t>{};
+  };
+  const auto thread_cpu_ms = [] {
+    struct rusage usage {};
+    ::getrusage(RUSAGE_THREAD, &usage);
+    return (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1e3 +
+           (usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e3;
+  };
+  const std::jthread canceller([cancel = options.cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    cancel.request_cancel();
+  });
+  const std::vector<util::ShardWork> shards = {{0, {0}}};
+  const double cpu_before = thread_cpu_ms();
+  const util::SupervisorReport report =
+      util::supervise_shards(shards, options, launcher, durable);
+  const double cpu_ms = thread_cpu_ms() - cpu_before;
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_LT(cpu_ms, 20.0) << "the supervising thread spun while starved";
 }
 
 // --- SIGTERM of a real sharded CLI run ------------------------------------

@@ -329,6 +329,35 @@ TEST(TelemetryCodec, RejectsCountsBeyondThePayload) {
   EXPECT_THROW(telemetry::decode(payload), util::InputError);
 }
 
+TEST(TelemetryCodec, DamagedPayloadsDecodeOrThrowInputError) {
+  const std::string payload = telemetry::encode(sample_telemetry());
+  for (std::size_t cut = 0; cut < payload.size(); ++cut)
+    EXPECT_THROW(telemetry::decode(std::string_view(payload).substr(0, cut)),
+                 util::InputError)
+        << "prefix of " << cut << " bytes";
+  // Seeded bit flips: any outcome but a decode or an InputError (a crash,
+  // another exception type, an unbounded allocation) fails the test.
+  Rng rng(20261019);
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string damaged = payload;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f) {
+      const std::uint64_t bit = rng.next_below(damaged.size() * 8);
+      damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    }
+    try {
+      telemetry::decode(damaged);
+      ++decoded;
+    } catch (const util::InputError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // --- merged multi-process trace -------------------------------------------
 
 TEST(MergedTrace, RemoteProcessesGetTheirOwnPidLanes) {
@@ -479,7 +508,6 @@ class TelemetryE2ETest : public ::testing::Test {
     config.worker_command = RIDNET_CLI_PATH;
     config.supervisor.backoff_initial_ms = 1.0;
     config.supervisor.backoff_max_ms = 20.0;
-    config.supervisor.poll_interval_ms = 2.0;
     return config;
   }
 
