@@ -104,8 +104,8 @@ enum class ShardTransport {
 struct ShardedConfig {
   /// Shards to partition the trees into (capped at the tree count).
   std::size_t num_shards = 2;
-  /// Run directory holding the checkpoint stream. Required: this is both
-  /// the workers' durable store and the resume source.
+  /// Checkpoint directory, required: the parent appends every worker record
+  /// here, and only a resume reads it back (a run merges from memory).
   std::string run_dir;
   /// true: trees already checkpointed in run_dir (with a matching forest
   /// fingerprint) are loaded instead of recomputed. false: stale "*.ckpt"

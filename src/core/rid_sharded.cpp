@@ -2,9 +2,9 @@
 // per shard attempt under the supervisor (util/proc_supervisor.hpp), let
 // the dispatcher's stream phase (core/shard_transport.hpp) turn worker
 // frames into the run directory's checkpoint files (core/checkpoint.hpp),
-// and merge in the parent with the exact in-process accumulation order so
-// the result is bit-identical to run_rid for any shard count — including a
-// resume after a mid-run crash. See DESIGN.md §11.
+// and merge the records it published, in the exact in-process accumulation
+// order, so the result is bit-identical to run_rid for any shard count —
+// including a resume after a mid-run crash. See DESIGN.md §11.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -13,7 +13,6 @@
 #include <stop_token>
 #include <thread>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -92,8 +91,8 @@ void ensure_run_dir(const std::string& run_dir, bool resume,
                            "': " + ec.message());
   }
   if (resume) return;
-  // Fresh run: stale checkpoint files would otherwise look durable to the
-  // supervisor and be merged back in.
+  // Fresh run: a later resume of this directory would otherwise adopt stale
+  // checkpoint files (an old poison verdict among them).
   std::size_t removed = 0;
   for (const fs::directory_entry& entry : fs::directory_iterator(run_dir, ec)) {
     if (ec) break;
@@ -158,66 +157,35 @@ class ShardedRun {
 
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
-  /// Adopts every valid record in the run directory. Damaged files surface
-  /// as shard events, never as a crash.
-  void adopt_run_dir(bool counts_as_resume) {
+  /// Resume, the only read of the run directory: adopts every valid record
+  /// in it. Damaged files surface as shard events, never as a crash.
+  void resume() {
     CheckpointLoad load = load_checkpoint_dir(sharded_.run_dir, fingerprint_);
-    for (TreeCheckpointRecord& record : load.records) {
-      if (record.tree_index >= records_.size()) {
-        std::ostringstream event;
-        event << "ignoring checkpoint record for out-of-range tree "
-              << record.tree_index;
-        diagnostics_.shard_events.push_back(event.str());
-        continue;
-      }
-      const std::size_t t = static_cast<std::size_t>(record.tree_index);
-      if (have_[t]) continue;
-      have_[t] = true;
-      records_[t] = std::move(record);
-      if (counts_as_resume) ++diagnostics_.resumed_trees;
-    }
+    for (TreeCheckpointRecord& record : load.records)
+      if (adopt(record)) ++diagnostics_.resumed_trees;
     for (std::string& error : load.errors)
       diagnostics_.shard_events.push_back("checkpoint: " + std::move(error));
   }
 
-  /// Trees no record covers yet (ascending), minus `also_done`.
-  std::vector<std::size_t> missing(
-      const std::unordered_set<std::size_t>& also_done = {}) const {
+  /// Trees no record covers yet (ascending).
+  std::vector<std::size_t> missing() const {
     std::vector<std::size_t> out;
     for (std::size_t t = 0; t < have_.size(); ++t)
-      if (!have_[t] && !also_done.count(t)) out.push_back(t);
+      if (!have_[t]) out.push_back(t);
     return out;
   }
 
-  /// Trees with a valid record in the run directory right now (tolerant
-  /// load — a worker may have died mid-record).
-  std::unordered_set<std::size_t> durable_trees() const {
-    std::unordered_set<std::size_t> done;
-    for (const TreeCheckpointRecord& record :
-         load_checkpoint_dir(sharded_.run_dir, fingerprint_).records)
-      if (record.tree_index < have_.size())
-        done.insert(static_cast<std::size_t>(record.tree_index));
-    return done;
-  }
-
-  /// One launcher phase: plans `trees` and supervises the shards to
-  /// completion with `launcher`.
+  /// One launcher phase: plans `trees`, supervises the shards to completion
+  /// with `launcher`, then adopts the records `dispatcher` published. One
+  /// published after the run's last phase is left to a later resume.
   util::SupervisorReport run_phase(const std::vector<std::size_t>& trees,
+                                   SocketDispatcher& dispatcher,
                                    const util::ShardLauncher& launcher,
                                    const util::SupervisorOptions& options) {
-    const std::vector<util::ShardWork> shards =
-        plan_over(forest_, trees, sharded_.num_shards);
-    std::vector<std::unordered_set<std::size_t>> items(shards.size());
-    for (const util::ShardWork& shard : shards)
-      items[shard.shard_id].insert(shard.items.begin(), shard.items.end());
-    // Parent-side durability probe: which of a shard's trees are on disk.
-    const auto durable = [&](std::size_t shard_id) {
-      std::vector<std::size_t> done;
-      for (const std::size_t t : durable_trees())
-        if (items[shard_id].count(t)) done.push_back(t);
-      return done;
-    };
-    return util::supervise_shards(shards, options, launcher, durable);
+    util::SupervisorReport report = util::supervise_shards(
+        plan_over(forest_, trees, sharded_.num_shards), options, launcher);
+    for (auto& [tree, record] : dispatcher.take_records()) adopt(record);
+    return report;
   }
 
   /// Exec'd workers under the optional grace watchdog, then the
@@ -261,7 +229,7 @@ class ShardedRun {
         });
       }
       report = run_phase(
-          pending,
+          pending, dispatcher,
           dispatcher.launcher(forest_, sharded_.worker_command, options),
           options);
     }  // the watchdog stops and joins here, on every path
@@ -342,7 +310,7 @@ class ShardedRun {
   /// and both launchers run the same per-tree loop.
   void fall_back_to_fork(SocketDispatcher& dispatcher,
                          util::SupervisorReport& report) {
-    const std::vector<std::size_t> remaining = missing(durable_trees());
+    const std::vector<std::size_t> remaining = missing();
     if (remaining.empty()) return;
     sharded_metrics().transport_fallbacks.add(1);
     std::ostringstream event;
@@ -352,7 +320,8 @@ class ShardedRun {
           << " trees over the fork transport";
     diagnostics_.shard_events.push_back(event.str());
     util::SupervisorReport fallback = run_phase(
-        remaining, dispatcher.fork_launcher(forest_, sharded_.supervisor),
+        remaining, dispatcher,
+        dispatcher.fork_launcher(forest_, sharded_.supervisor),
         sharded_.supervisor);
     report.cancelled = fallback.cancelled;
     report.crashes += fallback.crashes;
@@ -361,6 +330,21 @@ class ShardedRun {
     report.abandoned_items = std::move(fallback.abandoned_items);
     for (std::string& fallback_event : fallback.events)
       report.events.push_back(std::move(fallback_event));
+  }
+
+  /// Adopts `record` unless its tree already has one; true when it did.
+  bool adopt(TreeCheckpointRecord& record) {
+    if (record.tree_index >= records_.size()) {
+      diagnostics_.shard_events.push_back(
+          "ignoring checkpoint record for out-of-range tree " +
+          std::to_string(record.tree_index));
+      return false;
+    }
+    const auto t = static_cast<std::size_t>(record.tree_index);
+    if (have_[t]) return false;
+    have_[t] = true;
+    records_[t] = std::move(record);
+    return true;
   }
 
   /// Demotes a tree no worker completed (poison pill, attempts exhausted,
@@ -424,7 +408,7 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
 
   // Resume: adopt every durable tree, then plan only the rest.
   ShardedRun run(forest, sharded, diagnostics);
-  if (sharded.resume) run.adopt_run_dir(/*counts_as_resume=*/true);
+  if (sharded.resume) run.resume();
   sharded_metrics().resumed.add(diagnostics.resumed_trees);
   const std::vector<std::size_t> pending = run.missing();
   diagnostics.shard_count = std::min(sharded.num_shards, pending.size());
@@ -445,7 +429,8 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
     SocketDispatcher dispatcher(sharded.run_dir, run.fingerprint(),
                                 std::move(assignment));
     report = run.run_phase(
-        pending, dispatcher.fork_launcher(forest, sharded.supervisor),
+        pending, dispatcher,
+        dispatcher.fork_launcher(forest, sharded.supervisor),
         sharded.supervisor);
     for (std::string& event : dispatcher.take_events())
       diagnostics.shard_events.push_back(std::move(event));
@@ -455,7 +440,6 @@ DetectionResult run_rid_sharded_on_forest(const CascadeForest& forest,
   for (const std::string& event : report.events)
     diagnostics.shard_events.push_back(event);
 
-  run.adopt_run_dir(/*counts_as_resume=*/false);
   run.demote(report);
   run.merge(out);
 

@@ -563,6 +563,7 @@ struct SocketDispatcher::Impl {
   // shrink as records land), and its records are adopted first-wins anyway.
   std::unordered_map<std::size_t, std::vector<std::size_t>> assignments;
   std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams;  // pid
+  std::map<std::uint64_t, TreeCheckpointRecord> published;  // appended
   std::condition_variable stream_ended;
   std::vector<std::string> events;
   std::vector<std::thread> handlers;
@@ -597,6 +598,12 @@ struct SocketDispatcher::Impl {
     stream->drain = true;
     stream_ended.wait(lock, [&] { return stream->ended; });
     streams.erase(found);
+  }
+
+  /// Both launchers' durability probe: a record for `item` is on disk.
+  bool durable(std::size_t item) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return published.count(item) > 0;
   }
 
   /// Refuses a handshake with a typed verdict: one kReject frame (best
@@ -796,8 +803,9 @@ struct SocketDispatcher::Impl {
     if (!greeting.empty() && !socket.write_frame(greeting))
       return drop("worker vanished before assignment");
     // Every record frame is appended (and flushed) to this attempt's
-    // checkpoint file immediately, so the supervisor's durable() probe and
-    // heartbeat see progress with per-tree granularity.
+    // checkpoint file immediately and then published, so the supervisor's
+    // durable() probe and heartbeat see progress with per-tree granularity
+    // and never see a record that is not on disk.
     CheckpointWriter writer(
         attempt_file(run_dir, shard_id, worker_pid, attempt), fingerprint);
     std::string payload;
@@ -823,8 +831,11 @@ struct SocketDispatcher::Impl {
         // Decode before append: a structurally-broken record must not
         // reach the durable store (the frame checksum only covers
         // transport damage).
-        writer.append(decode_record(body));
+        TreeCheckpointRecord record = decode_record(body);
+        writer.append(record);
         tm.records_streamed.add(1);
+        std::lock_guard<std::mutex> lock(mutex);
+        published.try_emplace(record.tree_index, std::move(record));
         continue;
       }
       if (type == WireMessage::kTelemetry) {
@@ -973,6 +984,7 @@ util::ShardLauncher SocketDispatcher::launcher(
     }
   };
   launcher.drain = [impl](pid_t pid) { impl->drain(pid); };
+  launcher.durable = [impl](std::size_t item) { return impl->durable(item); };
   return launcher;
 }
 
@@ -1017,12 +1029,18 @@ util::ShardLauncher SocketDispatcher::fork_launcher(
     return pid;
   };
   launcher.drain = [impl](pid_t pid) { impl->drain(pid); };
+  launcher.durable = [impl](std::size_t item) { return impl->durable(item); };
   return launcher;
 }
 
 std::vector<std::string> SocketDispatcher::take_events() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   return std::exchange(impl_->events, {});
+}
+
+std::map<std::uint64_t, TreeCheckpointRecord> SocketDispatcher::take_records() {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return std::exchange(impl_->published, {});
 }
 
 namespace {
@@ -1216,6 +1234,9 @@ util::ShardLauncher SocketDispatcher::fork_launcher(
   return {};
 }
 std::vector<std::string> SocketDispatcher::take_events() { return {}; }
+std::map<std::uint64_t, TreeCheckpointRecord> SocketDispatcher::take_records() {
+  return {};
+}
 std::uint64_t SocketDispatcher::handshakes_completed() const { return 0; }
 
 int run_socket_worker(const std::string&, std::size_t, std::uint32_t) {

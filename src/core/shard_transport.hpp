@@ -1,10 +1,10 @@
 // Shard worker transport for sharded RID execution (DESIGN.md §11, §13).
 //
 // Every shard worker talks to the parent over a socket in the same frames,
-// and one dispatcher-side *stream phase* turns them into per-attempt
-// checkpoint files in the run directory and merges the worker's telemetry,
-// so the supervisor's durability probe, heartbeat, resume, and bit-identity
-// contract see one mechanism. Two launchers feed it:
+// and one dispatcher-side *stream phase* appends their records to
+// per-attempt checkpoint files in the run directory (read only on resume),
+// publishes each appended record to the table that the durability probe
+// and the merge read, and merges worker telemetry. Two launchers feed it:
 //  * fork: the worker is a fork() over a socketpair(2) and inherits the
 //    extracted forest — nothing is encoded, no handshake;
 //  * exec: the worker is a separate *program*, `ridnet_cli worker`, that
@@ -68,11 +68,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/rid.hpp"
 #include "util/net.hpp"
 #include "util/proc_supervisor.hpp"
@@ -146,7 +148,8 @@ WorkerAssignment decode_assignment(std::string_view body);
 /// the duration of its supervise_shards() calls. Runs one stream phase per
 /// worker attempt on a background thread, appending the worker's records
 /// to a fresh per-attempt checkpoint file under `run_dir`
-/// (`shard-<id>-p<worker pid>-a<attempt>.ckpt`).
+/// (`shard-<id>-p<worker pid>-a<attempt>.ckpt`), then publishing each to
+/// the table behind durable() and take_records() (first per tree wins).
 ///
 /// Failpoints: `net.worker_exec` fires in the exec launcher before forking
 /// the worker (a `throw` action models exec failure — the supervisor sees
@@ -201,6 +204,10 @@ class SocketDispatcher {
   /// Human-readable transport events (handshake oddities, damaged frames,
   /// refused workers) for RunDiagnostics::shard_events. Drains the log.
   std::vector<std::string> take_events();
+
+  /// The records published since the last call, by tree index. Drains the
+  /// table, so durable() is false again for the trees it returns.
+  std::map<std::uint64_t, TreeCheckpointRecord> take_records();
 
   /// Completed handshakes since construction (an exec'd worker got past
   /// hello + challenge and received kAssign). The sharded runner's

@@ -6,7 +6,6 @@
 #include <exception>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/flight_recorder.hpp"
@@ -143,8 +142,7 @@ int encode_exit(int status) {
 
 SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
                                   const SupervisorOptions& options,
-                                  const ShardLauncher& launcher,
-                                  const ShardDurableItems& durable) {
+                                  const ShardLauncher& launcher) {
   SupervisorReport report;
   ShardMetrics& sm = shard_metrics();
 
@@ -160,7 +158,7 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     states.push_back(std::move(state));
   }
   // end_attempt closes each attempt's pidfd; this closes those that an
-  // exception from a launcher or durable callback leaves open.
+  // exception from a launcher callback leaves open.
   struct PidfdGuard {
     explicit PidfdGuard(const std::vector<ShardState>& watched)
         : states(watched) {}
@@ -215,13 +213,7 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     release_slot(state);
     emit_attempt_span(state, exit_code);
     if (launcher.drain) launcher.drain(reaped);
-    const std::vector<std::size_t> done = durable(state.shard_id);
-    const std::unordered_set<std::size_t> done_set(done.begin(), done.end());
-    const std::size_t before = state.remaining.size();
-    std::erase_if(state.remaining, [&](std::size_t item) {
-      return done_set.count(item) > 0;
-    });
-    return before - state.remaining.size();
+    return std::erase_if(state.remaining, launcher.durable);
   };
 
   /// Requeues (with backoff), abandons, or completes a shard after a worker
@@ -299,7 +291,7 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
     state.pidfd = open_pidfd(pid);
     state.phase = ShardState::Phase::kRunning;
     state.attempt_start = state.last_progress = Clock::now();
-    state.last_durable = heartbeat_enabled ? durable(state.shard_id).size() : 0;
+    state.last_durable = 0;  // remaining items are not durable yet
     std::ostringstream event;
     event << "shard " << state.shard_id << ": spawned worker (attempt "
           << state.attempts << ", " << state.remaining.size() << " items)";
@@ -396,9 +388,10 @@ SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
       // Still running: heartbeat + per-attempt deadline.
       const Clock::time_point poll_now = Clock::now();
       if (heartbeat_enabled) {
-        const std::size_t durable_count = durable(state.shard_id).size();
-        if (durable_count > state.last_durable) {
-          state.last_durable = durable_count;
+        const auto durable_now = static_cast<std::size_t>(
+            std::ranges::count_if(state.remaining, launcher.durable));
+        if (durable_now > state.last_durable) {
+          state.last_durable = durable_now;
           state.last_progress = poll_now;
         } else {
           const double stalled =
@@ -469,8 +462,7 @@ void apply_worker_rlimits(const SupervisorOptions&) noexcept {}
 
 SupervisorReport supervise_shards(const std::vector<ShardWork>&,
                                   const SupervisorOptions&,
-                                  const ShardLauncher&,
-                                  const ShardDurableItems&) {
+                                  const ShardLauncher&) {
   SupervisorReport report;
   report.events.emplace_back(
       "process isolation unsupported on this platform - run in-process");

@@ -12,7 +12,7 @@
 //   kReady --spawn--> kRunning --exit(0), all items durable--> kDone
 //     ^                  |
 //     |                  +--crash / nonzero exit / kill------> requeue:
-//     +--[backoff]-------+   * completed items (durable set) are kept;
+//     +--[backoff]-------+   * durable items are never re-run;
 //                            * the first *incomplete* item in shard order
 //                              is the suspect — an item that was in flight
 //                              when `poison_threshold` workers died is
@@ -38,12 +38,11 @@
 //
 // The supervisor only ever sees pids. How a worker comes to exist, and how
 // its results become durable, belongs to the caller's ShardLauncher (the
-// RID runner streams worker frames into checkpoint files,
-// core/shard_transport.hpp), and `durable` must report, from the parent,
-// which items of a shard are already persisted. Every path that reaps a
-// worker (exit, cancel kill, waitpid failure) first calls the launcher's
-// drain() for that pid and only then probes durable(), so results a worker
-// wrote before it died are never mistaken for lost work.
+// RID runner's stream phase answers durable(item) from the records it has
+// appended to checkpoint files, core/shard_transport.hpp). Every path that
+// reaps a worker (exit, cancel kill, waitpid failure) first calls the
+// launcher's drain() for that pid and only then probes durable(), so
+// results a worker wrote before it died are never mistaken for lost work.
 //
 // POSIX only (fork/waitpid/kill). On non-POSIX builds supervise_shards()
 // does nothing; callers check process_isolation_supported() and fall back
@@ -146,7 +145,9 @@ struct SupervisorReport {
 /// (backoff + requeue), so a missing binary or an exec error cannot wedge a
 /// run. `drain` (optional) is called for every reaped pid before durable():
 /// it must return once everything that worker wrote has been made durable,
-/// without waiting for anything the worker can no longer send.
+/// without waiting for anything the worker can no longer send. `durable`
+/// tells whether an item is persisted right now; it is asked on every reap
+/// and, with a heartbeat, about running workers' items on every tick.
 ///
 /// Launchers that fork call apply_worker_rlimits() in the child so
 /// SupervisorOptions resource caps apply to every worker.
@@ -156,13 +157,8 @@ struct ShardLauncher {
                       std::uint32_t attempt)>
       launch;
   std::function<void(pid_t pid)> drain;
+  std::function<bool(std::size_t item)> durable;
 };
-
-/// Parent-side durability probe: which of `shard`'s items are persisted
-/// right now. Called on worker exit (to decide completion vs requeue) and
-/// periodically while running (heartbeat).
-using ShardDurableItems =
-    std::function<std::vector<std::size_t>(std::size_t shard_id)>;
 
 /// Supervises the shards to completion (or cancellation). Blocking;
 /// single-threaded parent loop. See the file header for semantics: the
@@ -170,8 +166,7 @@ using ShardDurableItems =
 /// for every launcher.
 SupervisorReport supervise_shards(const std::vector<ShardWork>& shards,
                                   const SupervisorOptions& options,
-                                  const ShardLauncher& launcher,
-                                  const ShardDurableItems& durable);
+                                  const ShardLauncher& launcher);
 
 /// Applies SupervisorOptions::{mem_limit_bytes, cpu_limit_seconds} to the
 /// calling process (setrlimit RLIMIT_AS / RLIMIT_CPU; no-op for 0 / on

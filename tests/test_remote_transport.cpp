@@ -147,8 +147,12 @@ class RemoteTransportTest : public ::testing::Test {
   const std::string& ridg() {
     static const std::string path = [] {
       const Scenario& s = scenario();
+      // One file per test process: ctest runs these tests in parallel
+      // processes, and two writers of one path share its temp file.
       const std::string p =
-          (fs::path(::testing::TempDir()) / "remote_transport.ridg").string();
+          (fs::path(::testing::TempDir()) /
+           ("remote_transport_p" + std::to_string(util::own_pid()) + ".ridg"))
+              .string();
       graph::write_columnar_file(s.graph, s.states, p,
                                  graph::kRidgFlagDiffusion);
       return p;

@@ -92,8 +92,12 @@ const Scenario& scenario() {
     s.states = cascade.state;
     s.config.beta = 0.1;
     s.config.num_threads = 2;
+    // One file per test process: ctest runs these tests in parallel
+    // processes, and two writers of one path share its temp file.
     s.ridg_path =
-        (fs::path(::testing::TempDir()) / "serve_scenario.ridg").string();
+        (fs::path(::testing::TempDir()) /
+         ("serve_scenario_p" + std::to_string(util::own_pid()) + ".ridg"))
+            .string();
     graph::write_columnar_file(s.graph, s.states, s.ridg_path,
                                graph::kRidgFlagDiffusion);
     return s;

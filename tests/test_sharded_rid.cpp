@@ -444,7 +444,14 @@ TEST_F(ShardedRidTest, GenerousLimitsLeaveHealthyRunsBitIdentical) {
   const Scenario& s = scenario();
   const DetectionResult want = run_rid(s.graph, s.states, s.config);
   ShardedConfig config = sharded(2, run_dir("limits_healthy"));
-  config.supervisor.mem_limit_bytes = 4ull << 30;
+  // 4 GiB above what this process has already mapped: a sanitizer maps
+  // far more than 4 GiB of shadow before main(), and RLIMIT_AS counts it.
+  // Without /proc the cap is a plain 4 GiB.
+  std::uint64_t mapped_pages = 0;
+  std::ifstream("/proc/self/statm") >> mapped_pages;
+  config.supervisor.mem_limit_bytes =
+      mapped_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) +
+      (4ull << 30);
   config.supervisor.cpu_limit_seconds = 60.0;
   const DetectionResult got =
       run_rid_sharded(s.graph, s.states, s.config, config);
@@ -563,6 +570,63 @@ TEST_F(ShardedRidTest, SocketWorkerFramesAreDrainedBeforeDurability) {
   expect_drained_before_durable(got, want, dir);
 }
 
+// --- one record path ------------------------------------------------------
+
+/// The stream phase's published records answer the durability probe, the
+/// heartbeat and the merge: a fresh run never reads a checkpoint file back,
+/// and a resume reads the directory once.
+TEST_F(ShardedRidTest, FreshRunReadsNoCheckpoint) {
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  const std::string dir = run_dir("no_read_back");
+  util::failpoint::arm("checkpoint.read=sleep(0)");  // counts record reads
+  ShardedConfig config = sharded(4, dir);
+  config.supervisor.heartbeat_timeout_seconds = 60.0;
+  const DetectionResult fresh =
+      run_rid_sharded(s.graph, s.states, s.config, config);
+  EXPECT_EQ(util::failpoint::hit_count("checkpoint.read"), 0u);
+  expect_identical(fresh, want);
+  EXPECT_TRUE(fresh.diagnostics.all_ok());
+
+  const std::size_t on_disk = load_checkpoint_dir(dir, 0).records.size();
+  EXPECT_EQ(on_disk, fresh.num_trees);
+  util::failpoint::arm("checkpoint.read=sleep(0)");  // resets the count
+  config.resume = true;
+  const DetectionResult resumed =
+      run_rid_sharded(s.graph, s.states, s.config, config);
+  EXPECT_EQ(util::failpoint::hit_count("checkpoint.read"), on_disk);
+  util::failpoint::disarm_all();
+  expect_identical(resumed, want);
+  EXPECT_EQ(resumed.diagnostics.resumed_trees, resumed.num_trees);
+}
+
+/// A record is published only once its append has returned: when the
+/// parent's third append throws, that stream ends, its worker dies on its
+/// next write, and the tree whose append threw is requeued, never taken
+/// for durable. One retry, one crash, every tree on disk exactly once.
+TEST_F(ShardedRidTest, FailedAppendIsNeverDurable) {
+  const Scenario& s = scenario();
+  const DetectionResult want = run_rid(s.graph, s.states, s.config);
+  const std::string dir = run_dir("failed_append");
+  // The worker's per-tree sleep keeps it solving when its stream ends.
+  util::failpoint::arm("checkpoint.append=throw@3;shard.worker_tree=sleep(5)");
+  const DetectionResult got =
+      run_rid_sharded(s.graph, s.states, s.config, sharded(1, dir));
+  util::failpoint::disarm_all();
+  expect_identical(got, want);
+  EXPECT_TRUE(got.diagnostics.all_ok());
+  EXPECT_EQ(got.diagnostics.shard_retries, 1u);
+  EXPECT_EQ(got.diagnostics.shard_crashes, 1u);
+  std::vector<std::size_t> copies(got.num_trees, 0);
+  for (const TreeCheckpointRecord& record :
+       load_checkpoint_dir(dir, 0).records) {
+    ASSERT_LT(record.tree_index, got.num_trees);
+    ++copies[record.tree_index];
+  }
+  for (std::size_t t = 0; t < copies.size(); ++t)
+    EXPECT_EQ(copies[t], 1u) << "tree " << t;
+}
+
 // --- forking from a threaded parent ---------------------------------------
 
 TEST_F(ShardedRidTest, ForkedWorkersNeverInheritAHeldRegistryLock) {
@@ -632,14 +696,12 @@ TEST_F(ShardedRidTest, SupervisorReturnsRightAfterTheLastWorkerExits) {
         }
         return pid;
       },
-      {}};
-  const util::ShardDurableItems durable = [](std::size_t shard_id) {
-    return std::vector<std::size_t>{shard_id};
-  };
+      {},
+      [](std::size_t) { return true; }};
   std::vector<double> lag_ms;
   for (int call = 0; call < 10; ++call) {
     const util::SupervisorReport report =
-        util::supervise_shards(shards, {}, launcher, durable);
+        util::supervise_shards(shards, {}, launcher);
     const Clock::time_point returned = Clock::now();
     EXPECT_EQ(report.crashes, 0u);
     const Clock::time_point last = *std::max_element(exited, exited + kShards);
@@ -667,10 +729,8 @@ TEST_F(ShardedRidTest, SlotStarvedShardWaitsWithoutSpinning) {
         ADD_FAILURE() << "launched without a slot";
         return -1;
       },
-      {}};
-  const util::ShardDurableItems durable = [](std::size_t) {
-    return std::vector<std::size_t>{};
-  };
+      {},
+      [](std::size_t) { return false; }};
   const auto thread_cpu_ms = [] {
     struct rusage usage {};
     ::getrusage(RUSAGE_THREAD, &usage);
@@ -684,7 +744,7 @@ TEST_F(ShardedRidTest, SlotStarvedShardWaitsWithoutSpinning) {
   const std::vector<util::ShardWork> shards = {{0, {0}}};
   const double cpu_before = thread_cpu_ms();
   const util::SupervisorReport report =
-      util::supervise_shards(shards, options, launcher, durable);
+      util::supervise_shards(shards, options, launcher);
   const double cpu_ms = thread_cpu_ms() - cpu_before;
   EXPECT_TRUE(report.cancelled);
   EXPECT_LT(cpu_ms, 20.0) << "the supervising thread spun while starved";

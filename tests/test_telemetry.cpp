@@ -458,8 +458,12 @@ const Scenario& scenario() {
     const diffusion::Cascade cascade =
         diffusion::simulate_mfc(g, seeds, diffusion::MfcConfig{}, rng);
     s.config.beta = 0.1;
+    // One file per test process: ctest runs these tests in parallel
+    // processes, and two writers of one path share its temp file.
     s.ridg_path =
-        (fs::path(::testing::TempDir()) / "telemetry_scenario.ridg").string();
+        (fs::path(::testing::TempDir()) /
+         ("telemetry_scenario_p" + std::to_string(own_pid()) + ".ridg"))
+            .string();
     graph::write_columnar_file(g, cascade.state, s.ridg_path,
                                graph::kRidgFlagDiffusion);
     return s;
