@@ -28,7 +28,9 @@
 // (core/snapshot_io.hpp). `generate` already applies Jaccard weighting, so
 // `simulate`/`detect` load the file straight into the diffusion network
 // (graph::load_diffusion_file: each row is stored reversed, and no social
-// graph is built).
+// graph is built). A text `detect` reads its snapshot first and builds only
+// the out-edges of the snapshot's active nodes, the only edges any
+// --method reads.
 //
 // Columnar storage (graph/columnar.hpp, DESIGN.md §12/§15): `convert` writes
 // the binary .ridg format — by default the *diffusion* reversal of the input
@@ -129,7 +131,11 @@
 //   0  success, every tree solved exactly
 //   1  internal error (bug or resource failure)
 //   2  usage error (unknown subcommand/flags)
-//   3  bad input (malformed graph/snapshot files, invalid flag values)
+//   3  bad input (malformed graph/snapshot files, invalid flag values).
+//      `convert` and a text `detect` read the snapshot before the graph,
+//      so a missing or malformed snapshot is the error reported even when
+//      the graph is bad too; a snapshot id past the graph's node count
+//      names its snapshot line
 //   4  completed but degraded (some trees fell back to RID-Tree answers;
 //      results were still written, diagnostics on stderr say why)
 //   5  interrupted (SIGINT/SIGTERM): partial results and observability
@@ -480,10 +486,18 @@ int cmd_detect(const util::Flags& flags) {
     const core::DetectionResult result = detect_on(view, snapshot, flags);
     return write_detection(result, view.num_nodes(), flags);
   }
-  const auto loaded = graph::load_diffusion_file(graph_path);
+  // The snapshot is parsed first, as in convert, and the graph load builds
+  // only its active nodes' out-edges, since no detector reads any other.
+  // Ids are range-checked once the node count is known.
+  const auto entries = core::load_snapshot_entries_file(
+      flags.get_string("snapshot", "snap.txt"));
+  std::vector<std::uint64_t> active;
+  for (const core::SnapshotEntry& entry : entries)
+    if (graph::is_active(entry.state)) active.push_back(entry.node);
+  const auto loaded = graph::load_diffusion_file(graph_path, std::move(active));
   const graph::SignedGraph& diffusion = loaded.graph;
-  const auto snapshot = core::load_snapshot_file(
-      flags.get_string("snapshot", "snap.txt"), diffusion.num_nodes());
+  const auto snapshot =
+      core::apply_snapshot_entries(entries, diffusion.num_nodes());
   const core::DetectionResult result = detect_on(diffusion, snapshot, flags);
   return write_detection(result, diffusion.num_nodes(), flags);
 }

@@ -22,7 +22,7 @@ void save_snapshot_file(std::span<const graph::NodeState> states,
                         const std::string& path);
 
 /// Reads a snapshot for a graph with `num_nodes` nodes. Throws
-/// std::runtime_error (with line numbers) on malformed input or
+/// util::InputError (with line numbers) on malformed input or
 /// out-of-range node ids.
 std::vector<graph::NodeState> load_snapshot(std::istream& in,
                                             graph::NodeId num_nodes);

@@ -101,10 +101,14 @@ bool parse_plain_row(std::string_view line, bool weighted, ParsedEdge& out) {
 
 /// Streams parsed rows into the builder's columns, numbering labels in
 /// order of first appearance (sources before destinations within a row).
-/// With `diffusion`, row (src, dst) becomes the edge dst -> src.
+/// With `diffusion`, row (src, dst) becomes the edge dst -> src. With a
+/// `keep` list (sorted, unique ids), only edges leaving a listed id reach
+/// the builder; every row is still numbered and counted.
 class EdgeAssembler {
  public:
-  explicit EdgeAssembler(bool diffusion = false) : diffusion_(diffusion) {}
+  explicit EdgeAssembler(bool diffusion = false,
+                         const std::vector<std::uint64_t>* keep = nullptr)
+      : diffusion_(diffusion), keep_(keep) {}
   void reserve(std::size_t rows) { builder_.reserve(rows); }
 
   void add(const ParsedEdge& e, std::size_t line_no) {
@@ -116,15 +120,26 @@ class EdgeAssembler {
     const NodeId dst = ids_.insert(e.dst);
     if (src_ == kInvalidNode || dst == kInvalidNode)
       fail(line_no, "node count exceeds 32-bit id space");
-    if (builder_.num_edges() + 1 >= kInvalidEdge)
+    if (++rows_ >= kInvalidEdge)
       fail(line_no, "edge count exceeds 32-bit id space");
-    if (ids_.size() > builder_.num_nodes())
+    if (ids_.size() > builder_.num_nodes()) {
+      // New ids come in order: one merge against the sorted list marks them.
+      if (keep_)
+        for (NodeId id = builder_.num_nodes(); id < ids_.size(); ++id) {
+          const bool listed = next_ < keep_->size() && (*keep_)[next_] == id;
+          next_ += listed;
+          listed_.push_back(listed);
+        }
       builder_.ensure_node(static_cast<NodeId>(ids_.size() - 1));
-    builder_.add_edge(diffusion_ ? dst : src_, diffusion_ ? src_ : dst,
-                      sign_from_value(e.sign), e.weight);
+    }
+    const NodeId from = diffusion_ ? dst : src_;
+    if (keep_ && !listed_[from]) return;
+    builder_.add_edge(from, diffusion_ ? src_ : dst, sign_from_value(e.sign),
+                      e.weight);
   }
 
-  std::size_t rows() const noexcept { return builder_.num_edges(); }
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t kept() const noexcept { return builder_.num_edges(); }
 
   LoadedGraph finish() {
     LoadedGraph out;
@@ -138,8 +153,12 @@ class EdgeAssembler {
 
  private:
   bool diffusion_;
+  const std::vector<std::uint64_t>* keep_;
+  std::size_t next_ = 0;       // first entry of *keep_ not yet assigned
+  std::vector<bool> listed_;   // per id: listed in *keep_
   LabelCompactor ids_;
   SignedGraphBuilder builder_{0};
+  std::size_t rows_ = 0;
   NodeId src_ = kInvalidNode;  // id of src_label_, the last row's source
   std::uint64_t src_label_ = 0;
 };
@@ -147,9 +166,10 @@ class EdgeAssembler {
 /// Reserves the rows `file_bytes` holds at the first block's bytes per
 /// line, plus an eighth (unwritten capacity is never resident).
 LoadedGraph load_impl(std::istream& in, bool weighted, bool diffusion = false,
-                      std::uintmax_t file_bytes = 0) {
+                      std::uintmax_t file_bytes = 0,
+                      const std::vector<std::uint64_t>* keep = nullptr) {
   util::trace::TraceSpan span("load_text");
-  EdgeAssembler assembler(diffusion);
+  EdgeAssembler assembler(diffusion, keep);
   LineReader reader(in ? in.rdbuf() : nullptr);
   const std::string_view head = reader.peek();
   if (const auto lines = std::count(head.begin(), head.end(), '\n'))
@@ -160,17 +180,19 @@ LoadedGraph load_impl(std::istream& in, bool weighted, bool diffusion = false,
   while (const std::size_t line_no = reader.next(line))
     if (parse_edge_line(line, line_no, weighted, e)) assembler.add(e, line_no);
   span.tag("rows", static_cast<std::int64_t>(assembler.rows()));
+  if (keep) span.tag("kept", static_cast<std::int64_t>(assembler.kept()));
   LoadedGraph out = assembler.finish();
   span.tag("nodes", static_cast<std::int64_t>(out.graph.num_nodes()));
   return out;
 }
 
-LoadedGraph load_file(const std::string& path, bool weighted, bool diffusion) {
+LoadedGraph load_file(const std::string& path, bool weighted, bool diffusion,
+                      const std::vector<std::uint64_t>* keep = nullptr) {
   std::ifstream in(path);
   if (!in) throw util::InputError("graph_io: cannot open " + path);
   std::error_code ec;
   const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
-  return load_impl(in, weighted, diffusion, ec ? 0 : bytes);
+  return load_impl(in, weighted, diffusion, ec ? 0 : bytes, keep);
 }
 
 }  // namespace
@@ -256,6 +278,13 @@ LoadedGraph load_weighted_file(const std::string& path) {
 
 LoadedGraph load_diffusion_file(const std::string& path) {
   return load_file(path, true, true);
+}
+
+LoadedGraph load_diffusion_file(const std::string& path,
+                                std::vector<std::uint64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return load_file(path, true, true, &ids);
 }
 
 void save_weighted(const SignedGraph& graph, std::ostream& out) {

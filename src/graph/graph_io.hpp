@@ -11,7 +11,8 @@
 //
 // Node ids in files may be sparse; they are compacted to 0..n-1 and the
 // original labels are returned so results can be reported in file ids.
-// load_diffusion_file builds the diffusion network straight from the rows.
+// load_diffusion_file builds the diffusion network straight from the rows,
+// optionally only the out-edges of the nodes a snapshot lists.
 #pragma once
 
 #include <iosfwd>
@@ -74,7 +75,7 @@ bool parse_edge_line(std::string_view line, std::size_t line_no, bool weighted,
 LoadedGraph assemble_edges(std::span<const ParsedEdge> edges);
 
 /// Parses a SNAP-style signed edge list from a stream.
-/// Throws std::runtime_error with the line number on malformed input.
+/// Throws util::InputError with the line number on malformed input.
 LoadedGraph load_snap(std::istream& in);
 
 /// Reads the file at `path` with load_snap(std::istream&).
@@ -87,6 +88,16 @@ LoadedGraph load_weighted_file(const std::string& path);
 /// make_diffusion_network(load_weighted_file(path).graph), same
 /// original_label, built in one pass: each row is added as (dst, src).
 LoadedGraph load_diffusion_file(const std::string& path);
+
+/// load_diffusion_file(path) with only the listed node ids' out-edges
+/// built, which is all any detector reads of a snapshot's graph (its
+/// infected nodes' out-edges). Every row is still parsed, numbered and
+/// counted, so node ids, original_label, num_nodes() and every InputError
+/// are the full load's; a row reaches the builder only when its diffusion
+/// source (the row's destination) is listed. Ids past the node count are
+/// ignored; memory is O(labels + ids), whatever the largest id.
+LoadedGraph load_diffusion_file(const std::string& path,
+                                std::vector<std::uint64_t> ids);
 
 /// Writes "src dst sign weight" rows (library node ids, '#' header).
 void save_weighted(const SignedGraph& graph, std::ostream& out);

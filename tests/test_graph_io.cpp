@@ -10,13 +10,18 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/columnar.hpp"
 #include "graph/columnar_stream.hpp"
 #include "graph/diffusion_network.hpp"
+#include "graph/label_compactor.hpp"
 #include "oracles/edge_line_parser.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -444,8 +449,38 @@ LoadedGraph getline_route(const std::string& path) {
           std::move(social.original_label)};
 }
 
+/// `kept`, a load of the same file filtered to `ids`, has the full load's
+/// node count and labels; each listed node's out-edge run (destination,
+/// sign and weight, in order) is the full load's, every other run is empty.
+void expect_kept_runs(const LoadedGraph& full, const LoadedGraph& kept,
+                      const std::vector<std::uint64_t>& ids) {
+  const NodeId n = full.graph.num_nodes();
+  ASSERT_EQ(kept.graph.num_nodes(), n);
+  EXPECT_EQ(kept.original_label, full.original_label);
+  std::vector<bool> listed(n);
+  for (const std::uint64_t id : ids)
+    if (id < n) listed[id] = true;
+  for (NodeId u = 0; u < n; ++u) {
+    const EdgeIdRange got = kept.graph.out_edge_ids(u);
+    if (!listed[u]) {
+      EXPECT_TRUE(got.empty()) << "unlisted node " << u;
+      continue;
+    }
+    const EdgeIdRange want = full.graph.out_edge_ids(u);
+    ASSERT_EQ(got.size(), want.size()) << "node " << u;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(kept.graph.edge_dst(got[i]), full.graph.edge_dst(want[i]));
+      EXPECT_EQ(kept.graph.edge_sign(got[i]), full.graph.edge_sign(want[i]));
+      EXPECT_EQ(bits(kept.graph.edge_weight(got[i])),
+                bits(full.graph.edge_weight(want[i])));
+    }
+  }
+}
+
 /// load_diffusion_file equals the reversed weighted load and the getline
 /// route, graph and labels; the block reader splits lines like getline.
+/// Filtered to no ids, every id, a seeded half (unsorted, with duplicates)
+/// or ids past the node count, it keeps exactly the listed runs.
 void expect_routes_agree(const std::string& path) {
   const LoadedGraph direct = load_diffusion_file(path);
   const LoadedGraph social = load_weighted_file(path);
@@ -454,6 +489,21 @@ void expect_routes_agree(const std::string& path) {
   const LoadedGraph old = getline_route(path);
   EXPECT_EQ(direct.graph, old.graph);
   EXPECT_EQ(direct.original_label, old.original_label);
+
+  const NodeId n = direct.graph.num_nodes();
+  std::vector<std::uint64_t> every(n);
+  std::iota(every.begin(), every.end(), std::uint64_t{0});
+  EXPECT_EQ(load_diffusion_file(path, every).graph, direct.graph);
+  util::Rng rng(n);
+  std::vector<std::uint64_t> half;
+  for (NodeId u = 0; u < n; ++u)
+    if (rng.bernoulli(0.5)) half.insert(half.end(), 1 + rng.next_below(3), u);
+  rng.shuffle(std::span(half));
+  const std::vector<std::uint64_t> past{n, std::uint64_t{n} + 1, 0,
+                                        std::uint64_t{1} << 32,
+                                        ~std::uint64_t{0}};
+  for (const auto& ids : {std::vector<std::uint64_t>{}, every, half, past})
+    expect_kept_runs(direct, load_diffusion_file(path, ids), ids);
 
   std::ifstream blocks_in(path);
   LineReader reader(blocks_in.rdbuf());
@@ -468,7 +518,8 @@ void expect_routes_agree(const std::string& path) {
 }
 
 /// The InputError text of each route on `path`: the two loaders, the
-/// streaming converter's source and the getline route.
+/// filtered diffusion load, the streaming converter's source and the
+/// getline route.
 std::vector<std::string> route_errors(const std::string& path) {
   std::vector<std::string> errors;
   const auto record = [&](auto load) {
@@ -481,6 +532,7 @@ std::vector<std::string> route_errors(const std::string& path) {
   };
   record([&] { load_diffusion_file(path); });
   record([&] { load_weighted_file(path); });
+  record([&] { load_diffusion_file(path, {0, 2, 4}); });
   record([&] {
     TextEdgeSource source(path);
     load_edge_source(source);
@@ -571,7 +623,7 @@ TEST(GraphIo, DiffusionLoadAcrossBlockBoundaries) {
                            ": sign must be +1 or -1, got 3";
   const std::string path =
       temp_file("bad.txt", rows_until(bad, bad.size() + 9000));
-  EXPECT_EQ(route_errors(path), std::vector<std::string>(4, want));
+  EXPECT_EQ(route_errors(path), std::vector<std::string>(5, want));
   std::filesystem::remove_all(test_dir());
 }
 
@@ -597,6 +649,165 @@ TEST(GraphIo, TracedDiffusionLoadHasNoReverseSpan) {
   EXPECT_EQ(names, (std::vector<std::string>{"csr_build", "load_text"}));
   EXPECT_EQ(loaded.graph.num_edges(), 9u);
   std::filesystem::remove_all(test_dir());
+}
+
+TEST(GraphIo, TracedFilteredLoadTagsItsKeptRows) {
+  namespace trace = util::trace;
+  if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
+  const std::string path = temp_file("messy.txt", kMessyEdgeList);
+  trace::start();
+  // Node 2 is label 42, the destination of four rows.
+  const LoadedGraph loaded = load_diffusion_file(path, {2});
+  trace::stop();
+
+  std::size_t spans = 0;
+  for (const trace::SpanRecord& span : trace::snapshot().spans) {
+    if (std::string_view(span.name) != "load_text") continue;
+    ++spans;
+    ASSERT_EQ(span.num_tags, 3u);
+    EXPECT_STREQ(span.tags[0].key, "rows");
+    EXPECT_EQ(span.tags[0].ival, 13);
+    EXPECT_STREQ(span.tags[1].key, "kept");
+    EXPECT_EQ(span.tags[1].ival, 4);
+    EXPECT_STREQ(span.tags[2].key, "nodes");
+    EXPECT_EQ(span.tags[2].ival, 7);
+  }
+  EXPECT_EQ(spans, 1u);
+  EXPECT_EQ(loaded.graph.num_edges(), 2u);  // one self-loop, one duplicate
+  std::filesystem::remove_all(test_dir());
+}
+
+/// Every strict prefix of the messy list and 4,000 seeded rounds of 1-4
+/// byte flips: the full and the filtered load either both load, with the
+/// listed runs kept, or both throw the same InputError text.
+TEST(GraphIo, DamagedListsLoadAlikeFilteredOrNot) {
+  const std::string body = kMessyEdgeList;
+  util::Rng rng(20261020);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](const std::string& text) {
+    const std::string path = temp_file("damaged.txt", text);
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t u = 0; u < 9; ++u)
+      if (rng.bernoulli(0.5)) ids.push_back(u);
+    LoadedGraph full;
+    LoadedGraph kept;
+    std::string full_error;
+    std::string kept_error;
+    try {
+      full = load_diffusion_file(path);
+    } catch (const util::InputError& e) {
+      full_error = e.what();
+    }
+    try {
+      kept = load_diffusion_file(path, ids);
+    } catch (const util::InputError& e) {
+      kept_error = e.what();
+    }
+    ASSERT_EQ(kept_error, full_error) << "text '" << text << "'";
+    if (!full_error.empty()) {
+      ++rejected;
+      return;
+    }
+    ++loaded;
+    expect_kept_runs(full, kept, ids);
+  };
+  for (std::size_t cut = 0; cut < body.size(); ++cut)
+    check(body.substr(0, cut));
+  for (int round = 0; round < 4000; ++round) {
+    std::string damaged = body;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f)
+      damaged[rng.next_below(damaged.size())] ^=
+          static_cast<char>(rng.uniform_int(1, 255));
+    check(damaged);
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+  std::filesystem::remove_all(test_dir());
+}
+
+// --- LabelCompactor --------------------------------------------------------
+
+/// Seeded label streams mixing dense labels, labels first seen past the
+/// direct table's bound that it later covers, labels up to 2^64 - 1, random
+/// labels and repeats, against an unordered_map oracle: the same
+/// first-appearance ids, the same find on present and absent labels, and
+/// labels released in id order.
+TEST(LabelCompactor, MatchesAMapOracle) {
+  constexpr std::uint64_t kLate = std::uint64_t{1} << 20;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    LabelCompactor ids;
+    std::unordered_map<std::uint64_t, NodeId> oracle;
+    std::vector<std::uint64_t> order;
+    const auto draw = [&]() -> std::uint64_t {
+      switch (rng.next_below(6)) {
+        case 0:
+        case 1:
+          return rng.next_below(300000);
+        case 2:
+          return kLate + rng.next_below(kLate);
+        case 3:
+          return ~std::uint64_t{0} - rng.next_below(1000);
+        case 4:
+          return rng.next_u64();
+        default:
+          return order.empty() ? 0 : order[rng.next_below(order.size())];
+      }
+    };
+    std::vector<std::uint64_t> hashed_late;  // late labels first hashed
+    for (int i = 0; i < 400000; ++i) {
+      const std::uint64_t label = draw();
+      const auto [it, fresh] =
+          oracle.try_emplace(label, static_cast<NodeId>(oracle.size()));
+      if (fresh) order.push_back(label);
+      if (fresh && label < 2 * kLate && label >= ids.direct_size() &&
+          label >= std::bit_floor(8 * (ids.size() + 65536)))
+        hashed_late.push_back(label);
+      ASSERT_EQ(ids.insert(label), it->second) << "label " << label;
+      ASSERT_LE(ids.direct_size(), 8 * (ids.size() + 65536));
+      const std::uint64_t probe = rng.bernoulli(0.5) ? draw() : label + 1;
+      const auto found = oracle.find(probe);
+      ASSERT_EQ(ids.find(probe),
+                found == oracle.end() ? kInvalidNode : found->second)
+          << "probe " << probe;
+    }
+    // The late labels moved into the direct table and kept their ids.
+    ASSERT_GE(ids.direct_size(), 2 * kLate);
+    EXPECT_GT(hashed_late.size(), 1000u);
+    for (const std::uint64_t label : hashed_late)
+      EXPECT_EQ(ids.find(label), oracle.at(label));
+    EXPECT_EQ(ids.size(), order.size());
+    EXPECT_EQ(std::move(ids).release_labels(), order);
+  }
+}
+
+/// The direct table holds at most 8 * (labels + 65,536) entries however
+/// sparse the labels, and covers dense labels 0..n-1 whole.
+TEST(LabelCompactor, DirectTableStaysWithinItsBound) {
+  LabelCompactor sparse;
+  for (std::uint64_t i = 0; i < 100000; ++i)
+    ASSERT_EQ(sparse.insert((i + 1) << 33), i);
+  EXPECT_EQ(sparse.direct_size(), 0u);
+
+  // Each label just below the unrounded bound at its insertion.
+  LabelCompactor edge;
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    ASSERT_EQ(edge.insert(8 * (edge.size() + 65536) - 1), i);
+    ASSERT_LE(edge.direct_size(), 8 * (edge.size() + 65536));
+  }
+
+  LabelCompactor dense;
+  constexpr std::uint64_t kDense = 300000;
+  for (std::uint64_t i = 0; i < kDense; ++i)
+    ASSERT_EQ(dense.insert(kDense - 1 - i), i);
+  EXPECT_GE(dense.direct_size(), kDense);
+  EXPECT_LE(dense.direct_size(), 8 * (kDense + 65536));
+  for (std::uint64_t i = 0; i < kDense; ++i)
+    ASSERT_EQ(dense.find(i), kDense - 1 - i);
+  EXPECT_EQ(dense.find(kDense), kInvalidNode);
 }
 
 }  // namespace

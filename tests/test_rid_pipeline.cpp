@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <filesystem>
 #include <set>
 
 #include "core/baselines.hpp"
+#include "core/jordan_center.hpp"
 #include "core/rid.hpp"
 #include "core/rumor_centrality.hpp"
+#include "core/temporal.hpp"
 #include "diffusion/mfc.hpp"
 #include "gen/sign_assigner.hpp"
 #include "gen/topologies.hpp"
+#include "graph/graph_io.hpp"
 #include "metrics/classification.hpp"
 #include "util/rng.hpp"
 
@@ -371,6 +376,82 @@ TEST(RidBetas, DetectionResultThreadInvariant) {
                   base[b].diagnostics.trees[t].status);
     }
   }
+}
+
+void expect_same_result(const DetectionResult& full,
+                        const DetectionResult& kept) {
+  EXPECT_EQ(kept.initiators, full.initiators);
+  EXPECT_EQ(kept.states, full.states);
+  EXPECT_EQ(kept.num_components, full.num_components);
+  EXPECT_EQ(kept.num_trees, full.num_trees);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(kept.total_opt),
+            std::bit_cast<std::uint64_t>(full.total_opt));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(kept.total_objective),
+            std::bit_cast<std::uint64_t>(full.total_objective));
+  ASSERT_EQ(kept.diagnostics.trees.size(), full.diagnostics.trees.size());
+  for (std::size_t t = 0; t < full.diagnostics.trees.size(); ++t)
+    EXPECT_EQ(kept.diagnostics.trees[t].status,
+              full.diagnostics.trees[t].status);
+}
+
+/// A seeded MFC instance written as text, loaded whole and restricted to
+/// the snapshot's active ids: every detector gives the same result on
+/// both, because none reads past the infected nodes' out-edges.
+TEST(Rid, EveryDetectorMatchesOnTheInfectedRowsAlone) {
+  util::Rng rng(26);
+  const auto el = gen::erdos_renyi(500, 4000, rng);
+  SignedGraph social =
+      gen::assign_signs_uniform(el, {.positive_probability = 0.75}, rng);
+  for (graph::EdgeId e = 0; e < social.num_edges(); ++e)
+    social.set_edge_weight(e, rng.uniform(0.02, 0.3));
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "rid_infected_rows.txt")
+          .string();
+  graph::save_weighted_file(social, path);
+  const graph::LoadedGraph full = graph::load_diffusion_file(path);
+  ASSERT_EQ(full.graph.num_nodes(), 500u);
+
+  diffusion::SeedSet seeds;
+  for (NodeId v = 0; v < 16; ++v) {
+    seeds.nodes.push_back(v * 31);
+    seeds.states.push_back(v % 3 ? NodeState::kPositive : NodeState::kNegative);
+  }
+  const std::vector<NodeState> late =
+      diffusion::simulate_mfc(full.graph, seeds, diffusion::MfcConfig{}, rng)
+          .state;
+  std::vector<std::uint64_t> active;
+  std::vector<NodeState> early(late.size(), NodeState::kInactive);
+  for (NodeId v = 0; v < late.size(); ++v) {
+    if (!graph::is_active(late[v])) continue;
+    active.push_back(v);
+    if (v % 2 == 0) early[v] = late[v];
+  }
+  ASSERT_GT(active.size(), 100u);
+  const graph::LoadedGraph kept = graph::load_diffusion_file(path, active);
+  ASSERT_LT(kept.graph.num_edges(), full.graph.num_edges());
+
+  RidConfig config;
+  config.beta = 0.5;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    config.num_threads = threads;
+    expect_same_result(run_rid(full.graph, late, config),
+                       run_rid(kept.graph, late, config));
+  }
+  config.num_threads = 1;
+  expect_same_result(
+      run_rid_with_early_snapshot(full.graph, early, late, config),
+      run_rid_with_early_snapshot(kept.graph, early, late, config));
+  const BaselineConfig base{};
+  expect_same_result(run_rid_tree(full.graph, late, base),
+                     run_rid_tree(kept.graph, late, base));
+  expect_same_result(run_rid_positive(full.graph, late, base),
+                     run_rid_positive(kept.graph, late, base));
+  expect_same_result(run_rumor_centrality(full.graph, late, base),
+                     run_rumor_centrality(kept.graph, late, base));
+  expect_same_result(run_jordan_center(full.graph, late, base),
+                     run_jordan_center(kept.graph, late, base));
+  std::filesystem::remove(path);
 }
 
 }  // namespace
