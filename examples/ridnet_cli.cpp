@@ -29,8 +29,8 @@
 // `simulate`/`detect` load the file straight into the diffusion network
 // (graph::load_diffusion_file: each row is stored reversed, and no social
 // graph is built). A text `detect` reads its snapshot first and builds only
-// the out-edges of the snapshot's active nodes, the only edges any
-// --method reads.
+// the edges among the snapshot's active nodes, the only edges any --method
+// reads.
 //
 // Columnar storage (graph/columnar.hpp, DESIGN.md §12/§15): `convert` writes
 // the binary .ridg format — by default the *diffusion* reversal of the input
@@ -487,7 +487,7 @@ int cmd_detect(const util::Flags& flags) {
     return write_detection(result, view.num_nodes(), flags);
   }
   // The snapshot is parsed first, as in convert, and the graph load builds
-  // only its active nodes' out-edges, since no detector reads any other.
+  // only the edges among its active nodes, since no detector reads others.
   // Ids are range-checked once the node count is known.
   const auto entries = core::load_snapshot_entries_file(
       flags.get_string("snapshot", "snap.txt"));

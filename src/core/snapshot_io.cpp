@@ -2,10 +2,11 @@
 
 #include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "graph/graph_io.hpp"
 #include "util/errors.hpp"
+#include "util/trace.hpp"
 
 namespace rid::core {
 
@@ -13,6 +14,17 @@ namespace {
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw util::InputError("snapshot_io: line " + std::to_string(line_no) +
                          ": " + what);
+}
+
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// The next token at or after `pos`, split as an istream reads a string
+/// (isspace in the C locale); empty at the end.
+std::string_view next_token(std::string_view line, std::size_t& pos) {
+  while (pos < line.size() && is_space(line[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_space(line[pos])) ++pos;
+  return line.substr(start, pos - start);
 }
 }  // namespace
 
@@ -33,38 +45,40 @@ void save_snapshot_file(std::span<const graph::NodeState> states,
 }
 
 std::vector<SnapshotEntry> parse_snapshot_entries(std::istream& in) {
+  util::trace::TraceSpan span("load_snapshot");
   std::vector<SnapshotEntry> entries;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    std::istringstream row(line);
-    std::string id_token;
-    std::string state_token;
-    if (!(row >> id_token)) continue;           // blank line
-    if (id_token[0] == '#' || id_token[0] == '%') continue;
-    if (!(row >> state_token)) fail(line_no, "missing state column");
+  // 64 KiB blocks stay below glibc's mmap threshold, which freeing a
+  // mapped block would raise for the rest of the process.
+  graph::LineReader reader(in ? in.rdbuf() : nullptr, std::size_t{1} << 16);
+  std::string_view line;
+  while (const std::size_t line_no = reader.next(line)) {
+    std::size_t pos = 0;
+    const std::string_view id = next_token(line, pos);
+    if (id.empty() || id[0] == '#' || id[0] == '%') continue;
+    const std::string_view state = next_token(line, pos);
+    if (state.empty()) fail(line_no, "missing state column");
 
     SnapshotEntry entry;
     entry.line_no = line_no;
-    const auto res = std::from_chars(
-        id_token.data(), id_token.data() + id_token.size(), entry.node);
-    if (res.ec != std::errc{} || res.ptr != id_token.data() + id_token.size())
-      fail(line_no, "bad node id '" + id_token + "'");
+    const auto res =
+        std::from_chars(id.data(), id.data() + id.size(), entry.node);
+    if (res.ec != std::errc{} || res.ptr != id.data() + id.size())
+      fail(line_no, "bad node id '" + std::string(id) + "'");
 
-    if (state_token == "+1" || state_token == "1") {
+    if (state == "+1" || state == "1") {
       entry.state = graph::NodeState::kPositive;
-    } else if (state_token == "-1") {
+    } else if (state == "-1") {
       entry.state = graph::NodeState::kNegative;
-    } else if (state_token == "?") {
+    } else if (state == "?") {
       entry.state = graph::NodeState::kUnknown;
-    } else if (state_token == "0") {
+    } else if (state == "0") {
       entry.state = graph::NodeState::kInactive;
     } else {
-      fail(line_no, "bad state '" + state_token + "'");
+      fail(line_no, "bad state '" + std::string(state) + "'");
     }
     entries.push_back(entry);
   }
+  span.tag("entries", static_cast<std::int64_t>(entries.size()));
   return entries;
 }
 
@@ -93,9 +107,7 @@ std::vector<graph::NodeState> load_snapshot(std::istream& in,
 
 std::vector<graph::NodeState> load_snapshot_file(const std::string& path,
                                                  graph::NodeId num_nodes) {
-  std::ifstream in(path);
-  if (!in) throw util::InputError("snapshot_io: cannot open " + path);
-  return load_snapshot(in, num_nodes);
+  return apply_snapshot_entries(load_snapshot_entries_file(path), num_nodes);
 }
 
 }  // namespace rid::core

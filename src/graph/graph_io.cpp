@@ -1,6 +1,7 @@
 #include "graph/graph_io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cstring>
@@ -80,30 +81,103 @@ double parse_weight(std::string_view token, std::size_t line_no) {
   return negative ? -value : value;
 }
 
-/// One pass over a plain row: each column is one from_chars call ending at
-/// a separator or the line end, the sign is +1 or -1 and the weight in
-/// [0, 1]. False leaves the line to the tokenizing parser below.
-bool parse_plain_row(std::string_view line, bool weighted, ParsedEdge& out) {
+// The word paths read the first byte as the lowest: little-endian only.
+constexpr bool kWords = std::endian::native == std::endian::little;
+
+std::uint64_t load_word(const char* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+/// Non-zero in each byte of `word` that is not an ASCII digit. Only a
+/// flagged byte (>= 0xfa) carries out of the + 0x06, so the first flagged
+/// byte is always the first non-digit.
+std::uint64_t non_digits(std::uint64_t word) {
+  constexpr std::uint64_t kHigh = 0xF0F0F0F0F0F0F0F0;
+  return ((word & kHigh) | ((word + 0x0606060606060606) & kHigh) >> 4) ^
+         0x3333333333333333;
+}
+
+/// A label of 1-7 digits and the separator after it, read from the eight
+/// bytes at `p`: its value, with `p` moved to the separator. False, `p`
+/// unmoved, for anything else (from_chars takes it then).
+bool label_word(const char*& p, std::uint64_t& value) {
+  const std::uint64_t word = load_word(p);
+  const int digits = std::countr_zero(non_digits(word)) / 8;
+  if (digits == 0 || digits == 8 || !is_separator(p[digits])) return false;
+  // Zero bytes ahead of the digits, then fold pairs, quads and octets.
+  std::uint64_t v = word << (64 - 8 * digits);
+  v = (v & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8;
+  v = (v & 0x00FF00FF00FF00FF) * 6553601 >> 16;
+  value = (v & 0x0000FFFF0000FFFF) * 42949672960001 >> 32;
+  p += digits;
+  return true;
+}
+
+/// True when the token [p, end) is "0", "1" or "0." and digits, 64 bytes
+/// at most: strtod takes it, it lies in [0, 1] and cannot underflow. The
+/// digits are read eight to a word, the last word ending at `end`; the
+/// bytes of the row before them in that word are ASCII (no carry leaves
+/// them), so their flags are shifted out.
+bool plain_weight(const char* line, const char* p, const char* end) {
+  if (end - p == 1) return *p == '0' || *p == '1';
+  if (!kWords || end - p < 2 || end - p > 64 || end - line < 8 ||
+      p[0] != '0' || p[1] != '.')
+    return false;
+  const char* q = p + 2;
+  for (; end - q > 8; q += 8)
+    if (non_digits(load_word(q))) return false;
+  return q == end || !(non_digits(load_word(end - 8)) >> 8 * (8 - (end - q)));
+}
+
+/// One pass over a plain row: each column ends at a separator or the line
+/// end, the sign is 1 or -1 and the weight in [0, 1]. Labels of 1-7 digits
+/// are read from one word, others and the weight by from_chars; with
+/// `defer`, a plain_weight token is left unconverted in `*defer`. False
+/// leaves the line to the tokenizing parser below.
+bool parse_plain_row(std::string_view line, bool weighted, ParsedEdge& out,
+                     std::string_view* defer = nullptr) {
   const char* p = line.data();
   const char* const end = p + line.size();
-  const auto number = [&](auto& value, auto... format) {
+  const auto skip = [&] {
     while (p != end && is_separator(*p)) ++p;
+  };
+  const auto ends = [&] { return p == end || is_separator(*p); };
+  const auto number = [&](auto& value, auto... format) {
+    skip();
     const auto res = std::from_chars(p, end, value, format...);
     p = res.ptr;
-    return res.ec == std::errc{} && (p == end || is_separator(*p));
+    return res.ec == std::errc{} && ends();
+  };
+  const auto label = [&](std::uint64_t& value) {
+    skip();
+    return (kWords && end - p >= 8 && label_word(p, value)) || number(value);
+  };
+  const auto sign = [&] {
+    skip();
+    out.sign = p != end && *p == '-' ? -1 : 1;
+    p += out.sign < 0;
+    return p != end && *p++ == '1' && ends();
   };
   out.weight = 1.0;
-  return number(out.src) && number(out.dst) && number(out.sign) &&
-         (out.sign == 1 || out.sign == -1) &&
-         (!weighted || (number(out.weight, std::chars_format::general) &&
-                        out.weight >= 0.0 && out.weight <= 1.0));
+  if (!(label(out.src) && label(out.dst) && sign())) return false;
+  if (!weighted) return true;
+  skip();
+  if (defer && plain_weight(line.data(), p, end)) {
+    *defer = {p, static_cast<std::size_t>(end - p)};
+    return true;
+  }
+  return number(out.weight, std::chars_format::general) && out.weight >= 0.0 &&
+         out.weight <= 1.0;
 }
 
 /// Streams parsed rows into the builder's columns, numbering labels in
 /// order of first appearance (sources before destinations within a row).
 /// With `diffusion`, row (src, dst) becomes the edge dst -> src. With a
-/// `keep` list (sorted, unique ids), only edges leaving a listed id reach
-/// the builder; every row is still numbered and counted.
+/// `keep` list (sorted, unique ids), only rows between two listed ids
+/// reach the builder, and a plain weight left as text is converted only
+/// then; every row is still numbered and counted.
 class EdgeAssembler {
  public:
   explicit EdgeAssembler(bool diffusion = false,
@@ -111,7 +185,8 @@ class EdgeAssembler {
       : diffusion_(diffusion), keep_(keep) {}
   void reserve(std::size_t rows) { builder_.reserve(rows); }
 
-  void add(const ParsedEdge& e, std::size_t line_no) {
+  void add(const ParsedEdge& e, std::size_t line_no,
+           std::string_view weight = {}) {
     // Rows come grouped by source: skip the probe for the last row's.
     if (src_ == kInvalidNode || e.src != src_label_) {
       src_ = ids_.insert(e.src);
@@ -132,10 +207,12 @@ class EdgeAssembler {
         }
       builder_.ensure_node(static_cast<NodeId>(ids_.size() - 1));
     }
-    const NodeId from = diffusion_ ? dst : src_;
-    if (keep_ && !listed_[from]) return;
-    builder_.add_edge(from, diffusion_ ? src_ : dst, sign_from_value(e.sign),
-                      e.weight);
+    if (keep_ && !(listed_[src_] && listed_[dst])) return;
+    double w = e.weight;
+    if (!weight.empty())
+      std::from_chars(weight.data(), weight.data() + weight.size(), w);
+    builder_.add_edge(diffusion_ ? dst : src_, diffusion_ ? src_ : dst,
+                      sign_from_value(e.sign), w);
   }
 
   std::size_t rows() const noexcept { return rows_; }
@@ -177,8 +254,12 @@ LoadedGraph load_impl(std::istream& in, bool weighted, bool diffusion = false,
         file_bytes * lines / head.size() * 9 / 8, kInvalidEdge));
   std::string_view line;
   ParsedEdge e;
-  while (const std::size_t line_no = reader.next(line))
-    if (parse_edge_line(line, line_no, weighted, e)) assembler.add(e, line_no);
+  while (const std::size_t line_no = reader.next(line)) {
+    std::string_view weight;  // a plain weight the filter may never convert
+    if ((keep && parse_plain_row(line, weighted, e, &weight)) ||
+        parse_edge_line(line, line_no, weighted, e))
+      assembler.add(e, line_no, weight);
+  }
   span.tag("rows", static_cast<std::int64_t>(assembler.rows()));
   if (keep) span.tag("kept", static_cast<std::int64_t>(assembler.kept()));
   LoadedGraph out = assembler.finish();

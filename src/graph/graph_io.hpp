@@ -12,7 +12,7 @@
 // Node ids in files may be sparse; they are compacted to 0..n-1 and the
 // original labels are returned so results can be reported in file ids.
 // load_diffusion_file builds the diffusion network straight from the rows,
-// optionally only the out-edges of the nodes a snapshot lists.
+// optionally only the edges among the nodes a snapshot lists.
 #pragma once
 
 #include <iosfwd>
@@ -41,12 +41,13 @@ struct ParsedEdge {
 };
 
 /// Splits a stream buffer (null reads as empty) into lines as std::getline
-/// does, reading 1 MiB blocks with sgetn; a longer line grows the block.
-/// Shared by the loaders below and TextEdgeSource (columnar_stream.hpp).
+/// does, reading `block`-byte blocks with sgetn; a longer line doubles the
+/// block. Shared by the loaders below, TextEdgeSource (columnar_stream.hpp)
+/// and the snapshot parser (core/snapshot_io.hpp).
 class LineReader {
  public:
-  explicit LineReader(std::streambuf* in)
-      : in_(in), buf_(std::size_t{1} << 20) {}
+  explicit LineReader(std::streambuf* in, std::size_t block = 1 << 20)
+      : in_(in), buf_(block) {}
   /// Sets `line` to the next line without its '\n', valid until the next
   /// call, and returns its 1-based number; 0 at the end of the stream.
   std::size_t next(std::string_view& line);
@@ -89,12 +90,13 @@ LoadedGraph load_weighted_file(const std::string& path);
 /// original_label, built in one pass: each row is added as (dst, src).
 LoadedGraph load_diffusion_file(const std::string& path);
 
-/// load_diffusion_file(path) with only the listed node ids' out-edges
-/// built, which is all any detector reads of a snapshot's graph (its
-/// infected nodes' out-edges). Every row is still parsed, numbered and
+/// load_diffusion_file(path) with only the edges among the listed node ids
+/// built, which is all any detector reads of a snapshot's graph (the edges
+/// between two infected nodes). Every row is still parsed, numbered and
 /// counted, so node ids, original_label, num_nodes() and every InputError
-/// are the full load's; a row reaches the builder only when its diffusion
-/// source (the row's destination) is listed. Ids past the node count are
+/// are the full load's; a row reaches the builder only when both its
+/// endpoints are listed, and only then is its weight converted (a dropped
+/// row's weight is checked, not converted). Ids past the node count are
 /// ignored; memory is O(labels + ids), whatever the largest id.
 LoadedGraph load_diffusion_file(const std::string& path,
                                 std::vector<std::uint64_t> ids);

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/jordan_center.hpp"
 #include "core/rid.hpp"
@@ -12,7 +14,11 @@
 #include "diffusion/mfc.hpp"
 #include "gen/sign_assigner.hpp"
 #include "gen/topologies.hpp"
+#include "oracles/snapshot_parser.hpp"
+#include "util/errors.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace rid {
 namespace {
@@ -171,6 +177,156 @@ TEST(SnapshotIo, RejectsMalformedInput) {
 TEST(SnapshotIo, MissingFileThrows) {
   EXPECT_THROW(core::load_snapshot_file("/nonexistent/snapshot.txt", 3),
                std::runtime_error);
+}
+
+/// What a snapshot parser makes of `text`: its entries or its InputError
+/// text. Any other exception escapes and fails the test.
+struct SnapshotOutcome {
+  std::vector<core::SnapshotEntry> entries;
+  std::string error;
+};
+
+template <typename Parser>
+SnapshotOutcome snapshot_outcome(Parser parse, const std::string& text) {
+  SnapshotOutcome out;
+  std::istringstream in(text);
+  try {
+    out.entries = parse(in);
+  } catch (const util::InputError& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// parse_snapshot_entries and the istringstream oracle agree on `text`:
+/// the same entries (node, state, line) or the same InputError text. True
+/// when it parses.
+bool expect_parsers_agree(const std::string& text) {
+  const SnapshotOutcome got =
+      snapshot_outcome(core::parse_snapshot_entries, text);
+  const SnapshotOutcome want =
+      snapshot_outcome(core::istringstream_parse_snapshot_entries, text);
+  const std::string where = "text '" + text + "'";
+  EXPECT_EQ(got.error, want.error) << where;
+  EXPECT_EQ(got.entries.size(), want.entries.size()) << where;
+  for (std::size_t i = 0; i < std::min(got.entries.size(), want.entries.size());
+       ++i) {
+    EXPECT_EQ(got.entries[i].node, want.entries[i].node) << where;
+    EXPECT_EQ(got.entries[i].state, want.entries[i].state) << where;
+    EXPECT_EQ(got.entries[i].line_no, want.entries[i].line_no) << where;
+  }
+  return want.error.empty();
+}
+
+/// One seeded snapshot line: ids with leading zeros, at and past 2^64 and
+/// junk; every state spelling and junk; every C-locale space (tabs, \r,
+/// \v, \f) as separator; comments, blank lines and extra columns.
+std::string random_snapshot_line(util::Rng& rng) {
+  const auto pick = [&](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.next_below(options.size())]);
+  };
+  const auto space = [&] {
+    return pick({" ", "\t", "\r", "\v", "\f", "  ", " \t", "\v\f "});
+  };
+  switch (rng.next_below(10)) {
+    case 0:
+      return rng.bernoulli(0.5) ? "" : space();
+    case 1:
+      return pick({"#", "# node state", "%1 +1", "\t# 3 -1", "#3"});
+    default:
+      break;
+  }
+  std::string id = std::to_string(rng.next_below(100000));
+  if (rng.bernoulli(0.3))
+    id = pick({"0", "007", "00000000000000000000042", "18446744073709551615",
+               "18446744073709551616", "99999999999999999999", "-1", "+5",
+               "0x10", "1.0", "abc", "5#", "1\xff"});
+  std::string line = rng.bernoulli(0.2) ? space() : "";
+  line += id;
+  if (rng.bernoulli(0.95)) {
+    line += space();
+    line += rng.bernoulli(0.7)
+                ? pick({"+1", "-1", "1", "?", "0"})
+                : pick({"+0", "-0", "01", "+?", "??", "2", "-", "+", "1x",
+                        "?1", "+1#", "#", "--1", "inactive"});
+  }
+  if (rng.bernoulli(0.2)) line += space() + pick({"extra", "+1", "# note"});
+  if (rng.bernoulli(0.2)) line += space();
+  return line;
+}
+
+TEST(SnapshotIo, ParserMatchesTheIstringstreamOracle) {
+  util::Rng rng(20261027);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  std::string text;
+  for (int i = 0; i < 40000 && !HasFailure(); ++i) {
+    const std::string line = random_snapshot_line(rng);
+    ++(expect_parsers_agree(line) ? parsed : refused);
+    expect_parsers_agree(line + "\n");
+    // Files of up to eight lines, with and without a final newline.
+    text += line;
+    if (rng.bernoulli(0.15)) {
+      expect_parsers_agree(text);
+      text.clear();
+    } else {
+      text += "\n";
+    }
+  }
+  EXPECT_GT(parsed, 10000u);
+  EXPECT_GT(refused, 5000u);
+
+  // Past the parser's 64 KiB block: rows straddle block boundaries, a
+  // 100 KB comment line doubles the block, and a bad last row is named by
+  // its line number.
+  std::string big;
+  for (std::uint64_t i = 0; big.size() < 300000; ++i) {
+    big += std::to_string(i) + (i % 3 ? " " : "\t") + (i % 2 ? "+1" : "?");
+    big += i == 5000 ? "\n#" + std::string(100000, 'c') + "\n" : "\n";
+  }
+  EXPECT_TRUE(expect_parsers_agree(big));
+  EXPECT_FALSE(expect_parsers_agree(big + "7 bad\n"));
+}
+
+/// Every strict prefix of a small snapshot and 4,000 seeded rounds of 1-4
+/// byte flips: each input parses or throws InputError, as the oracle does.
+TEST(SnapshotIo, DamagedSnapshotsParseOrThrowInputError) {
+  const std::string body =
+      "# node state\n0 +1\n\n3\t-1\r\n% skip\n17 ?\n 42 1 extra\n"
+      "18446744073709551615 0\n007 -1";
+  util::Rng rng(20261028);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (std::size_t cut = 0; cut < body.size(); ++cut)
+    expect_parsers_agree(body.substr(0, cut));
+  for (int round = 0; round < 4000 && !HasFailure(); ++round) {
+    std::string damaged = body;
+    const std::int64_t flips = rng.uniform_int(1, 4);
+    for (std::int64_t f = 0; f < flips; ++f)
+      damaged[rng.next_below(damaged.size())] ^=
+          static_cast<char>(rng.uniform_int(1, 255));
+    ++(expect_parsers_agree(damaged) ? parsed : refused);
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(SnapshotIo, TracedParseTagsItsEntries) {
+  namespace trace = util::trace;
+  if (!trace::compiled()) GTEST_SKIP() << "built with RID_TRACING=OFF";
+  trace::start();
+  std::istringstream in("# node state\n0 +1\n\n3 -1\n5 0\n");
+  EXPECT_EQ(core::parse_snapshot_entries(in).size(), 3u);
+  trace::stop();
+  std::size_t spans = 0;
+  for (const trace::SpanRecord& span : trace::snapshot().spans) {
+    if (std::string_view(span.name) != "load_snapshot") continue;
+    ++spans;
+    ASSERT_EQ(span.num_tags, 1u);
+    EXPECT_STREQ(span.tags[0].key, "entries");
+    EXPECT_EQ(span.tags[0].ival, 3);
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 // --- thread pool ----------------------------------------------------------------
